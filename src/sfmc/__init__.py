@@ -12,7 +12,7 @@ from .select_eval import (ExperimentReport, FeatureRanking, LSClassifier,
                           run_experiment, select_top, train_ls_classifier,
                           write_cells_csv)
 from .solver import (Anderson, Hyperparams, NumericalError, SelectionModel,
-                     SolverState, fit, load_selection_model,
+                     SolverState, build_graphs, fit, load_selection_model,
                      norm_l21, norm_l21_smoothed, objective, precompute_task,
                      reduced_objective, reweighted_step, selection_diag,
                      solve_F, solve_W, solve_W_coupled, solve_b, trace_norm,

@@ -55,21 +55,27 @@ def centering_matrix(n):
 def knn_cliques(X, k):
     """Index sets [i, then the k-1 nearest other samples] for each column of X.
 
-    Distances are Euclidean in the original feature space; ties are broken by
-    lower sample index, making the result deterministic.
+    Distances are squared Euclidean in the original feature space.  The k-1
+    neighbors are ordered by (distance, sample index): among samples at equal
+    distance the lower index comes first, so the result is deterministic and
+    a duplicate of sample i never displaces i from the head of its clique.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     d2 = cdist(X.T, X.T, metric="sqeuclidean")
-    indices = np.empty((n, k), dtype=np.int64)
-    cols = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((cols, d2[i]))
-        order = order[order != i]
-        indices[i, 0] = i
-        indices[i, 1:] = order[: k - 1]
+    # distances are >= 0, so -1 puts each sample at the head of its own row
+    np.fill_diagonal(d2, -1.0)
+    cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    cand_d2 = np.take_along_axis(d2, cand, axis=1)
+    order = np.lexsort((cand, cand_d2), axis=1)
+    indices = np.take_along_axis(cand, order, axis=1)
+    # argpartition picks arbitrarily among entries tied with the k-th
+    # distance; rows with such ties take the k lowest indices by a stable sort
+    kth = np.take_along_axis(cand_d2, order[:, -1:], axis=1)
+    for i in np.flatnonzero((d2 <= kth).sum(axis=1) > k):
+        indices[i] = np.argsort(d2[i], kind="stable")[:k]
     return CliqueIndex(indices=indices)
 
 

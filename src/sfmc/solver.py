@@ -110,7 +110,6 @@ class SolverState:
     W: list
     F: list
     b: list
-    P: list
     R: list
     T: list
     U: list
@@ -249,26 +248,37 @@ def _spd_solve(A, B, factor=None):
 
 
 def precompute_task(task, lap, hp, U=None):
-    """Per-task caches for the alternating updates: (P, R, T, H).
+    """Per-task caches for the alternating updates: (factor, R, T, H).
 
-    P = (alpha beta H + U + L)^-1, R = X H (I - alpha beta P) H X',
-    T = X H P U Y.  R is formed through the equivalent cancellation-free
-    product X H P (U + L) H X', which stays accurate at extreme alpha beta.
+    factor is the Cholesky factor of A = alpha beta H + U + L, in the form
+    scipy.linalg.cho_solve takes; fit reuses it for every F update.  With
+    B = H X', R = X H (I - alpha beta A^-1) H X' and T = X H A^-1 U Y.  The
+    inverse of A is never formed: one solve A Z = [(U + L) B, U Y] with
+    d + c right-hand sides gives R = B'Z_R, the cancellation-free form of R
+    that stays accurate at extreme alpha beta, and T = B'Z_T.
     """
     n = task.n_samples
+    d = task.X.shape[0]
     if U is None:
         U = selection_diag(task.labeled_mask, hp.inf_surrogate)
     H = centering_matrix(n)
-    ab = hp.alpha * hp.beta
-    A = ab * H + U + lap.L
-    A = 0.5 * (A + A.T)
-    P = _spd_solve(A, np.eye(n))
-    P = 0.5 * (P + P.T)
     B = H @ task.X.T
-    R = B.T @ (P @ ((U + lap.L) @ B))
+    rhs = np.hstack([(U + lap.L) @ B, U @ task.Y])
+    # in place: each n x n temporary here is one more peak-memory block
+    A = hp.alpha * hp.beta * H
+    A += U
+    A += lap.L
+    A += A.T
+    A *= 0.5
+    try:
+        factor = cho_factor(A)
+    except (LinAlgError, ValueError) as exc:
+        raise NumericalError(f"SPD factorization failed: {exc}") from exc
+    Z = _spd_solve(A, rhs, factor=factor)
+    R = B.T @ Z[:, :d]
     R = 0.5 * (R + R.T)
-    T = B.T @ (P @ (U @ task.Y))
-    return P, R, T, H
+    T = B.T @ Z[:, d:]
+    return factor, R, T, H
 
 
 def update_Dl(W, delta):
@@ -510,12 +520,37 @@ def objective(state, dataset, hp):
     return float(total)
 
 
-def fit(dataset, hp, callback=None, n_threads=1):
+def _map_tasks(fn, items, n_threads):
+    """[fn(item) for item in items]; n_threads > 1 runs them on a thread pool."""
+    items = list(items)
+    if n_threads > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def build_graphs(dataset, hp, n_threads=1):
+    """Every task's Laplacian at hp.k and hp.lam, in task order, for fit(graphs=).
+
+    A Laplacian depends only on its task's X, k and lam, so fits that differ
+    only in alpha, beta, gamma or the label mask can share one list.
+    """
+    return _map_tasks(lambda task: build_task_laplacian(task.X, hp.k, hp.lam),
+                      dataset.tasks, n_threads)
+
+
+def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     """Run the alternating solver on every task of the dataset.
 
-    Per task it builds the graph Laplacian, the label-weight diagonal and the
-    caches P, R, T.  The initial W_l solve uses unit row weights and an
-    identity coupling.  Each reweighting iteration then:
+    Per task it takes the graph Laplacian from graphs (as build_graphs
+    returns them; built here when None), the label-weight diagonal, and
+    from precompute_task the Cholesky factor of alpha beta H + U + L and the
+    caches R, T.  A supplied graph must match hp.k, hp.lam and its task's
+    sample count, or ValidationError is raised.  The initial W_l solve uses
+    unit row weights and an identity coupling.  Each reweighting iteration
+    then:
 
     1. takes the plain step of reweighted_step, which rebuilds D_l and
        (unless gamma is 0) Dtilde at the current W;
@@ -523,7 +558,7 @@ def fit(dataset, hp, callback=None, n_threads=1):
        extrapolated W only where reduced_objective rates it below the plain
        step.  With gamma 0 each task has its own history, so tasks stay
        decoupled; otherwise all tasks share one;
-    3. solves F_l and b_l in closed form for the W taken.
+    3. solves F_l and b_l in closed form for the W taken, with the factor.
 
     Stops when the relative objective change drops below hp.rel_tol or
     after hp.max_iter reweighting iterations, each one plain step whether or
@@ -533,7 +568,8 @@ def fit(dataset, hp, callback=None, n_threads=1):
 
     callback(iteration, state) is invoked after the initial solve (iteration
     0) and after each reweighting iteration.  n_threads > 1 parallelizes the
-    per-task precomputation; results are identical to the sequential path.
+    per-task graph building and precomputation; results are identical to
+    the sequential path.
     """
     if dataset.n_tasks < 1:
         raise ValidationError("dataset has no tasks")
@@ -544,31 +580,32 @@ def fit(dataset, hp, callback=None, n_threads=1):
             raise ValidationError(
                 f"task {task.name!r}: k={hp.k} exceeds its {task.n_samples} samples"
             )
-
-    def prepare(task):
-        lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-        P, R, T, H = precompute_task(task, lap, hp, U=U)
-        ab = hp.alpha * hp.beta
-        A = ab * H + U + lap.L
-        try:
-            factor = cho_factor(0.5 * (A + A.T))
-        except (LinAlgError, ValueError) as exc:
-            raise NumericalError(f"task {task.name!r}: {exc}") from exc
-        return lap.L, U, P, R, T, H, factor
-
-    if n_threads > 1 and dataset.n_tasks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            prepared = list(pool.map(prepare, dataset.tasks))
+    if graphs is None:
+        graphs = build_graphs(dataset, hp, n_threads)
+    elif len(graphs) != dataset.n_tasks:
+        raise ValidationError(
+            f"got {len(graphs)} graphs for {dataset.n_tasks} tasks"
+        )
     else:
-        prepared = [prepare(task) for task in dataset.tasks]
+        for task, lap in zip(dataset.tasks, graphs):
+            if (lap.k, lap.lam, lap.L.shape) != (hp.k, hp.lam, (task.n_samples,) * 2):
+                raise ValidationError(
+                    f"task {task.name!r}: graph built with k={lap.k}, lam={lap.lam} "
+                    f"on {lap.L.shape[0]} samples, but the fit has k={hp.k}, "
+                    f"lam={hp.lam} and {task.n_samples} samples"
+                )
+
+    def prepare(l):
+        task, lap = dataset.tasks[l], graphs[l]
+        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
+        factor, R, T, H = precompute_task(task, lap, hp, U=U)
+        return lap.L, U, factor, R, T, H
+
+    prepared = _map_tasks(prepare, range(dataset.n_tasks), n_threads)
 
     d = dataset.n_features
     state = SolverState(
         W=[], F=[], b=[],
-        P=[p[2] for p in prepared],
         R=[p[3] for p in prepared],
         T=[p[4] for p in prepared],
         U=[p[1] for p in prepared],
@@ -577,7 +614,7 @@ def fit(dataset, hp, callback=None, n_threads=1):
         Dl=[np.ones(d) for _ in dataset.tasks],
         Dtilde=np.eye(d) if hp.gamma != 0 else None,
     )
-    factors = [p[6] for p in prepared]
+    factors = [p[2] for p in prepared]
 
     def recover_F_b():
         """F_l and b_l in closed form for the current W; returns the objective."""

@@ -238,6 +238,20 @@ class TestErrorPaths:
                    str(tmp_path / "m.json")])
         assert rc == 2
 
+    def test_mismatched_graphs_exit_1(self, synth_dir, tmp_path, monkeypatch):
+        from dataclasses import replace
+        from sfmc.solver import build_graphs, fit
+        import sfmc.cli as cli
+
+        def fit_with_stale_graphs(ds, hp, **kwargs):
+            graphs = build_graphs(ds, replace(hp, k=hp.k + 1))
+            return fit(ds, hp, graphs=graphs, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", fit_with_stale_graphs)
+        rc = main(["fit", str(synth_dir / "manifest.json"), "--out",
+                   str(tmp_path / "m.json"), "--k", "5"])
+        assert rc == 1
+
     def test_negative_seed_exit_1(self, synth_dir, tmp_path):
         rc = main(["eval", str(synth_dir / "manifest.json"), "--out",
                    str(tmp_path / "r.json"), "--methods", "fisher",

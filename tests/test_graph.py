@@ -43,6 +43,16 @@ class TestKnnCliques:
         cl = knn_cliques(X, 4)
         np.testing.assert_array_equal(cl.indices, brute_knn(X, 4))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_grids_match_brute_force(self, seed):
+        # integer grids with duplicated columns put many samples at exactly
+        # the k-th distance, where only the (distance, index) rule decides
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(2, 24)).astype(float)
+        X[:, rng.integers(0, 24, size=8)] = X[:, rng.integers(0, 24, size=8)]
+        for k in (2, 3, 5, 8, 13, 24):
+            np.testing.assert_array_equal(knn_cliques(X, k).indices, brute_knn(X, k))
+
     def test_k_out_of_range(self):
         X = np.zeros((2, 3))
         with pytest.raises(ValueError):

@@ -308,6 +308,33 @@ class TestRunExperiment:
         r2 = run_experiment(synth, n_threads=3, **kwargs)
         assert r1.to_json_dict() == r2.to_json_dict()
 
+    def test_graphs_built_once_per_split(self, synth, monkeypatch):
+        # the Laplacian depends only on the split's X, k and lam, so every
+        # fraction and grid cell of one repeat shares one graph per task
+        from sfmc import select_eval, solver
+
+        kwargs = dict(
+            methods=["sfmc"], fractions=[0.2, 1.0], feature_counts=[4],
+            repeats=2, seed=4, grid={"gamma": [0.1, 10.0]},
+            hp_base=Hyperparams(k=6, max_iter=10),
+        )
+        built = []
+        build = solver.build_task_laplacian
+        monkeypatch.setattr(solver, "build_task_laplacian",
+                            lambda *a: built.append(1) or build(*a))
+        shared = run_experiment(synth, **kwargs)
+        assert len(built) == 2 * synth.n_tasks
+
+        fit_per_cell = select_eval.fit
+        monkeypatch.setattr(
+            select_eval, "fit",
+            lambda ds, hp, graphs=None, **kw: fit_per_cell(ds, hp, **kw))
+        del built[:]
+        unshared = run_experiment(synth, **kwargs)
+        # the unused per-split build, then one per fit: 2 fractions x 2 cells
+        assert len(built) == 2 * synth.n_tasks * (1 + 2 * 2)
+        assert shared.to_json_dict() == unshared.to_json_dict()
+
     def test_more_labels_help(self):
         # full labels beat 10% labels for Fisher on clean synthetic data in
         # at least 9 of 10 seeds

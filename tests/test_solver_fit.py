@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sfmc.dataset import MultiTaskDataset, TaskData, ValidationError
 from sfmc import solver
 from sfmc.graph import build_task_laplacian
-from sfmc.solver import (Anderson, Hyperparams, fit, load_selection_model,
+from sfmc.solver import (Anderson, Hyperparams, build_graphs, fit,
+                         load_selection_model,
                          precompute_task, reduced_objective, reweighted_step,
                          selection_diag, solve_W, update_Dl, update_Dtilde)
 from helpers import (analytic_full_gradient, central_diff_grad, descent_minimize,
@@ -68,6 +71,27 @@ class TestFitBasics:
         tr = np.array(m_exact.objective_trace)
         assert np.all(np.diff(tr) <= 1e-9 * np.abs(tr[:-1]))
 
+    def test_supplied_graphs_match_built_ones(self):
+        rng = np.random.default_rng(8)
+        ds = make_dataset(rng, t=2, d=6, n=12, c=2)
+        hp = Hyperparams(k=4, max_iter=10)
+        shared = fit(ds, hp, graphs=build_graphs(ds, hp))
+        assert shared.to_json_dict() == fit(ds, hp).to_json_dict()
+
+    def test_rejects_mismatched_graphs(self):
+        rng = np.random.default_rng(9)
+        ds = make_dataset(rng, t=2, d=6, n=12, c=2)
+        hp = Hyperparams(k=4)
+        graphs = build_graphs(ds, hp)
+        for bad in (replace(hp, k=5), replace(hp, lam=2.0)):
+            with pytest.raises(ValidationError, match="graph built with"):
+                fit(ds, bad, graphs=graphs)
+        small = make_dataset(rng, t=2, d=6, n=10, c=2)
+        with pytest.raises(ValidationError, match="on 12 samples"):
+            fit(small, hp, graphs=graphs)
+        with pytest.raises(ValidationError, match="1 graphs for 2 tasks"):
+            fit(ds, hp, graphs=graphs[:1])
+
     def test_single_class_task(self):
         rng = np.random.default_rng(13)
         n = 10
@@ -85,7 +109,7 @@ class TestFitBasics:
 
         def check(r, state):
             m = 0.0
-            for M in list(state.P) + list(state.R) + [state.Dtilde]:
+            for M in list(state.R) + [state.Dtilde]:
                 m = max(m, float(np.abs(M - M.T).max()))
             worst.append(m)
 

@@ -77,13 +77,13 @@ def _task_with_caches(rng, d=5, n=8, c=2, **hp_kwargs):
     hp = Hyperparams(k=min(4, n), **hp_kwargs)
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
     U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-    P, R, T, H = precompute_task(task, lap, hp, U=U)
-    return task, lap, U, P, R, T, H, hp
+    factor, R, T, H = precompute_task(task, lap, hp, U=U)
+    return task, lap, U, factor, R, T, H, hp
 
 
 class TestPrecomputeTask:
     def test_definitional_residual(self):
-        # U = I, L = 0, alpha*beta = 1: P must invert (H + I)
+        # U = I, L = 0, alpha*beta = 1: the factor must solve (H + I) X = I
         n = 6
         task = make_task(np.random.default_rng(3), 4, n, 2, label_frac=0.0)
 
@@ -92,15 +92,15 @@ class TestPrecomputeTask:
 
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
         U = np.eye(n)
-        P, R, T, H = precompute_task(task, ZeroLap(), hp, U=U)
-        np.testing.assert_allclose((H + np.eye(n)) @ P, np.eye(n), atol=1e-12)
+        factor, R, T, H = precompute_task(task, ZeroLap(), hp, U=U)
+        X = scipy.linalg.cho_solve(factor, np.eye(n))
+        np.testing.assert_allclose((H + np.eye(n)) @ X, np.eye(n), atol=1e-12)
 
     def test_r_symmetric_psd(self):
         rng = np.random.default_rng(4)
-        _, _, _, P, R, _, _, _ = _task_with_caches(rng, d=5, n=8)
+        _, _, _, _, R, _, _, _ = _task_with_caches(rng, d=5, n=8)
         assert np.abs(R - R.T).max() <= 1e-10
         assert np.linalg.eigvalsh(R).min() >= -1e-8
-        assert np.abs(P - P.T).max() <= 1e-10
 
     def test_t_zero_when_y_zero(self):
         rng = np.random.default_rng(5)
@@ -122,8 +122,9 @@ class TestPrecomputeTask:
     def test_matches_printed_form_at_moderate_scale(self):
         # the cancellation-free R must agree with the literal formula
         rng = np.random.default_rng(6)
-        task, lap, U, P, R, T, H, hp = _task_with_caches(rng, d=4, n=9)
+        task, lap, U, _, R, T, H, hp = _task_with_caches(rng, d=4, n=9)
         ab = hp.alpha * hp.beta
+        P = np.linalg.inv(ab * H + U + lap.L)
         R_literal = task.X @ H @ (np.eye(9) - ab * P) @ H @ task.X.T
         np.testing.assert_allclose(R, R_literal, atol=1e-9)
         T_literal = task.X @ H @ P @ U @ task.Y
@@ -384,7 +385,7 @@ class TestObjective:
         n_list = [t.n_samples for t in ds.tasks]
         return SolverState(
             W=W_list, F=F_list, b=b_list,
-            P=[None] * ds.n_tasks, R=[None] * ds.n_tasks, T=[None] * ds.n_tasks,
+            R=[None] * ds.n_tasks, T=[None] * ds.n_tasks,
             U=[selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks],
             L=[build_task_laplacian(t.X, hp.k, hp.lam).L for t in ds.tasks],
             H=[centering_matrix(n) for n in n_list],
