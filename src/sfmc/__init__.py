@@ -13,9 +13,9 @@ from .select_eval import (ExperimentReport, FeatureRanking, LSClassifier,
                           write_cells_csv)
 from .solver import (Anderson, Hyperparams, NumericalError, SelectionModel,
                      SolverState, build_graphs, fit, load_selection_model,
-                     norm_l21, norm_l21_smoothed, objective, precompute_task,
-                     reduced_objective, reweighted_step, selection_diag,
-                     solve_F, solve_W, solve_W_coupled, solve_b, trace_norm,
-                     trace_norm_smoothed, update_Dl, update_Dtilde)
+                     norm_l21_smoothed, precompute_task, reduced_objective,
+                     reweighted_step, selection_diag, solve_F, solve_W,
+                     solve_W_coupled, solve_b, trace_norm_smoothed, update_Dl,
+                     update_Dtilde)
 
 __version__ = "0.1.0"

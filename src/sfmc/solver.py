@@ -13,6 +13,12 @@ lowers the objective further.  Every quantity is delta-smoothed so the
 updates are defined for zero rows, and the recorded objective decreases
 monotonically.
 
+The propagated labels F and biases b have a closed form for any W, and the
+W step reads only the per-task d x d and d x c caches R and T, so the loop
+iterates on W alone.  It scores each iterate in d-space: the objective with
+F and b eliminated is reduced_objective plus a W-free constant per task,
+computed once by precompute_task.  F and b are solved once, after the loop.
+
 Dtilde is built from the smaller of the two Gram matrices of W.  The d x d
 form (1/2)(WW' + delta I)^(-1/2) puts the weight 1/(2 sqrt(delta)) on every
 direction outside W's column span; when d > sum(c) there are d - sum(c) such
@@ -55,10 +61,7 @@ class Hyperparams:
     alpha weighs the per-task sparsity + fitting block, beta the fitting term
     inside it, gamma the cross-task trace-norm coupling.  lam and k control
     the graph Laplacian.  inf_surrogate stands in for the infinite label
-    weight on labeled samples.  exact_w_update=True solves the exact
-    stationary system of the reweighted subproblem (coefficient 1/beta on the
-    row weights); False uses the alpha/beta-scaled variant, kept only for
-    comparison because it can break monotone descent.
+    weight on labeled samples.
     """
 
     alpha: float = 1.0
@@ -70,7 +73,6 @@ class Hyperparams:
     delta: float = 1e-12
     max_iter: int = 50
     rel_tol: float = 1e-6
-    exact_w_update: bool = True
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -100,21 +102,21 @@ class Hyperparams:
         d = dict(d)
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
+        # older model files carry exact_w_update; true names the only W update
+        # there is, false the alpha/beta-scaled one that was removed
+        if d.pop("exact_w_update", True) is not True:
+            raise ValidationError("exact_w_update=false (the alpha/beta-scaled "
+                                  "W update) is no longer supported")
         return cls(**d)
 
 
 @dataclass
 class SolverState:
-    """Working state of one fit: per-task blocks plus the shared coupling."""
+    """Working state of one fit: per-task d-space blocks plus the shared coupling."""
 
     W: list
-    F: list
-    b: list
     R: list
     T: list
-    U: list
-    L: list
-    H: list
     Dl: list
     Dtilde: np.ndarray
     objective_trace: list = field(default_factory=list)
@@ -191,22 +193,10 @@ def load_selection_model(path):
         raise ValidationError(f"model file {path} has unexpected structure: {exc}") from exc
 
 
-def norm_l21(M):
-    """Sum over rows of the row-wise Euclidean norm."""
-    M = np.asarray(M, dtype=np.float64)
-    return float(np.sqrt((M * M).sum(axis=1)).sum())
-
-
 def norm_l21_smoothed(M, delta):
     """Sum over rows of sqrt(||row||^2 + delta)."""
     M = np.asarray(M, dtype=np.float64)
     return float(np.sqrt((M * M).sum(axis=1) + delta).sum())
-
-
-def trace_norm(M):
-    """Sum of singular values."""
-    M = np.asarray(M, dtype=np.float64)
-    return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
 def trace_norm_smoothed(M, delta):
@@ -247,20 +237,22 @@ def _spd_solve(A, B, factor=None):
     return X
 
 
-def precompute_task(task, lap, hp, U=None):
-    """Per-task caches for the alternating updates: (factor, R, T, H).
+def precompute_task(task, lap, hp):
+    """Per-task caches for the alternating updates: (factor, R, T, const).
 
     factor is the Cholesky factor of A = alpha beta H + U + L, in the form
-    scipy.linalg.cho_solve takes; fit reuses it for every F update.  With
+    scipy.linalg.cho_solve takes; fit reuses it for the final F solve.  With
     B = H X', R = X H (I - alpha beta A^-1) H X' and T = X H A^-1 U Y.  The
     inverse of A is never formed: one solve A Z = [(U + L) B, U Y] with
     d + c right-hand sides gives R = B'Z_R, the cancellation-free form of R
-    that stays accurate at extreme alpha beta, and T = B'Z_T.
+    that stays accurate at extreme alpha beta, and T = B'Z_T.  const is the
+    task's W-free part of the objective once F and b are eliminated,
+    Tr(Y'UY) - Tr(Y'U A^-1 U Y), taken without cancellation as
+    <Z_T, (alpha beta H + L) Y>.
     """
     n = task.n_samples
     d = task.X.shape[0]
-    if U is None:
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
+    U = selection_diag(task.labeled_mask, hp.inf_surrogate)
     H = centering_matrix(n)
     B = H @ task.X.T
     rhs = np.hstack([(U + lap.L) @ B, U @ task.Y])
@@ -278,7 +270,9 @@ def precompute_task(task, lap, hp, U=None):
     R = B.T @ Z[:, :d]
     R = 0.5 * (R + R.T)
     T = B.T @ Z[:, d:]
-    return factor, R, T, H
+    const = float((Z[:, d:] * (hp.alpha * hp.beta * (H @ task.Y)
+                               + lap.L @ task.Y)).sum())
+    return factor, R, T, const
 
 
 def update_Dl(W, delta):
@@ -307,21 +301,15 @@ def update_Dtilde(W, delta):
     return 0.5 * (M + M.T)
 
 
-def _row_coef(hp):
-    """Coefficient of D_l in the W system: 1/beta, or alpha/beta for the legacy variant."""
-    return (1.0 / hp.beta) if hp.exact_w_update else (hp.alpha / hp.beta)
-
-
 def solve_W(R, T, Dl, Dtilde, hp):
-    """One task's closed-form W update: (R + c D_l + (gamma/(alpha beta)) Dtilde)^-1 T.
+    """One task's closed-form W update: (R + D_l/beta + (gamma/(alpha beta)) Dtilde)^-1 T.
 
-    Dtilde is the d x d row-form coupling (or None when gamma is 0), so
-    tasks solve separately; the sum(c) x sum(c) column form needs the joint
-    solve_W_coupled.  c is 1/beta by default (the exact minimizer of the
-    reweighted quadratic, which is what guarantees monotone descent) or
-    alpha/beta when hp.exact_w_update is False.
+    This is the exact minimizer of the reweighted quadratic, which is what
+    guarantees monotone descent.  Dtilde is the d x d row-form coupling (or
+    None when gamma is 0), so tasks solve separately; the sum(c) x sum(c)
+    column form needs the joint solve_W_coupled.
     """
-    S = R + np.diag(_row_coef(hp) * np.asarray(Dl, dtype=np.float64))
+    S = R + np.diag((1.0 / hp.beta) * np.asarray(Dl, dtype=np.float64))
     if hp.gamma != 0:
         if Dtilde is None:
             raise ValueError("Dtilde is required when gamma is nonzero")
@@ -333,7 +321,7 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0):
     """Joint W update for the sum(c) x sum(c) column-form coupling Dtilde.
 
     Solves, for every task l at once,
-        R_l W_l + c D_l W_l + (gamma/(alpha beta)) (W Dtilde)_l = T_l,
+        R_l W_l + D_l W_l / beta + (gamma/(alpha beta)) (W Dtilde)_l = T_l,
     where (W Dtilde)_l are task l's columns of the stacked W times Dtilde:
     the minimizer of the reweighted quadratic, an SPD system of size
     d sum(c).  R, T, Dl and W0 are per-task lists.  Preconditioned conjugate
@@ -341,9 +329,9 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0):
     iterate lowers the quadratic from there, so the step keeps descent even
     when it stops at its iteration cap.  The preconditioner solves each
     task's own block exactly: with Dtilde_ll = V diag(lam) V', the columns
-    of W_l V decouple into d x d systems R_l + c D_l + (gamma/(alpha beta)) lam_k I.
+    of W_l V decouple into d x d systems R_l + D_l/beta + (gamma/(alpha beta)) lam_k I.
     """
-    coef = _row_coef(hp)
+    coef = 1.0 / hp.beta
     cpl = hp.gamma / (hp.alpha * hp.beta)
     bounds = np.cumsum([0] + [T_l.shape[1] for T_l in T])
     blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -428,7 +416,8 @@ def reduced_objective(W, R, T, hp):
 
     Sum over tasks of alpha beta (Tr(W_l'R_lW_l) - 2 Tr(W_l'T_l)) +
     alpha ||W_l||_{2,1,delta}, plus gamma Tr((WW' + delta I)^(1/2)) over the
-    stacked W.  It ranks candidate W without the n x n work of solve_F.
+    stacked W.  fit records it, plus the constants from precompute_task, as
+    the objective, and ranks candidate W by it, without any n-sized work.
     """
     ab = hp.alpha * hp.beta
     total = 0.0
@@ -496,30 +485,6 @@ def solve_b(F, X, W):
     return np.asarray(F - X.T @ W).mean(axis=0)
 
 
-def objective(state, dataset, hp):
-    """Delta-smoothed objective value at the state's (W, F, b).
-
-    Per task: Tr((F-Y)'U(F-Y)) + Tr(F'LF) + alpha (||W||_{2,1,delta}
-    + beta ||X'W + 1b' - F||_F^2); plus gamma Tr((WW' + delta I)^(1/2))
-    over the stacked W.
-    """
-    total = 0.0
-    for l, task in enumerate(dataset.tasks):
-        E = state.F[l] - task.Y
-        total += float((E * (state.U[l] @ E)).sum())
-        total += float((state.F[l] * (state.L[l] @ state.F[l])).sum())
-        fit_resid = task.X.T @ state.W[l] + np.outer(
-            np.ones(task.n_samples), state.b[l]
-        ) - state.F[l]
-        total += hp.alpha * (
-            norm_l21_smoothed(state.W[l], hp.delta)
-            + hp.beta * float((fit_resid * fit_resid).sum())
-        )
-    if hp.gamma != 0:
-        total += hp.gamma * trace_norm_smoothed(np.hstack(state.W), hp.delta)
-    return float(total)
-
-
 def _map_tasks(fn, items, n_threads):
     """[fn(item) for item in items]; n_threads > 1 runs them on a thread pool."""
     items = list(items)
@@ -545,26 +510,28 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     """Run the alternating solver on every task of the dataset.
 
     Per task it takes the graph Laplacian from graphs (as build_graphs
-    returns them; built here when None), the label-weight diagonal, and
-    from precompute_task the Cholesky factor of alpha beta H + U + L and the
-    caches R, T.  A supplied graph must match hp.k, hp.lam and its task's
-    sample count, or ValidationError is raised.  The initial W_l solve uses
-    unit row weights and an identity coupling.  Each reweighting iteration
-    then:
+    returns them; built here when None) and, from precompute_task, the
+    Cholesky factor of alpha beta H + U + L, the caches R, T and the W-free
+    objective constant.  A supplied graph must match hp.k, hp.lam and its
+    task's sample count, or ValidationError is raised.  The initial W_l
+    solve uses unit row weights and an identity coupling.  Each reweighting
+    iteration then:
 
     1. takes the plain step of reweighted_step, which rebuilds D_l and
        (unless gamma is 0) Dtilde at the current W;
     2. lets Anderson extrapolate from the recent steps, keeping the
        extrapolated W only where reduced_objective rates it below the plain
        step.  With gamma 0 each task has its own history, so tasks stay
-       decoupled; otherwise all tasks share one;
-    3. solves F_l and b_l in closed form for the W taken, with the factor.
+       decoupled; otherwise all tasks share one.
 
-    Stops when the relative objective change drops below hp.rel_tol or
+    Every recorded objective is reduced_objective plus the tasks' constants:
+    the full objective at W with F and b at their optimum, computed in
+    d-space.  Stops when its relative change drops below hp.rel_tol or
     after hp.max_iter reweighting iterations, each one plain step whether or
-    not the extrapolated W is taken.  The recorded objective trace is
-    non-increasing.  state.Dtilde and state.Dl hold the weights the last
-    step used.
+    not the extrapolated W is taken.  The recorded trace is non-increasing.
+    state.Dtilde and state.Dl hold the weights the last step used.  After
+    the loop, F_l and b_l are solved once in closed form for the final W,
+    with the factor.
 
     callback(iteration, state) is invoked after the initial solve (iteration
     0) and after each reweighting iteration.  n_threads > 1 parallelizes the
@@ -595,39 +562,23 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
                     f"lam={hp.lam} and {task.n_samples} samples"
                 )
 
-    def prepare(l):
-        task, lap = dataset.tasks[l], graphs[l]
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-        factor, R, T, H = precompute_task(task, lap, hp, U=U)
-        return lap.L, U, factor, R, T, H
-
-    prepared = _map_tasks(prepare, range(dataset.n_tasks), n_threads)
+    prepared = _map_tasks(lambda l: precompute_task(dataset.tasks[l], graphs[l], hp),
+                          range(dataset.n_tasks), n_threads)
+    factors = [p[0] for p in prepared]
+    const = sum(p[3] for p in prepared)
 
     d = dataset.n_features
     state = SolverState(
-        W=[], F=[], b=[],
-        R=[p[3] for p in prepared],
-        T=[p[4] for p in prepared],
-        U=[p[1] for p in prepared],
-        L=[p[0] for p in prepared],
-        H=[p[5] for p in prepared],
+        W=[],
+        R=[p[1] for p in prepared],
+        T=[p[2] for p in prepared],
         Dl=[np.ones(d) for _ in dataset.tasks],
         Dtilde=np.eye(d) if hp.gamma != 0 else None,
     )
-    factors = [p[2] for p in prepared]
-
-    def recover_F_b():
-        """F_l and b_l in closed form for the current W; returns the objective."""
-        state.F = [solve_F(task, state.L[l], state.U[l], state.H[l], state.W[l], hp,
-                           factor=factors[l])
-                   for l, task in enumerate(dataset.tasks)]
-        state.b = [solve_b(F_l, task.X, W_l)
-                   for F_l, task, W_l in zip(state.F, dataset.tasks, state.W)]
-        return objective(state, dataset, hp)
 
     state.W = [solve_W(R_l, T_l, D_l, state.Dtilde, hp)
                for R_l, T_l, D_l in zip(state.R, state.T, state.Dl)]
-    obj = recover_F_b()
+    obj = reduced_objective(state.W, state.R, state.T, hp) + const
     if not np.isfinite(obj):
         raise NumericalError("objective is non-finite after initialization")
     state.objective_trace.append(obj)
@@ -647,7 +598,7 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
                                lambda V: reduced_objective(V, R_g, T_g, hp))
             for l, W_l in zip(group, taken):
                 state.W[l] = W_l
-        obj = recover_F_b()
+        obj = reduced_objective(state.W, state.R, state.T, hp) + const
         if not np.isfinite(obj):
             raise NumericalError(f"objective is non-finite at iteration {r}")
         prev = state.objective_trace[-1]
@@ -659,11 +610,17 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
             converged = True
             break
 
+    b = []
+    for task, lap, factor, W_l in zip(dataset.tasks, graphs, factors, state.W):
+        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
+        F = solve_F(task, lap.L, U, centering_matrix(task.n_samples), W_l, hp,
+                    factor=factor)
+        b.append(solve_b(F, task.X, W_l))
     scores = tuple(np.sqrt((W * W).sum(axis=1)) for W in state.W)
     return SelectionModel(
         task_names=tuple(task.name for task in dataset.tasks),
         W=tuple(state.W),
-        b=tuple(state.b),
+        b=tuple(b),
         feature_scores=scores,
         hyperparams=hp,
         objective_trace=tuple(state.objective_trace),

@@ -87,7 +87,7 @@ def test_3_oracle_equivalence():
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
         Us = [selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
         caches = [
-            precompute_task(t, lap, hp, U=U)
+            precompute_task(t, lap, hp)
             for t, lap, U in zip(ds.tasks, laps, Us)
         ]
         R_list = [c[1] for c in caches]

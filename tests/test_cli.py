@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sfmc
 from sfmc.cli import main
 from sfmc.dataset import generate_synthetic, SynthConfig, write_manifest
 from sfmc.solver import load_selection_model
@@ -165,6 +168,15 @@ class TestSelect:
                    str(tmp_path / "sel.json")])
         assert rc == 1
 
+    def test_removed_w_update_variant_exit_1(self, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["hyperparams"]["exact_w_update"] = False
+        model_path.write_text(json.dumps(doc))
+        rc = main(["select", str(model_path), "--top", "4", "--out",
+                   str(tmp_path / "sel.json")])
+        assert rc == 1
+        assert "exact_w_update" in capsys.readouterr().err
+
     def test_top_1_is_max_row_norm(self, model_path, tmp_path):
         out = tmp_path / "sel.json"
         assert main(["select", str(model_path), "--top", "1", "--out",
@@ -271,21 +283,22 @@ class TestErrorPaths:
         assert before == after
 
 
+def _run_module(*args):
+    """python -m sfmc, importing the same sfmc package as this test run."""
+    src = str(Path(sfmc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sfmc", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sfmc", "synth", "--out-dir",
-             str(tmp_path / "d"), "--features", "6", "--support", "2",
-             "--tasks", "1", "--samples", "8"],
-            capture_output=True, text=True,
-        )
+        proc = _run_module("synth", "--out-dir", str(tmp_path / "d"), "--features",
+                           "6", "--support", "2", "--tasks", "1", "--samples", "8")
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "d" / "manifest.json").exists()
 
     def test_unknown_flag_exits_1(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sfmc", "fit", "x.json", "--out", "y",
-             "--bogus"],
-            capture_output=True, text=True,
-        )
+        proc = _run_module("fit", "x.json", "--out", "y", "--bogus")
         assert proc.returncode == 1

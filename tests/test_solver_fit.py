@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -59,17 +60,35 @@ class TestFitBasics:
         for a, b in zip(m1.W, m2.W):
             np.testing.assert_array_equal(a, b)
 
-    def test_legacy_update_variant_changes_trajectory(self):
-        rng = np.random.default_rng(21)
-        ds = make_dataset(rng, t=1, d=5, n=10, c=2)
-        hp_exact = Hyperparams(alpha=4.0, gamma=0.0, k=4, max_iter=10, rel_tol=0.0)
-        hp_legacy = Hyperparams(alpha=4.0, gamma=0.0, k=4, max_iter=10,
-                                rel_tol=0.0, exact_w_update=False)
-        m_exact = fit(ds, hp_exact)
-        m_legacy = fit(ds, hp_legacy)
-        assert np.abs(m_exact.W[0] - m_legacy.W[0]).max() > 1e-6
-        tr = np.array(m_exact.objective_trace)
-        assert np.all(np.diff(tr) <= 1e-9 * np.abs(tr[:-1]))
+    @pytest.mark.parametrize("gamma, d, c", [(0.0, 6, 2), (0.5, 5, 3), (0.5, 8, 2)])
+    def test_trace_is_full_objective_at_every_iterate(self, gamma, d, c):
+        # the loop scores W in d-space; every entry must equal the full
+        # objective at that W with F and b at their closed-form optimum.  The
+        # cases: no coupling, the d x d coupling (d <= sum(c)) and the
+        # sum(c) x sum(c) joint W step (d > sum(c))
+        rng = np.random.default_rng(31)
+        ds = make_dataset(rng, t=2, d=d, n=12, c=c)
+        hp = Hyperparams(alpha=0.8, beta=1.5, gamma=gamma, k=4, inf_surrogate=1e3,
+                         max_iter=15)
+        iterates = []
+
+        def record(r, state):
+            iterates.append([W.copy() for W in state.W])
+
+        model = fit(ds, hp, callback=record)
+        assert len(iterates) == len(model.objective_trace) == model.iterations + 1
+        Ls = [build_task_laplacian(t.X, hp.k, hp.lam).L for t in ds.tasks]
+        Us = [selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        for W, obj in zip(iterates, model.objective_trace):
+            Fb = [solve_Fb_oracle(t, L, U, hp, W_l)
+                  for t, L, U, W_l in zip(ds.tasks, Ls, Us, W)]
+            expected = full_objective_oracle(ds.tasks, Ls, Us, hp, W,
+                                             [F for F, _ in Fb], [b for _, b in Fb])
+            assert obj == pytest.approx(expected, rel=1e-10)
+        for l, (t, L, U) in enumerate(zip(ds.tasks, Ls, Us)):
+            np.testing.assert_array_equal(model.W[l], iterates[-1][l])
+            _, b = solve_Fb_oracle(t, L, U, hp, model.W[l])
+            np.testing.assert_allclose(model.b[l], b, rtol=1e-10, atol=1e-12)
 
     def test_supplied_graphs_match_built_ones(self):
         rng = np.random.default_rng(8)
@@ -135,8 +154,7 @@ class TestGammaZeroDecoupling:
 
         task = ds.tasks[0]
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-        P, R, T, H = precompute_task(task, lap, hp, U=U)
+        _, R, T, _ = precompute_task(task, lap, hp)
         W = [solve_W(R, T, np.ones(5), None, hp)]
         np.testing.assert_allclose(history[0], W[0], atol=1e-10)
         accel = Anderson()
@@ -171,8 +189,7 @@ class TestStationarityAtConvergence:
         Dt = update_Dtilde(np.hstack(model.W), hp.delta)
         for l in range(ds.n_tasks):
             lap = build_task_laplacian(ds.tasks[l].X, hp.k, hp.lam)
-            U = selection_diag(ds.tasks[l].labeled_mask, hp.inf_surrogate)
-            _, R, T, _ = precompute_task(ds.tasks[l], lap, hp, U=U)
+            _, R, T, _ = precompute_task(ds.tasks[l], lap, hp)
             W_again = solve_W(R, T, update_Dl(model.W[l], hp.delta), Dt, hp)
             rel = np.linalg.norm(W_again - model.W[l]) / np.linalg.norm(model.W[l])
             assert rel <= 1e-6
@@ -241,8 +258,7 @@ class TestFeatureScaleCovariance:
         task = make_task(rng, d, n, c_classes)
         hp = Hyperparams(alpha=1.0, beta=1e4, gamma=0.0, k=4, delta=1e-9)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-        _, R, T, _ = precompute_task(task, lap, hp, U=U)
+        _, R, T, _ = precompute_task(task, lap, hp)
 
         def fixed_point(Rx, Tx):
             W = solve_W(Rx, Tx, np.ones(d), None, hp)
@@ -272,10 +288,7 @@ class TestTinyInstanceOracle:
 
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
         Us = [selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
-        caches = [
-            precompute_task(t, lap, hp, U=U)
-            for t, lap, U in zip(ds.tasks, laps, Us)
-        ]
+        caches = [precompute_task(t, lap, hp) for t, lap in zip(ds.tasks, laps)]
         R_list = [c[1] for c in caches]
         T_list = [c[2] for c in caches]
         cols = np.cumsum([t.n_classes for t in ds.tasks])[:-1]
@@ -343,6 +356,23 @@ class TestModelSerialization:
         for a, b in zip(model.W, back.W):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(model.objective_trace, back.objective_trace)
+
+    def test_legacy_exact_w_update_key(self, tmp_path):
+        # model files from before the alpha/beta-scaled W update was removed
+        # carry exact_w_update: true loads as the only update there is,
+        # false names an update this solver no longer has
+        rng = np.random.default_rng(14)
+        model = fit(make_dataset(rng, t=1, d=4, n=7, c=2), Hyperparams(k=3, max_iter=5))
+        doc = model.to_json_dict()
+        for flag in (True, False):
+            doc["hyperparams"]["exact_w_update"] = flag
+            path = tmp_path / f"model_{flag}.json"
+            path.write_text(json.dumps(doc))
+            if flag:
+                assert load_selection_model(path).hyperparams == model.hyperparams
+            else:
+                with pytest.raises(ValidationError, match="exact_w_update"):
+                    load_selection_model(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -4,39 +4,15 @@ import scipy.linalg
 
 from sfmc.dataset import TaskData, ValidationError
 from sfmc.graph import build_task_laplacian, centering_matrix
-from sfmc.solver import (Hyperparams, SolverState, norm_l21, norm_l21_smoothed,
-                         objective, precompute_task, selection_diag, solve_F,
-                         solve_W, solve_W_coupled, solve_b, trace_norm,
-                         trace_norm_smoothed, update_Dl, update_Dtilde)
-from helpers import (central_diff_grad, full_objective_oracle, make_dataset,
-                     make_task, selection_diag_oracle, smoothed_l21_oracle,
-                     smoothed_trace_norm_oracle, solve_Fb_oracle)
+from sfmc.solver import (Hyperparams, norm_l21_smoothed, precompute_task,
+                         selection_diag, solve_F, solve_W, solve_W_coupled,
+                         solve_b, trace_norm_smoothed, update_Dl, update_Dtilde)
+from helpers import (central_diff_grad, make_task, selection_diag_oracle,
+                     smoothed_l21_oracle, smoothed_trace_norm_oracle,
+                     solve_Fb_oracle)
 
 
 class TestNorms:
-    def test_l21_single_pythagorean_row(self):
-        assert norm_l21(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
-
-    def test_l21_identity(self):
-        assert norm_l21(np.eye(2)) == pytest.approx(2.0)
-
-    def test_l21_matches_row_oracle(self):
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((4, 3))
-        expected = sum(np.sqrt((row**2).sum()) for row in M)
-        assert norm_l21(M) == pytest.approx(expected, abs=1e-12)
-
-    def test_trace_norm_identity(self):
-        assert trace_norm(np.eye(3)) == pytest.approx(3.0)
-
-    def test_trace_norm_diag(self):
-        assert trace_norm(np.diag([3.0, 4.0])) == pytest.approx(7.0)
-
-    def test_trace_norm_rank_one(self):
-        u = np.array([2.0, 0.0, 0.0])
-        v = np.array([0.0, 3.0])
-        assert trace_norm(np.outer(u, v)) == pytest.approx(6.0)
-
     def test_smoothed_variants_match_oracles(self):
         rng = np.random.default_rng(1)
         M = rng.standard_normal((5, 3))
@@ -77,23 +53,30 @@ def _task_with_caches(rng, d=5, n=8, c=2, **hp_kwargs):
     hp = Hyperparams(k=min(4, n), **hp_kwargs)
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
     U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-    factor, R, T, H = precompute_task(task, lap, hp, U=U)
-    return task, lap, U, factor, R, T, H, hp
+    factor, R, T, _ = precompute_task(task, lap, hp)
+    return task, lap, U, factor, R, T, centering_matrix(n), hp
 
 
 class TestPrecomputeTask:
     def test_definitional_residual(self):
-        # U = I, L = 0, alpha*beta = 1: the factor must solve (H + I) X = I
+        # U = I, L = 0, alpha*beta = 1: the factor must solve (H + I) X = I.
+        # make_task always labels c samples, so an unlabeled stand-in gives U = I
         n = 6
-        task = make_task(np.random.default_rng(3), 4, n, 2, label_frac=0.0)
+        base = make_task(np.random.default_rng(3), 4, n, 2)
+
+        class Unlabeled:
+            X = base.X
+            Y = base.Y
+            n_samples = n
+            labeled_mask = np.zeros(n, dtype=bool)
 
         class ZeroLap:
             L = np.zeros((n, n))
 
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
-        U = np.eye(n)
-        factor, R, T, H = precompute_task(task, ZeroLap(), hp, U=U)
+        factor, _, _, _ = precompute_task(Unlabeled(), ZeroLap(), hp)
         X = scipy.linalg.cho_solve(factor, np.eye(n))
+        H = centering_matrix(n)
         np.testing.assert_allclose((H + np.eye(n)) @ X, np.eye(n), atol=1e-12)
 
     def test_r_symmetric_psd(self):
@@ -108,7 +91,6 @@ class TestPrecomputeTask:
         # same geometry, empty labels: precompute with Y = 0 must give T = 0
         hp = Hyperparams(k=3)
         lap = build_task_laplacian(base.X, hp.k, hp.lam)
-        U = selection_diag(base.labeled_mask, hp.inf_surrogate)
 
         class Zeroed:
             X = base.X
@@ -116,7 +98,7 @@ class TestPrecomputeTask:
             n_samples = base.n_samples
             labeled_mask = base.labeled_mask
 
-        _, _, T, _ = precompute_task(Zeroed(), lap, hp, U=U)
+        _, _, T, _ = precompute_task(Zeroed(), lap, hp)
         np.testing.assert_allclose(T, 0.0, atol=1e-15)
 
     def test_matches_printed_form_at_moderate_scale(self):
@@ -241,16 +223,6 @@ class TestSolveW:
         g = central_diff_grad(phi, W, h=1e-6)
         g0 = central_diff_grad(phi, np.zeros_like(W), h=1e-6)
         assert np.linalg.norm(g) <= 1e-5 * (1 + np.linalg.norm(g0))
-
-    def test_alpha_scaled_variant_differs(self):
-        rng = np.random.default_rng(14)
-        R = np.eye(3)
-        T = rng.standard_normal((3, 2))
-        hp_exact = Hyperparams(alpha=4.0, beta=1.0, gamma=0.0)
-        hp_legacy = Hyperparams(alpha=4.0, beta=1.0, gamma=0.0, exact_w_update=False)
-        W1 = solve_W(R, T, np.ones(3), None, hp_exact)
-        W2 = solve_W(R, T, np.ones(3), None, hp_legacy)
-        assert np.abs(W1 - W2).max() > 1e-3
 
 
 class TestSolveWCoupled:
@@ -378,64 +350,6 @@ class TestSolveB:
         # any step; a larger step just suppresses cancellation noise
         g = central_diff_grad(fit_term, b, h=1e-4)
         assert np.abs(g).max() <= 1e-8
-
-
-class TestObjective:
-    def _state_for(self, ds, hp, W_list, F_list, b_list):
-        n_list = [t.n_samples for t in ds.tasks]
-        return SolverState(
-            W=W_list, F=F_list, b=b_list,
-            R=[None] * ds.n_tasks, T=[None] * ds.n_tasks,
-            U=[selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks],
-            L=[build_task_laplacian(t.X, hp.k, hp.lam).L for t in ds.tasks],
-            H=[centering_matrix(n) for n in n_list],
-            Dl=[None] * ds.n_tasks, Dtilde=None,
-        )
-
-    def test_residual_free_point(self):
-        rng = np.random.default_rng(21)
-        ds = make_dataset(rng, t=2, d=4, n=8, c=2)
-        hp = Hyperparams(alpha=0.7, beta=1.9, gamma=0.3, k=3, delta=1e-12)
-        W = [np.zeros((4, 2)) for _ in range(2)]
-        F = [t.Y.copy() for t in ds.tasks]
-        b = [np.zeros(2) for _ in range(2)]
-        state = self._state_for(ds, hp, W, F, b)
-        expected = 0.0
-        for l, task in enumerate(ds.tasks):
-            expected += np.trace(task.Y.T @ state.L[l] @ task.Y)
-            expected += hp.alpha * (
-                4 * np.sqrt(hp.delta) + hp.beta * (task.Y**2).sum()
-            )
-        expected += hp.gamma * 4 * np.sqrt(hp.delta)
-        assert objective(state, ds, hp) == pytest.approx(expected, rel=1e-10)
-
-    def test_gamma_zero_drops_coupling(self):
-        rng = np.random.default_rng(22)
-        ds = make_dataset(rng, t=1, d=3, n=7, c=2)
-        W = [rng.standard_normal((3, 2))]
-        F = [rng.standard_normal((7, 2))]
-        b = [rng.standard_normal(2)]
-        hp0 = Hyperparams(gamma=0.0, k=3)
-        hp1 = Hyperparams(gamma=2.0, k=3)
-        s0 = self._state_for(ds, hp0, W, F, b)
-        s1 = self._state_for(ds, hp1, W, F, b)
-        diff = objective(s1, ds, hp1) - objective(s0, ds, hp0)
-        assert diff == pytest.approx(
-            2.0 * smoothed_trace_norm_oracle(W[0], hp1.delta), rel=1e-10
-        )
-
-    def test_matches_term_by_term_oracle(self):
-        rng = np.random.default_rng(23)
-        ds = make_dataset(rng, t=3, d=5, n=9, c=2)
-        hp = Hyperparams(alpha=2.2, beta=0.4, gamma=1.7, k=4)
-        W = [rng.standard_normal((5, 2)) for _ in range(3)]
-        F = [rng.standard_normal((9, 2)) for _ in range(3)]
-        b = [rng.standard_normal(2) for _ in range(3)]
-        state = self._state_for(ds, hp, W, F, b)
-        expected = full_objective_oracle(
-            ds.tasks, state.L, state.U, hp, W, F, b
-        )
-        assert objective(state, ds, hp) == pytest.approx(expected, rel=1e-10)
 
 
 class TestHyperparams:
