@@ -104,8 +104,3 @@ def build_task_laplacian(X, k, lam):
     L = 0.5 * (L + L.T)
     return TaskLaplacian(L=L, cliques=cliques, k=k, lam=lam)
 
-
-def dump_laplacian_csv(lap, path):
-    """Write the assembled Laplacian as a plain CSV for inspection."""
-    np.savetxt(path, lap.L, delimiter=",", fmt="%.17g")
-    return path

@@ -342,6 +342,10 @@ def run_experiment(
         )
     ]
     support = dataset.support
+    # repeats run on the pool when there is more than one, so each repeat's
+    # graph builds and fits stay sequential and n_threads caps the thread count
+    pooled = n_threads > 1 and repeats > 1
+    inner_threads = 1 if pooled else n_threads
 
     def one_repeat(rep):
         """Per-combo MAP/recovery tables for every (method, fraction)."""
@@ -353,7 +357,7 @@ def run_experiment(
         k = min(hp_base.k, min(t.n_samples for t in train_tasks))
         # masking labels leaves X alone, so every fit of this split shares
         # one graph per task
-        graphs = (build_graphs(train_ds, replace(hp_base, k=k), n_threads)
+        graphs = (build_graphs(train_ds, replace(hp_base, k=k), inner_threads)
                   if "sfmc" in methods else None)
         scores = {}
         times = {}
@@ -367,7 +371,7 @@ def run_experiment(
                     per_combo = {}
                     for ci, combo in enumerate(combos):
                         hp = replace(hp_base, k=k, **combo)
-                        model = fit(masked, hp, n_threads=n_threads, graphs=graphs)
+                        model = fit(masked, hp, n_threads=inner_threads, graphs=graphs)
                         rankings = [
                             rank_features(model, l) for l in range(model.n_tasks)
                         ]
@@ -396,7 +400,7 @@ def run_experiment(
                 )
         return scores, times
 
-    if n_threads > 1 and repeats > 1:
+    if pooled:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

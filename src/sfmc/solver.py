@@ -39,7 +39,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .dataset import ValidationError
-from .graph import build_task_laplacian, centering_matrix
+from .graph import build_task_laplacian
 
 # past W-map steps the Anderson extrapolation combines, and the fractions of
 # the extrapolation step it tries before falling back to the plain step
@@ -200,22 +200,23 @@ def norm_l21_smoothed(M, delta):
 
 
 def trace_norm_smoothed(M, delta):
-    """Tr((M M' + delta I)^(1/2)), via the eigenvalues of the smaller Gram matrix.
+    """Tr((M M' + delta I)^(1/2)), from an SVD of M.
 
-    M M' and M'M share their nonzero eigenvalues; when M has more rows than
-    columns, M M' has rows - cols further zeros, each adding sqrt(delta).
+    M M' has rows - cols zero eigenvalues beyond the squared singular values
+    when M has more rows than columns, each adding sqrt(delta).  Gram-matrix
+    eigenvalues would square the singular values and lose those near sqrt(delta).
     """
     M = np.asarray(M, dtype=np.float64)
     rows, cols = M.shape
-    evals = np.linalg.eigvalsh(M.T @ M if rows > cols else M @ M.T)
+    sv = np.linalg.svd(M, compute_uv=False)
     extra = max(rows - cols, 0) * np.sqrt(delta)
-    return float(np.sqrt(np.clip(evals, 0.0, None) + delta).sum() + extra)
+    return float(np.sqrt(sv * sv + delta).sum() + extra)
 
 
 def selection_diag(mask, inf_surrogate):
-    """Diagonal label-weight matrix: inf_surrogate where labeled, 1 otherwise."""
+    """Diagonal of U, the label weights: inf_surrogate where labeled, 1 otherwise."""
     mask = np.asarray(mask, dtype=bool)
-    return np.diag(np.where(mask, float(inf_surrogate), 1.0))
+    return np.where(mask, float(inf_surrogate), 1.0)
 
 
 def _spd_solve(A, B, factor=None):
@@ -248,20 +249,21 @@ def precompute_task(task, lap, hp):
     that stays accurate at extreme alpha beta, and T = B'Z_T.  const is the
     task's W-free part of the objective once F and b are eliminated,
     Tr(Y'UY) - Tr(Y'U A^-1 U Y), taken without cancellation as
-    <Z_T, (alpha beta H + L) Y>.
+    <Z_T, (alpha beta H + L) Y>.  Neither U nor the centering matrix H is
+    formed: U acts as its diagonal u, and H as a subtraction of column
+    means, so A (with its factor) is the only n x n array built here.
     """
     n = task.n_samples
     d = task.X.shape[0]
-    U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-    H = centering_matrix(n)
-    B = H @ task.X.T
-    rhs = np.hstack([(U + lap.L) @ B, U @ task.Y])
-    # in place: each n x n temporary here is one more peak-memory block
-    A = hp.alpha * hp.beta * H
-    A += U
+    ab = hp.alpha * hp.beta
+    u = selection_diag(task.labeled_mask, hp.inf_surrogate)
+    B = task.X.T - task.X.T.mean(axis=0)
+    rhs = np.hstack([u[:, None] * B + lap.L @ B, u[:, None] * task.Y])
+    # alpha beta H + U + L in one n x n allocation, each entry rounded as in
+    # the sum of the dense terms; L is exactly symmetric, so A is too
+    A = np.full((n, n), -(ab * (1.0 / n)))
+    A[np.diag_indices(n)] = ab * (1.0 - 1.0 / n) + u
     A += lap.L
-    A += A.T
-    A *= 0.5
     try:
         factor = cho_factor(A)
     except (LinAlgError, ValueError) as exc:
@@ -270,7 +272,7 @@ def precompute_task(task, lap, hp):
     R = B.T @ Z[:, :d]
     R = 0.5 * (R + R.T)
     T = B.T @ Z[:, d:]
-    const = float((Z[:, d:] * (hp.alpha * hp.beta * (H @ task.Y)
+    const = float((Z[:, d:] * (ab * (task.Y - task.Y.mean(axis=0))
                                + lap.L @ task.Y)).sum())
     return factor, R, T, const
 
@@ -470,14 +472,15 @@ class Anderson:
         return gx
 
 
-def solve_F(task, L, U, H, W, hp, factor=None):
-    """Propagated labels: F = (alpha beta H + U + L)^-1 (alpha beta H X'W + U Y)."""
-    ab = hp.alpha * hp.beta
-    Q = ab * (H @ (task.X.T @ W)) + U @ task.Y
-    if factor is not None:
-        return cho_solve(factor, Q)
-    A = ab * H + U + L
-    return _spd_solve(0.5 * (A + A.T), Q)
+def solve_F(task, W, hp, factor):
+    """Propagated labels: F = (alpha beta H + U + L)^-1 (alpha beta H X'W + U Y).
+
+    factor is precompute_task's Cholesky factor of alpha beta H + U + L.
+    """
+    XW = task.X.T @ W
+    u = selection_diag(task.labeled_mask, hp.inf_surrogate)
+    Q = hp.alpha * hp.beta * (XW - XW.mean(axis=0)) + u[:, None] * task.Y
+    return cho_solve(factor, Q)
 
 
 def solve_b(F, X, W):
@@ -530,8 +533,9 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     after hp.max_iter reweighting iterations, each one plain step whether or
     not the extrapolated W is taken.  The recorded trace is non-increasing.
     state.Dtilde and state.Dl hold the weights the last step used.  After
-    the loop, F_l and b_l are solved once in closed form for the final W,
-    with the factor.
+    the loop, solve_F and solve_b give F_l and b_l once, in closed form for
+    the final W, from the task's factor; no n x n array besides A and its
+    factor is formed.
 
     callback(iteration, state) is invoked after the initial solve (iteration
     0) and after each reweighting iteration.  n_threads > 1 parallelizes the
@@ -610,12 +614,8 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
             converged = True
             break
 
-    b = []
-    for task, lap, factor, W_l in zip(dataset.tasks, graphs, factors, state.W):
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
-        F = solve_F(task, lap.L, U, centering_matrix(task.n_samples), W_l, hp,
-                    factor=factor)
-        b.append(solve_b(F, task.X, W_l))
+    b = [solve_b(solve_F(task, W_l, hp, factor), task.X, W_l)
+         for task, factor, W_l in zip(dataset.tasks, factors, state.W)]
     scores = tuple(np.sqrt((W * W).sum(axis=1)) for W in state.W)
     return SelectionModel(
         task_names=tuple(task.name for task in dataset.tasks),

@@ -13,14 +13,15 @@ from sfmc.cli import main
 from sfmc.dataset import SynthConfig, generate_synthetic
 from sfmc.graph import build_task_laplacian
 from sfmc.select_eval import average_precision, run_experiment
-from sfmc.solver import (Hyperparams, fit, precompute_task, selection_diag,
-                         solve_F, solve_W, solve_b, update_Dl, update_Dtilde)
+from sfmc.solver import (Hyperparams, fit, precompute_task, solve_F, solve_W,
+                         solve_b, update_Dl, update_Dtilde)
 from helpers import (average_precision_oracle, central_diff_grad,
                      dense_laplacian_oracle, descent_minimize,
                      full_objective_oracle, make_dataset, make_random_instance,
                      make_task, reduced_gradient_oracle,
-                     reduced_objective_oracle, smoothed_l21_oracle,
-                     smoothed_trace_norm_oracle, solve_Fb_oracle)
+                     reduced_objective_oracle, selection_diag_oracle,
+                     smoothed_l21_oracle, smoothed_trace_norm_oracle,
+                     solve_Fb_oracle)
 
 SUITE_SEED = 0
 SUITE_SIZE = 100
@@ -85,11 +86,8 @@ def test_3_oracle_equivalence():
         model = fit(ds, hp)
 
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
-        Us = [selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
-        caches = [
-            precompute_task(t, lap, hp)
-            for t, lap, U in zip(ds.tasks, laps, Us)
-        ]
+        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        caches = [precompute_task(t, lap, hp) for t, lap in zip(ds.tasks, laps)]
         R_list = [c[1] for c in caches]
         T_list = [c[2] for c in caches]
         cols = np.cumsum([t.n_classes for t in ds.tasks])[:-1]
@@ -201,10 +199,10 @@ def test_4_closed_form_correctness():
                          beta=float(10 ** rng.uniform(-2, 2)),
                          k=int(rng.integers(2, min(5, n) + 1)))
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
+        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
         H = np.eye(n) - np.ones((n, n)) / n
         W = rng.standard_normal((d, c))
-        F = solve_F(task, lap.L, U, H, W, hp)
+        F = solve_F(task, W, hp, precompute_task(task, lap, hp)[0])
         ab = hp.alpha * hp.beta
         A_sys = ab * H + U + lap.L
         Q = ab * H @ task.X.T @ W + U @ task.Y

@@ -299,14 +299,23 @@ class TestRunExperiment:
         r2 = run_experiment(synth, **kwargs)
         assert r1.to_json_dict() == r2.to_json_dict()
 
-    def test_threaded_matches_sequential(self, synth):
+    def test_threaded_matches_sequential(self, synth, monkeypatch):
+        # repeats run on the n_threads pool, so the graph builds and fits
+        # inside a repeat must not start pools of their own
+        from sfmc import solver
+
         kwargs = dict(
-            methods=["fisher"], fractions=[0.2, 1.0], feature_counts=[4],
+            methods=["sfmc", "fisher"], fractions=[0.2, 1.0], feature_counts=[4],
             repeats=3, seed=5, hp_base=Hyperparams(k=6),
         )
         r1 = run_experiment(synth, **kwargs)
+        inner = []
+        map_tasks = solver._map_tasks
+        monkeypatch.setattr(solver, "_map_tasks",
+                            lambda fn, items, n: inner.append(n) or map_tasks(fn, items, n))
         r2 = run_experiment(synth, n_threads=3, **kwargs)
         assert r1.to_json_dict() == r2.to_json_dict()
+        assert inner and max(inner) == 1
 
     def test_graphs_built_once_per_split(self, synth, monkeypatch):
         # the Laplacian depends only on the split's X, k and lam, so every

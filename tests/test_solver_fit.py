@@ -8,13 +8,14 @@ from sfmc.dataset import MultiTaskDataset, TaskData, ValidationError
 from sfmc import solver
 from sfmc.graph import build_task_laplacian
 from sfmc.solver import (Anderson, Hyperparams, build_graphs, fit,
-                         load_selection_model,
-                         precompute_task, reduced_objective, reweighted_step,
-                         selection_diag, solve_W, update_Dl, update_Dtilde)
+                         load_selection_model, precompute_task,
+                         reduced_objective, reweighted_step, solve_W,
+                         update_Dl, update_Dtilde)
 from helpers import (analytic_full_gradient, central_diff_grad, descent_minimize,
                      full_objective_oracle, make_dataset, make_random_instance,
                      make_task, reduced_gradient_oracle,
-                     reduced_objective_oracle, solve_Fb_oracle)
+                     reduced_objective_oracle, selection_diag_oracle,
+                     solve_Fb_oracle)
 
 
 class TestFitBasics:
@@ -78,7 +79,7 @@ class TestFitBasics:
         model = fit(ds, hp, callback=record)
         assert len(iterates) == len(model.objective_trace) == model.iterations + 1
         Ls = [build_task_laplacian(t.X, hp.k, hp.lam).L for t in ds.tasks]
-        Us = [selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
         for W, obj in zip(iterates, model.objective_trace):
             Fb = [solve_Fb_oracle(t, L, U, hp, W_l)
                   for t, L, U, W_l in zip(ds.tasks, Ls, Us, W)]
@@ -222,7 +223,7 @@ class TestGradientConsistency:
         ds = make_dataset(rng, t=2, d=4, n=7, c=2)
         hp = Hyperparams(alpha=1.3, beta=0.6, gamma=0.8, k=3, inf_surrogate=1e3)
         Ls = [build_task_laplacian(t.X, hp.k, hp.lam).L for t in ds.tasks]
-        Us = [selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
         W = [rng.standard_normal((4, 2)) for _ in range(2)]
         F = [rng.standard_normal((7, 2)) for _ in range(2)]
         b = [rng.standard_normal(2) for _ in range(2)]
@@ -287,7 +288,7 @@ class TestTinyInstanceOracle:
         model = fit(ds, hp)
 
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
-        Us = [selection_diag(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
         caches = [precompute_task(t, lap, hp) for t, lap in zip(ds.tasks, laps)]
         R_list = [c[1] for c in caches]
         T_list = [c[2] for c in caches]

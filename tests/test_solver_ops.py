@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,25 +28,40 @@ class TestNorms:
             smoothed_trace_norm_oracle(M.T, 1e-6), rel=1e-10
         )
 
+    def test_trace_norm_accurate_near_delta_floor(self):
+        # singular values at and below sqrt(delta), as in a fit whose stacked
+        # W has collapsed directions; squaring them through a Gram matrix
+        # loses about eps * ||W||^2 / sqrt(delta) of the sum
+        rng = np.random.default_rng(19)
+        d, cols, delta = 8, 4, 1e-12
+        sv = np.array([0.38, 0.24, 1.8e-6, 1.5e-7])
+        Q = np.linalg.qr(rng.standard_normal((d, cols)))[0]
+        V = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+        W = (Q * sv) @ V.T
+        core = np.sqrt(sv**2 + delta).sum()
+        assert abs(trace_norm_smoothed(W, delta)
+                   - (core + (d - cols) * np.sqrt(delta))) <= 1e-14
+        assert abs(trace_norm_smoothed(W.T, delta) - core) <= 1e-14
+
 
 class TestSelectionDiag:
     def test_mixed_mask(self):
-        U = selection_diag(np.array([True, False]), 1e6)
-        np.testing.assert_array_equal(U, np.diag([1e6, 1.0]))
+        u = selection_diag(np.array([True, False]), 1e6)
+        np.testing.assert_array_equal(u, [1e6, 1.0])
 
     def test_all_false_is_identity(self):
-        np.testing.assert_array_equal(selection_diag(np.zeros(3, bool), 1e6), np.eye(3))
+        np.testing.assert_array_equal(selection_diag(np.zeros(3, bool), 1e6), np.ones(3))
 
     def test_all_true(self):
         np.testing.assert_array_equal(
-            selection_diag(np.ones(2, bool), 1e6), 1e6 * np.eye(2)
+            selection_diag(np.ones(2, bool), 1e6), [1e6, 1e6]
         )
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(2)
         mask = rng.random(9) < 0.4
         np.testing.assert_array_equal(
-            selection_diag(mask, 123.0), selection_diag_oracle(mask, 123.0)
+            selection_diag(mask, 123.0), np.diag(selection_diag_oracle(mask, 123.0))
         )
 
 
@@ -52,7 +69,7 @@ def _task_with_caches(rng, d=5, n=8, c=2, **hp_kwargs):
     task = make_task(rng, d, n, c)
     hp = Hyperparams(k=min(4, n), **hp_kwargs)
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
-    U = selection_diag(task.labeled_mask, hp.inf_surrogate)
+    U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
     factor, R, T, _ = precompute_task(task, lap, hp)
     return task, lap, U, factor, R, T, centering_matrix(n), hp
 
@@ -111,6 +128,21 @@ class TestPrecomputeTask:
         np.testing.assert_allclose(R, R_literal, atol=1e-9)
         T_literal = task.X @ H @ P @ U @ task.Y
         np.testing.assert_allclose(T, T_literal, atol=1e-10)
+
+    def test_peak_allocation(self):
+        # U and H act as a vector and a mean subtraction, so the only n x n
+        # arrays precompute_task allocates are A and its Cholesky factor
+        n, d = 600, 20
+        task = make_task(np.random.default_rng(7), d, n, 3)
+        hp = Hyperparams(k=10)
+        lap = build_task_laplacian(task.X, hp.k, hp.lam)
+        tracemalloc.start()
+        try:
+            precompute_task(task, lap, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8
 
 
 class TestUpdateDl:
@@ -271,9 +303,10 @@ class TestSolveF:
             X = rng.standard_normal((d, n))
             Y = np.zeros((n, c))
             n_samples = n
+            labeled_mask = np.zeros(n, dtype=bool)
 
-        F = solve_F(Raw(), np.zeros((n, n)), np.eye(n), centering_matrix(n),
-                    np.zeros((d, c)), Hyperparams())
+        factor = scipy.linalg.cho_factor(centering_matrix(n) + np.eye(n))
+        F = solve_F(Raw(), np.zeros((d, c)), Hyperparams(), factor)
         np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
     def test_labels_dominate_when_all_labeled(self):
@@ -282,9 +315,10 @@ class TestSolveF:
         task = make_task(rng, d, n, c, label_frac=1.0)
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
         L = 1e-3 * build_task_laplacian(task.X, 3, 1.0).L
-        U = selection_diag(task.labeled_mask, 1e6)
+        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
+        factor = scipy.linalg.cho_factor(centering_matrix(n) + U + L)
         W = rng.standard_normal((d, c))
-        F = solve_F(task, L, U, centering_matrix(n), W, hp)
+        F = solve_F(task, W, hp, factor)
         assert np.linalg.norm(F - task.Y) / np.linalg.norm(task.Y) <= 1e-4
 
     def test_perturbation_never_decreases_quadratic(self):
@@ -292,10 +326,10 @@ class TestSolveF:
         task = make_task(rng, 4, 7, 2)
         hp = Hyperparams(k=3)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
+        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
         H = centering_matrix(7)
         W = rng.standard_normal((4, 2))
-        F = solve_F(task, lap.L, U, H, W, hp)
+        F = solve_F(task, W, hp, precompute_task(task, lap, hp)[0])
 
         def quad(Fx):
             E = Fx - task.Y
@@ -314,9 +348,9 @@ class TestSolveF:
         task = make_task(rng, 5, 9, 3)
         hp = Hyperparams(alpha=3.0, beta=0.2, k=4)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag(task.labeled_mask, hp.inf_surrogate)
+        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
         W = rng.standard_normal((5, 3))
-        F = solve_F(task, lap.L, U, centering_matrix(9), W, hp)
+        F = solve_F(task, W, hp, precompute_task(task, lap, hp)[0])
         F_oracle, _ = solve_Fb_oracle(task, lap.L, U, hp, W)
         np.testing.assert_allclose(F, F_oracle, atol=1e-8)
 
