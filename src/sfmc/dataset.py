@@ -31,7 +31,9 @@ class TaskData:
 
     X is d x n (sample per column), Y is n x c with 0/1 entries.  A labeled
     sample has exactly one 1 in its Y row; an unlabeled sample's row is all
-    zeros.  Arrays are made read-only so tasks can be shared freely.
+    zeros.  Arrays are made read-only so tasks can be shared freely.  X is
+    held in Fortran order, the layout ``load_manifest`` reads, so a fit does
+    not depend on the memory layout the caller passed.
     """
 
     name: str
@@ -40,7 +42,7 @@ class TaskData:
     labeled_mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "X", _frozen(np.asarray(self.X, dtype=np.float64)))
+        object.__setattr__(self, "X", _frozen(np.asfortranarray(self.X, dtype=np.float64)))
         object.__setattr__(self, "Y", _frozen(np.asarray(self.Y, dtype=np.float64)))
         object.__setattr__(
             self, "labeled_mask", _frozen(np.asarray(self.labeled_mask, dtype=bool))

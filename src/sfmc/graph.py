@@ -4,61 +4,35 @@ Each sample i forms a clique of itself plus its k-1 Euclidean nearest
 neighbors.  The clique's local Laplacian is H_k (Xc' Xc + lambda I)^-1 H_k,
 with Xc the d x k clique submatrix and H_k the centering matrix; the task
 Laplacian is the sum of all local Laplacians scatter-added into global
-sample coordinates.  The result is symmetric, positive semidefinite, and
-annihilates constant vectors.
+sample coordinates.  All n local Laplacians are computed in one batched
+pass from the clique Gram matrices, with H_k applied as a mean subtraction.
+The result is exactly symmetric, positive semidefinite, and annihilates
+constant vectors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
-class CliqueIndex:
-    """Per-sample neighbor index sets, shape (n, k); row i starts with i."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def n_samples(self):
-        return self.indices.shape[0]
-
-    @property
-    def k(self):
-        return self.indices.shape[1]
-
-
-@dataclass(frozen=True)
 class TaskLaplacian:
-    """Assembled n x n Laplacian plus the cliques that produced it."""
+    """Assembled n x n Laplacian (read-only) and the k and lambda that built it."""
 
     L: np.ndarray
-    cliques: CliqueIndex
     k: int
     lam: float
 
 
-def centering_matrix(n):
-    """H_n = I - (1/n) 11'; symmetric and idempotent, annihilates constants."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def knn_cliques(X, k):
-    """Index sets [i, then the k-1 nearest other samples] for each column of X.
+    """Read-only (n, k) index array: row i is [i, then its k-1 nearest samples].
 
-    Distances are squared Euclidean in the original feature space.  The k-1
-    neighbors are ordered by (distance, sample index): among samples at equal
-    distance the lower index comes first, so the result is deterministic and
-    a duplicate of sample i never displaces i from the head of its clique.
+    X is d x n, one sample per column.  Distances are squared Euclidean in the
+    original feature space.  The k-1 neighbors are ordered by (distance,
+    sample index): among samples at equal distance the lower index comes
+    first, so the result is deterministic and a duplicate of sample i never
+    displaces i from the head of its clique.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -76,31 +50,40 @@ def knn_cliques(X, k):
     kth = np.take_along_axis(cand_d2, order[:, -1:], axis=1)
     for i in np.flatnonzero((d2 <= kth).sum(axis=1) > k):
         indices[i] = np.argsort(d2[i], kind="stable")[:k]
-    return CliqueIndex(indices=indices)
-
-
-def local_laplacian(Xc, lam):
-    """H_k (Xc' Xc + lam I)^-1 H_k for one clique submatrix Xc (d x k)."""
-    Xc = np.asarray(Xc, dtype=np.float64)
-    if not np.isfinite(Xc).all():
-        raise ValueError("clique submatrix has non-finite entries")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    k = Xc.shape[1]
-    H = centering_matrix(k)
-    G = Xc.T @ Xc + lam * np.eye(k)
-    M = H @ cho_solve(cho_factor(G), H)
-    return 0.5 * (M + M.T)
+    indices.setflags(write=False)
+    return indices
 
 
 def build_task_laplacian(X, k, lam):
-    """Assemble the task Laplacian by scatter-adding every local Laplacian."""
-    X = np.asarray(X, dtype=np.float64)
-    cliques = knn_cliques(X, k)
-    n = X.shape[1]
-    L = np.zeros((n, n))
-    for g in cliques.indices:
-        L[np.ix_(g, g)] += local_laplacian(X[:, g], lam)
-    L = 0.5 * (L + L.T)
-    return TaskLaplacian(L=L, cliques=cliques, k=k, lam=lam)
+    """Sum of the n local Laplacians H_k (Xc' Xc + lam I)^-1 H_k of X's cliques.
 
+    X is d x n.  The clique Gram matrices G are gathered from X'X, so no
+    (n, k, d) array is formed.  Each G is Cholesky-factored, G = C C', which
+    raises LinAlgError if any clique's G is not numerically positive
+    definite (badly scaled X with a tiny lam).  With N = C^-1 H_k, each local
+    Laplacian is N'N; they are scatter-added into L with one bincount.  L is
+    exactly symmetric and read-only.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("X has non-finite entries")
+    if lam <= 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    idx = knn_cliques(X, k)
+    n = X.shape[1]
+    K = X.T @ X
+    G = K[idx[:, :, None], idx[:, None, :]]
+    del K  # n x n, like L: free it before L is allocated
+    G += lam * np.eye(k)
+    C_inv = np.linalg.inv(np.linalg.cholesky(G))
+    N = C_inv - C_inv.mean(axis=2, keepdims=True)
+    M = N.transpose(0, 2, 1) @ N
+    # L must be exactly symmetric: precompute_task adds it to A without
+    # symmetrizing.  bincount adds in clique order, so L[a, b] and L[b, a]
+    # sum the same numbers in the same order once each clique is symmetric.
+    M = 0.5 * (M + M.transpose(0, 2, 1))
+    flat = idx[:, :, None] * n + idx[:, None, :]
+    L = np.bincount(flat.ravel(), weights=M.ravel(), minlength=n * n).reshape(n, n)
+    # eval shares one graph across every fit and thread of a split
+    L.setflags(write=False)
+    return TaskLaplacian(L=L, k=k, lam=lam)

@@ -11,7 +11,7 @@ import pytest
 
 from sfmc.cli import main
 from sfmc.dataset import SynthConfig, generate_synthetic
-from sfmc.graph import build_task_laplacian
+from sfmc.graph import build_task_laplacian, knn_cliques
 from sfmc.select_eval import average_precision, run_experiment
 from sfmc.solver import (Hyperparams, fit, precompute_task, solve_F, solve_W,
                          solve_b, update_Dl, update_Dtilde)
@@ -267,7 +267,7 @@ def test_5_laplacian_structure():
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(lap.L).min()))
         worst_one = max(worst_one, np.abs(lap.L @ np.ones(n)).max())
         if n <= 12:
-            oracle = dense_laplacian_oracle(X, lap.cliques.indices, lam)
+            oracle = dense_laplacian_oracle(X, knn_cliques(X, k), lam)
             worst_oracle = max(worst_oracle, np.abs(lap.L - oracle).max())
             oracle_checked += 1
     ok = (worst_sym <= 1e-10 and worst_eig >= -1e-8 and worst_one <= 1e-10

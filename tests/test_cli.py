@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,23 @@ class TestErrorPaths:
         rc = main(["fit", str(synth_dir / "manifest.json"), "--out",
                    str(tmp_path / "m.json"), "--k", "5"])
         assert rc == 1
+
+    def test_badly_scaled_input_exit_1(self, tmp_path, capsys):
+        # X'X is of order 1e12 and lambda = 1e-6 is below its round-off: the
+        # clique Gram matrices are not numerically positive definite, so the
+        # fit fails before writing
+        from sfmc.dataset import MultiTaskDataset
+        from helpers import make_task
+
+        task = make_task(np.random.default_rng(0), 4, 60, 2)
+        task = replace(task, X=1e6 * task.X)
+        manifest = write_manifest(MultiTaskDataset(tasks=(task,)), tmp_path / "big")
+        model_path = tmp_path / "m.json"
+        rc = main(["fit", str(manifest), "--out", str(model_path),
+                   "--k", "15", "--lambda", "1e-6"])
+        assert rc == 1
+        assert "positive definite" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_negative_seed_exit_1(self, synth_dir, tmp_path):
         rc = main(["eval", str(synth_dir / "manifest.json"), "--out",

@@ -1,47 +1,29 @@
 import numpy as np
 import pytest
 
-from sfmc.graph import (build_task_laplacian, centering_matrix, knn_cliques,
-                        local_laplacian)
-from helpers import brute_knn, dense_laplacian_oracle, local_laplacian_oracle
-
-
-class TestCenteringMatrix:
-    def test_scalar_case(self):
-        np.testing.assert_array_equal(centering_matrix(1), [[0.0]])
-
-    def test_two_by_two(self):
-        np.testing.assert_allclose(
-            centering_matrix(2), [[0.5, -0.5], [-0.5, 0.5]]
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
-    def test_idempotent_and_annihilates_ones(self, n):
-        H = centering_matrix(n)
-        np.testing.assert_allclose(H @ H, H, atol=1e-12)
-        np.testing.assert_allclose(H @ np.ones(n), 0.0, atol=1e-12)
-        np.testing.assert_allclose(H, H.T, atol=1e-12)
+from sfmc.graph import build_task_laplacian, knn_cliques
+from helpers import brute_knn, centering_oracle, dense_laplacian_oracle
 
 
 class TestKnnCliques:
     def test_obvious_line(self):
         X = np.array([[0.0, 1.0, 10.0]])
         cl = knn_cliques(X, 2)
-        np.testing.assert_array_equal(cl.indices, [[0, 1], [1, 0], [2, 1]])
+        np.testing.assert_array_equal(cl, [[0, 1], [1, 0], [2, 1]])
 
     def test_duplicate_tie_breaks_to_lower_index(self):
         X = np.array([[0.0, 0.0, 1.0]])
         cl = knn_cliques(X, 2)
         # sample 2 is equidistant from the duplicates at 0; index 0 wins
-        np.testing.assert_array_equal(cl.indices[2], [2, 0])
-        np.testing.assert_array_equal(cl.indices[0], [0, 1])
-        np.testing.assert_array_equal(cl.indices[1], [1, 0])
+        np.testing.assert_array_equal(cl[2], [2, 0])
+        np.testing.assert_array_equal(cl[0], [0, 1])
+        np.testing.assert_array_equal(cl[1], [1, 0])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, 10))
         cl = knn_cliques(X, 4)
-        np.testing.assert_array_equal(cl.indices, brute_knn(X, 4))
+        np.testing.assert_array_equal(cl, brute_knn(X, 4))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tie_heavy_grids_match_brute_force(self, seed):
@@ -51,7 +33,7 @@ class TestKnnCliques:
         X = rng.integers(0, 3, size=(2, 24)).astype(float)
         X[:, rng.integers(0, 24, size=8)] = X[:, rng.integers(0, 24, size=8)]
         for k in (2, 3, 5, 8, 13, 24):
-            np.testing.assert_array_equal(knn_cliques(X, k).indices, brute_knn(X, k))
+            np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
 
     def test_k_out_of_range(self):
         X = np.zeros((2, 3))
@@ -64,51 +46,67 @@ class TestKnnCliques:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, 14))
         cl = knn_cliques(X, 6)
-        np.testing.assert_array_equal(cl.indices[:, 0], np.arange(14))
-        for row in cl.indices:
+        assert not cl.flags.writeable
+        np.testing.assert_array_equal(cl[:, 0], np.arange(14))
+        for row in cl:
             assert len(set(row.tolist())) == 6
 
 
 class TestLocalLaplacian:
-    def test_hand_value_1d(self):
-        Xc = np.array([[0.0, 1.0]])
-        np.testing.assert_allclose(
-            local_laplacian(Xc, 1.0), [[0.375, -0.375], [-0.375, 0.375]], atol=1e-14
-        )
+    """Each clique's H_k (Xc' Xc + lam I)^-1 H_k, seen through the assembled L."""
 
     def test_zero_clique_reduces_to_centering(self):
-        Xc = np.zeros((3, 4))
+        # every clique is all 4 samples and G = I, so L = 4 H_4
+        X = np.zeros((3, 4))
+        L = build_task_laplacian(X, k=4, lam=1.0).L
         np.testing.assert_allclose(
-            local_laplacian(Xc, 1.0), centering_matrix(4), atol=1e-14
+            L, dense_laplacian_oracle(X, knn_cliques(X, 4), 1.0), atol=1e-14
         )
+        np.testing.assert_allclose(L, 4 * centering_oracle(4), atol=1e-14)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
-        Xc = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(
-            local_laplacian(Xc, 0.5), local_laplacian_oracle(Xc, 0.5), atol=1e-12
-        )
+        # d < k, d > k, and k = n (every clique is the whole task)
+        for d, n, k in ((2, 12, 5), (6, 12, 3), (3, 7, 7)):
+            X = rng.standard_normal((d, n))
+            np.testing.assert_allclose(
+                build_task_laplacian(X, k, 0.5).L,
+                dense_laplacian_oracle(X, knn_cliques(X, k), 0.5),
+                atol=1e-12,
+            )
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="non-finite"):
-            local_laplacian(np.array([[np.nan, 0.0]]), 1.0)
+            build_task_laplacian(np.array([[np.nan, 0.0]]), k=2, lam=1.0)
         with pytest.raises(ValueError, match="positive"):
-            local_laplacian(np.zeros((1, 2)), 0.0)
+            build_task_laplacian(np.zeros((1, 2)), k=2, lam=0.0)
 
 
 class TestBuildTaskLaplacian:
     def test_two_point_hand_value(self):
+        # both cliques are the pair; each adds the local Laplacian
+        # H_2 (Xc'Xc + I)^-1 H_2 = 0.375 [[1, -1], [-1, 1]]
         lap = build_task_laplacian(np.array([[0.0, 1.0]]), k=2, lam=1.0)
         np.testing.assert_allclose(
             lap.L, [[0.75, -0.75], [-0.75, 0.75]], atol=1e-14
         )
+        # eval shares one graph across fits and threads
+        assert not lap.L.flags.writeable
 
     def test_matches_explicit_selection_oracle(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((4, 12))
         lap = build_task_laplacian(X, k=3, lam=1.0)
-        oracle = dense_laplacian_oracle(X, lap.cliques.indices, 1.0)
+        oracle = dense_laplacian_oracle(X, knn_cliques(X, 3), 1.0)
         np.testing.assert_allclose(lap.L, oracle, atol=1e-12)
+
+    def test_badly_scaled_input_raises(self):
+        # X'X is of order 1e12 and lam = 1e-6 is below its round-off: the clique
+        # Gram matrices are not numerically positive definite, and the
+        # Cholesky factorization says so where an LU solve would not
+        X = 1e6 * np.random.default_rng(0).standard_normal((4, 60))
+        with pytest.raises(np.linalg.LinAlgError):
+            build_task_laplacian(X, k=15, lam=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_structural_invariants(self, seed):

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfmc.dataset import MultiTaskDataset, TaskData, ValidationError
+from sfmc.dataset import (MultiTaskDataset, TaskData, ValidationError,
+                          load_manifest, write_manifest)
 from sfmc import solver
 from sfmc.graph import build_task_laplacian
 from sfmc.solver import (Anderson, Hyperparams, build_graphs, fit,
@@ -60,6 +61,20 @@ class TestFitBasics:
         m2 = fit(ds, Hyperparams(k=4), n_threads=3)
         for a, b in zip(m1.W, m2.W):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_independent_of_memory_layout(self, seed, tmp_path):
+        # load_manifest reads a Fortran-ordered X, make_task builds a C-ordered
+        # one; BLAS products and mean reductions round differently on the two
+        hp = Hyperparams(k=4)
+        ds = make_dataset(np.random.default_rng(seed), t=2, d=6, n=12, c=2)
+        expected = json.dumps(fit(ds, hp).to_json_dict())
+        for order in "CF":
+            copy = MultiTaskDataset(tasks=tuple(
+                replace(t, X=np.array(t.X, order=order)) for t in ds.tasks))
+            assert json.dumps(fit(copy, hp).to_json_dict()) == expected
+        back = load_manifest(write_manifest(ds, tmp_path))
+        assert json.dumps(fit(back, hp).to_json_dict()) == expected
 
     @pytest.mark.parametrize("gamma, d, c", [(0.0, 6, 2), (0.5, 5, 3), (0.5, 8, 2)])
     def test_trace_is_full_objective_at_every_iterate(self, gamma, d, c):

@@ -5,13 +5,13 @@ import pytest
 import scipy.linalg
 
 from sfmc.dataset import TaskData, ValidationError
-from sfmc.graph import build_task_laplacian, centering_matrix
+from sfmc.graph import build_task_laplacian
 from sfmc.solver import (Hyperparams, norm_l21_smoothed, precompute_task,
                          selection_diag, solve_F, solve_W, solve_W_coupled,
                          solve_b, trace_norm_smoothed, update_Dl, update_Dtilde)
-from helpers import (central_diff_grad, make_task, selection_diag_oracle,
-                     smoothed_l21_oracle, smoothed_trace_norm_oracle,
-                     solve_Fb_oracle)
+from helpers import (central_diff_grad, centering_oracle, make_task,
+                     selection_diag_oracle, smoothed_l21_oracle,
+                     smoothed_trace_norm_oracle, solve_Fb_oracle)
 
 
 class TestNorms:
@@ -71,7 +71,7 @@ def _task_with_caches(rng, d=5, n=8, c=2, **hp_kwargs):
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
     U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
     factor, R, T, _ = precompute_task(task, lap, hp)
-    return task, lap, U, factor, R, T, centering_matrix(n), hp
+    return task, lap, U, factor, R, T, centering_oracle(n), hp
 
 
 class TestPrecomputeTask:
@@ -93,7 +93,7 @@ class TestPrecomputeTask:
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
         factor, _, _, _ = precompute_task(Unlabeled(), ZeroLap(), hp)
         X = scipy.linalg.cho_solve(factor, np.eye(n))
-        H = centering_matrix(n)
+        H = centering_oracle(n)
         np.testing.assert_allclose((H + np.eye(n)) @ X, np.eye(n), atol=1e-12)
 
     def test_r_symmetric_psd(self):
@@ -305,7 +305,7 @@ class TestSolveF:
             n_samples = n
             labeled_mask = np.zeros(n, dtype=bool)
 
-        factor = scipy.linalg.cho_factor(centering_matrix(n) + np.eye(n))
+        factor = scipy.linalg.cho_factor(centering_oracle(n) + np.eye(n))
         F = solve_F(Raw(), np.zeros((d, c)), Hyperparams(), factor)
         np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
@@ -316,7 +316,7 @@ class TestSolveF:
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
         L = 1e-3 * build_task_laplacian(task.X, 3, 1.0).L
         U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
-        factor = scipy.linalg.cho_factor(centering_matrix(n) + U + L)
+        factor = scipy.linalg.cho_factor(centering_oracle(n) + U + L)
         W = rng.standard_normal((d, c))
         F = solve_F(task, W, hp, factor)
         assert np.linalg.norm(F - task.Y) / np.linalg.norm(task.Y) <= 1e-4
@@ -327,7 +327,7 @@ class TestSolveF:
         hp = Hyperparams(k=3)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
         U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
-        H = centering_matrix(7)
+        H = centering_oracle(7)
         W = rng.standard_normal((4, 2))
         F = solve_F(task, W, hp, precompute_task(task, lap, hp)[0])
 
