@@ -55,6 +55,20 @@ class TestKnnCliques:
 class TestLocalLaplacian:
     """Each clique's H_k (Xc' Xc + lam I)^-1 H_k, seen through the assembled L."""
 
+    def test_hand_value_1d(self):
+        # points 0, 1, 2 on a line, k = 2: the cliques are [0, 1], [1, 0]
+        # (the tie between 0 and 2 goes to the lower index) and [2, 1].  For a
+        # pair x, H (x x' + I)^-1 H = (1 - (x1 - x2)^2 / 2 / (1 + |x|^2)) H,
+        # so the pair (0, 1) adds 0.375 [[1, -1], [-1, 1]] twice and the
+        # pair (1, 2) adds 11/24 [[1, -1], [-1, 1]] once
+        L = build_task_laplacian(np.array([[0.0, 1.0, 2.0]]), k=2, lam=1.0).L
+        c = 11.0 / 24.0
+        np.testing.assert_allclose(
+            L,
+            [[0.75, -0.75, 0.0], [-0.75, 0.75 + c, -c], [0.0, -c, c]],
+            atol=1e-14,
+        )
+
     def test_zero_clique_reduces_to_centering(self):
         # every clique is all 4 samples and G = I, so L = 4 H_4
         X = np.zeros((3, 4))
