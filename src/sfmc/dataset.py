@@ -189,15 +189,20 @@ def load_manifest(path):
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "tasks" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
         raise ValidationError(f"manifest {path} must be an object with a 'tasks' list")
 
     base = path.parent
     tasks = []
     for i, entry in enumerate(doc["tasks"]):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"manifest task {i} must be an object")
         missing = {"name", "features_csv", "labels_csv"} - set(entry)
         if missing:
             raise ValidationError(f"manifest task {i} missing keys: {sorted(missing)}")
+        paths = (entry["features_csv"], entry["labels_csv"], entry.get("labeled_mask_csv") or "")
+        if not all(isinstance(p, str) for p in paths):
+            raise ValidationError(f"manifest task {i}: CSV paths must be strings")
         X_rows = _read_matrix_csv(base / entry["features_csv"])
         Y = _read_matrix_csv(base / entry["labels_csv"])
         if "labeled_mask_csv" in entry and entry["labeled_mask_csv"]:

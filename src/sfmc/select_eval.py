@@ -4,7 +4,7 @@ average-precision metrics, and the benchmark experiment runner."""
 import itertools
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,33 +168,13 @@ class ExperimentReport:
 
     def to_json_dict(self):
         # runtime is wall-clock and therefore excluded so reruns with the
-        # same seed serialize byte-identically
-        cells = []
-        for c in self.cells:
-            entry = {
-                "method": c.method,
-                "fraction": c.fraction,
-                "count": c.count,
-                "map_mean": c.map_mean,
-                "map_std": c.map_std,
-                "map_per_repeat": list(c.map_per_repeat),
-            }
-            if c.recovery_per_repeat is not None:
-                entry["recovery_mean"] = c.recovery_mean
-                entry["recovery_std"] = c.recovery_std
-                entry["recovery_per_repeat"] = list(c.recovery_per_repeat)
-            if c.best_params is not None:
-                entry["best_params"] = c.best_params
-            cells.append(entry)
-        return {
-            "cells": cells,
-            "methods": list(self.methods),
-            "fractions": list(self.fractions),
-            "feature_counts": list(self.feature_counts),
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "test_fraction": self.test_fraction,
-        }
+        # same seed serialize byte-identically; unset fields are left out
+        doc = asdict(self)
+        doc["cells"] = [
+            {k: v for k, v in cell.items() if v is not None and k != "runtime_s"}
+            for cell in doc["cells"]
+        ]
+        return doc
 
     def save(self, path):
         Path(path).write_text(
@@ -258,18 +238,6 @@ def _stratified_split(task, rng, test_fraction):
     return train, task.X[:, test_idx], task.Y[test_idx]
 
 
-def _score_selection(train_tasks, test_sets, selections, ridge):
-    """Train per-task classifiers on selected features, return mean MAP."""
-    maps = []
-    for task, (X_test, Y_test), sel in zip(train_tasks, test_sets, selections):
-        labeled = np.flatnonzero(task.labeled_mask)
-        clf = train_ls_classifier(
-            task.X[np.ix_(sel, labeled)], task.Y[labeled], ridge
-        )
-        maps.append(mean_average_precision(clf.decision(X_test[sel]), Y_test))
-    return float(np.mean(maps))
-
-
 def _recovery(selections, support, count):
     sup = set(support)
     vals = [len(sup & set(sel.tolist())) / min(count, len(sup)) for sel in selections]
@@ -277,14 +245,32 @@ def _recovery(selections, support, count):
 
 
 def _evaluate_rankings(rankings, train_tasks, test_sets, counts, ridge, support):
-    """MAP (and recovery, when a support is known) at every feature count."""
+    """Mean test MAP over tasks (and recovery, when a support is known) at
+    every feature count, from classifiers trained on the selected features."""
     res = {}
     for count in counts:
         selections = [select_top(r, count) for r in rankings]
-        m = _score_selection(train_tasks, test_sets, selections, ridge)
+        maps = []
+        for task, (X_test, Y_test), sel in zip(train_tasks, test_sets, selections):
+            labeled = np.flatnonzero(task.labeled_mask)
+            clf = train_ls_classifier(task.X[np.ix_(sel, labeled)], task.Y[labeled], ridge)
+            maps.append(mean_average_precision(clf.decision(X_test[sel]), Y_test))
         rec = None if support is None else _recovery(selections, support, count)
-        res[count] = (m, rec)
+        res[count] = (float(np.mean(maps)), rec)
     return res
+
+
+def _candidate_rankings(method, dataset, combos, hp, graphs, n_threads):
+    """Per-task rankings of each candidate: one per grid cell for sfmc, each
+    model ranked as soon as it is fitted, and one for the baselines."""
+    if method == "sfmc":
+        for combo in combos:
+            model = fit(dataset, replace(hp, **combo), n_threads=n_threads, graphs=graphs)
+            yield [rank_features(model, l) for l in range(model.n_tasks)]
+    elif method == "fisher":
+        yield [_rank_from_scores(fisher_score(t)) for t in dataset.tasks]
+    else:  # all_features: identity ranking, scored at the full count only
+        yield [_rank_from_scores(np.zeros(dataset.n_features)) for _ in dataset.tasks]
 
 
 def run_experiment(
@@ -310,7 +296,8 @@ def run_experiment(
     repeats) is reported; each split's task graphs are built once and shared
     by all its fits.  When the dataset carries a planted support,
     support-recovery precision at each count is reported as well.
-    Deterministic for a fixed seed.
+    Repeats run in order; n_threads goes to the per-task work of the graph
+    builds and fits.  Deterministic for a fixed seed.
     """
     methods = [m.lower() for m in methods]
     for m in methods:
@@ -331,6 +318,10 @@ def run_experiment(
     for c in feature_counts:
         if not 1 <= c <= d:
             raise ValidationError(f"feature count {c} out of range [1, {d}]")
+    # a fraction's mask seed depends on its position, so duplicates are
+    # rejected rather than merged
+    if len(set(fractions)) < len(fractions):
+        raise ValidationError(f"duplicate label fractions in {list(fractions)}")
     hp_base = hp_base if hp_base is not None else Hyperparams()
     grid = grid or {}
     combos = [
@@ -341,108 +332,53 @@ def run_experiment(
             grid.get("gamma", [hp_base.gamma]),
         )
     ]
-    support = dataset.support
-    # repeats run on the pool when there is more than one, so each repeat's
-    # graph builds and fits stay sequential and n_threads caps the thread count
-    pooled = n_threads > 1 and repeats > 1
-    inner_threads = 1 if pooled else n_threads
+    counts = {m: [d] if m == "all_features" else feature_counts for m in methods}
 
-    def one_repeat(rep):
-        """Per-combo MAP/recovery tables for every (method, fraction)."""
+    # per repeat: (method, fraction) -> (per-candidate {count: (MAP, recovery)}, seconds)
+    repeat_results = []
+    for rep in range(repeats):
         rng = np.random.default_rng([seed, rep])
         splits = [_stratified_split(t, rng, test_fraction) for t in dataset.tasks]
-        train_tasks = [s[0] for s in splits]
         test_sets = [(s[1], s[2]) for s in splits]
-        train_ds = MultiTaskDataset(tasks=tuple(train_tasks), metadata=dataset.metadata)
-        k = min(hp_base.k, min(t.n_samples for t in train_tasks))
+        train_ds = MultiTaskDataset(tasks=tuple(s[0] for s in splits),
+                                    metadata=dataset.metadata)
+        hp = replace(hp_base, k=min(hp_base.k, min(t.n_samples for t in train_ds.tasks)))
         # masking labels leaves X alone, so every fit of this split shares
         # one graph per task
-        graphs = (build_graphs(train_ds, replace(hp_base, k=k), inner_threads)
-                  if "sfmc" in methods else None)
+        graphs = build_graphs(train_ds, hp, n_threads) if "sfmc" in methods else None
         scores = {}
-        times = {}
         for fi, fraction in enumerate(fractions):
-            masked = apply_label_fraction(
-                train_ds, fraction, _child_seed(seed, rep, fi)
-            )
+            masked = apply_label_fraction(train_ds, fraction, _child_seed(seed, rep, fi))
             for method in methods:
                 t0 = time.perf_counter()
-                if method == "sfmc":
-                    per_combo = {}
-                    for ci, combo in enumerate(combos):
-                        hp = replace(hp_base, k=k, **combo)
-                        model = fit(masked, hp, n_threads=inner_threads, graphs=graphs)
-                        rankings = [
-                            rank_features(model, l) for l in range(model.n_tasks)
-                        ]
-                        per_combo[ci] = _evaluate_rankings(
-                            rankings, masked.tasks, test_sets, feature_counts,
-                            ridge, support,
-                        )
-                elif method == "fisher":
-                    rankings = [_rank_from_scores(fisher_score(t)) for t in masked.tasks]
-                    per_combo = {
-                        0: _evaluate_rankings(
-                            rankings, masked.tasks, test_sets, feature_counts,
-                            ridge, support,
-                        )
-                    }
-                else:  # all_features: identity ranking, full count only
-                    rankings = [_rank_from_scores(np.zeros(d)) for _ in masked.tasks]
-                    per_combo = {
-                        0: _evaluate_rankings(
-                            rankings, masked.tasks, test_sets, [d], ridge, support
-                        )
-                    }
-                scores[(method, fraction)] = per_combo
-                times[(method, fraction)] = (
-                    times.get((method, fraction), 0.0) + time.perf_counter() - t0
-                )
-        return scores, times
-
-    if pooled:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            repeat_results = list(pool.map(one_repeat, range(repeats)))
-    else:
-        repeat_results = [one_repeat(rep) for rep in range(repeats)]
+                tables = [
+                    _evaluate_rankings(rankings, masked.tasks, test_sets,
+                                       counts[method], ridge, dataset.support)
+                    for rankings in _candidate_rankings(
+                        method, masked, combos, hp, graphs, n_threads)
+                ]
+                scores[method, fraction] = (tables, time.perf_counter() - t0)
+        repeat_results.append(scores)
 
     cells = []
     for method in methods:
-        counts = [d] if method == "all_features" else feature_counts
-        n_combos = len(combos) if method == "sfmc" else 1
         for fraction in fractions:
-            times = [t[(method, fraction)] for _, t in repeat_results]
-            for count in counts:
-                best = None
-                for ci in range(n_combos):
-                    maps = [
-                        s[(method, fraction)][ci][count][0] for s, _ in repeat_results
-                    ]
-                    recs = [
-                        s[(method, fraction)][ci][count][1] for s, _ in repeat_results
-                    ]
-                    mean = float(np.mean(maps))
-                    if best is None or mean > best[0]:
-                        best = (mean, ci, maps, recs)
-                mean, ci, maps, recs = best
-                has_rec = recs[0] is not None
-                cells.append(
-                    CellResult(
-                        method=method,
-                        fraction=float(fraction),
-                        count=int(count),
-                        map_mean=mean,
-                        map_std=float(np.std(maps)),
-                        map_per_repeat=tuple(maps),
-                        recovery_mean=float(np.mean(recs)) if has_rec else None,
-                        recovery_std=float(np.std(recs)) if has_rec else None,
-                        recovery_per_repeat=tuple(recs) if has_rec else None,
-                        best_params=combos[ci] if method == "sfmc" else None,
-                        runtime_s=float(np.mean(times)),
-                    )
-                )
+            runs = [r[method, fraction] for r in repeat_results]
+            for count in counts[method]:
+                # per candidate, its (MAP, recovery) in every repeat
+                scored = [[tables[ci][count] for tables, _ in runs]
+                          for ci in range(len(runs[0][0]))]
+                means = [float(np.mean([m for m, _ in s])) for s in scored]
+                ci = max(range(len(means)), key=means.__getitem__)  # first wins ties
+                maps, recs = zip(*scored[ci])
+                recovery = {} if recs[0] is None else dict(
+                    recovery_mean=float(np.mean(recs)), recovery_std=float(np.std(recs)),
+                    recovery_per_repeat=recs)
+                cells.append(CellResult(
+                    method=method, fraction=float(fraction), count=int(count),
+                    map_mean=means[ci], map_std=float(np.std(maps)), map_per_repeat=maps,
+                    best_params=combos[ci] if method == "sfmc" else None,
+                    runtime_s=float(np.mean([t for _, t in runs])), **recovery))
     return ExperimentReport(
         cells=tuple(cells),
         methods=tuple(methods),

@@ -282,6 +282,25 @@ class TestErrorPaths:
         assert "positive definite" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_malformed_manifest_exit_1(self, synth_dir, tmp_path, capsys):
+        manifest = synth_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["tasks"][0]["features_csv"] = 3
+        manifest.write_text(json.dumps(doc))
+        model_path = tmp_path / "m.json"
+        assert main(["fit", str(manifest), "--out", str(model_path), "--k", "5"]) == 1
+        assert "CSV paths must be strings" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_duplicate_fractions_exit_1(self, synth_dir, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        rc = main(["eval", str(synth_dir / "manifest.json"), "--out", str(report_path),
+                   "--methods", "fisher", "--fractions", "0.5", "0.5", "--counts", "3",
+                   "--repeats", "1", "--k", "5"])
+        assert rc == 1
+        assert "duplicate label fractions" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_negative_seed_exit_1(self, synth_dir, tmp_path):
         rc = main(["eval", str(synth_dir / "manifest.json"), "--out",
                    str(tmp_path / "r.json"), "--methods", "fisher",

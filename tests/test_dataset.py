@@ -57,6 +57,23 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match="exactly one"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(tasks=5), "'tasks' list"),
+        (lambda doc: doc.update(tasks=[5]), "task 0 must be an object"),
+        (lambda doc: doc["tasks"][1].update(features_csv=3), "task 1: CSV paths"),
+        (lambda doc: doc["tasks"][0].update(labels_csv=None), "task 0: CSV paths"),
+        (lambda doc: doc["tasks"][0].update(labeled_mask_csv=["m.csv"]),
+         "task 0: CSV paths"),
+    ], ids=["tasks-not-list", "task-not-object", "features-path-int",
+            "labels-path-null", "mask-path-list"])
+    def test_malformed_entry(self, tmp_path, edit, message):
+        path = small_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
+            load_manifest(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_manifest(tmp_path / "nope.json")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sfmc.dataset import (SynthConfig, TaskData, ValidationError,
-                          generate_synthetic)
+from sfmc.dataset import (MultiTaskDataset, SynthConfig, TaskData,
+                          ValidationError, generate_synthetic)
 from sfmc.select_eval import (average_precision, fisher_score,
                               mean_average_precision, rank_features,
                               run_experiment, select_top, train_ls_classifier,
@@ -266,6 +266,29 @@ class TestRunExperiment:
         af = [c for c in report.cells if c.method == "all_features"]
         assert all(c.count == 16 for c in af)
 
+        # the JSON form: wall-clock runtime is never written, recovery only
+        # with a support, best_params only on sfmc cells
+        doc = report.to_json_dict()
+        assert {c["count"] for c in doc["cells"] if c["method"] == "all_features"} == {16}
+        base = {"method", "fraction", "count", "map_mean", "map_std", "map_per_repeat"}
+        recovery = {"recovery_mean", "recovery_std", "recovery_per_repeat"}
+        for cell in doc["cells"]:
+            extra = {"best_params"} if cell["method"] == "sfmc" else set()
+            assert set(cell) == base | recovery | extra
+        assert set(doc) == {"cells", "methods", "fractions", "feature_counts",
+                            "repeats", "seed", "test_fraction"}
+
+        unplanted = MultiTaskDataset(tasks=synth.tasks)
+        assert unplanted.support is None
+        doc = run_experiment(
+            unplanted, methods=["sfmc", "fisher"], fractions=[1.0],
+            feature_counts=[4], repeats=1, seed=0,
+            hp_base=Hyperparams(k=6, max_iter=5),
+        ).to_json_dict()
+        for cell in doc["cells"]:
+            extra = {"best_params"} if cell["method"] == "sfmc" else set()
+            assert set(cell) == base | extra
+
     def test_all_features_equals_top_d_selection(self, synth):
         # selecting every feature must reproduce the no-selection baseline
         r1 = run_experiment(
@@ -300,8 +323,8 @@ class TestRunExperiment:
         assert r1.to_json_dict() == r2.to_json_dict()
 
     def test_threaded_matches_sequential(self, synth, monkeypatch):
-        # repeats run on the n_threads pool, so the graph builds and fits
-        # inside a repeat must not start pools of their own
+        # repeats run in order and n_threads goes to the per-task work of the
+        # graph builds and fits, so every pool is started with n_threads
         from sfmc import solver
 
         kwargs = dict(
@@ -309,13 +332,20 @@ class TestRunExperiment:
             repeats=3, seed=5, hp_base=Hyperparams(k=6),
         )
         r1 = run_experiment(synth, **kwargs)
-        inner = []
+        pools = []
         map_tasks = solver._map_tasks
         monkeypatch.setattr(solver, "_map_tasks",
-                            lambda fn, items, n: inner.append(n) or map_tasks(fn, items, n))
+                            lambda fn, items, n: pools.append(n) or map_tasks(fn, items, n))
         r2 = run_experiment(synth, n_threads=3, **kwargs)
         assert r1.to_json_dict() == r2.to_json_dict()
-        assert inner and max(inner) == 1
+        assert pools and set(pools) == {3}
+
+    def test_rejects_duplicate_fractions(self, synth):
+        # a fraction's mask seed depends on its position, so repeats of one
+        # fraction would report two cells holding only the last mask's scores
+        with pytest.raises(ValidationError, match="duplicate label fractions"):
+            run_experiment(synth, methods=["fisher"], fractions=[0.2, 0.2],
+                           feature_counts=[4], repeats=1, seed=0)
 
     def test_graphs_built_once_per_split(self, synth, monkeypatch):
         # the Laplacian depends only on the split's X, k and lam, so every
