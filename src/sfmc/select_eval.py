@@ -319,9 +319,12 @@ def run_experiment(
         if not 1 <= c <= d:
             raise ValidationError(f"feature count {c} out of range [1, {d}]")
     # a fraction's mask seed depends on its position, so duplicates are
-    # rejected rather than merged
+    # rejected rather than merged; a repeated method would run and report
+    # its cells twice
     if len(set(fractions)) < len(fractions):
         raise ValidationError(f"duplicate label fractions in {list(fractions)}")
+    if len(set(methods)) < len(methods):
+        raise ValidationError(f"duplicate methods in {methods}")
     hp_base = hp_base if hp_base is not None else Hyperparams()
     grid = grid or {}
     combos = [

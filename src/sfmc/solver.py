@@ -513,12 +513,14 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     """Run the alternating solver on every task of the dataset.
 
     Per task it takes the graph Laplacian from graphs (as build_graphs
-    returns them; built here when None) and, from precompute_task, the
-    Cholesky factor of alpha beta H + U + L, the caches R, T and the W-free
-    objective constant.  A supplied graph must match hp.k, hp.lam and its
-    task's sample count, or ValidationError is raised.  The initial W_l
-    solve uses unit row weights and an identity coupling.  Each reweighting
-    iteration then:
+    returns them) and, from precompute_task, the Cholesky factor of
+    alpha beta H + U + L, the caches R, T and the W-free objective constant.
+    When graphs is None, each task's Laplacian is built in that task's
+    precompute call and dropped after it, so only the Laplacians being
+    precomputed are alive, not all t.  A supplied graph must match hp.k,
+    hp.lam and its task's sample count, or ValidationError is raised.  The
+    initial W_l solve uses unit row weights and an identity coupling.  Each
+    reweighting iteration then:
 
     1. takes the plain step of reweighted_step, which rebuilds D_l and
        (unless gamma is 0) Dtilde at the current W;
@@ -551,13 +553,11 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
             raise ValidationError(
                 f"task {task.name!r}: k={hp.k} exceeds its {task.n_samples} samples"
             )
-    if graphs is None:
-        graphs = build_graphs(dataset, hp, n_threads)
-    elif len(graphs) != dataset.n_tasks:
-        raise ValidationError(
-            f"got {len(graphs)} graphs for {dataset.n_tasks} tasks"
-        )
-    else:
+    if graphs is not None:
+        if len(graphs) != dataset.n_tasks:
+            raise ValidationError(
+                f"got {len(graphs)} graphs for {dataset.n_tasks} tasks"
+            )
         for task, lap in zip(dataset.tasks, graphs):
             if (lap.k, lap.lam, lap.L.shape) != (hp.k, hp.lam, (task.n_samples,) * 2):
                 raise ValidationError(
@@ -566,8 +566,13 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
                     f"lam={hp.lam} and {task.n_samples} samples"
                 )
 
-    prepared = _map_tasks(lambda l: precompute_task(dataset.tasks[l], graphs[l], hp),
-                          range(dataset.n_tasks), n_threads)
+    def prepare(l):
+        task = dataset.tasks[l]
+        lap = (graphs[l] if graphs is not None
+               else build_task_laplacian(task.X, hp.k, hp.lam))
+        return precompute_task(task, lap, hp)
+
+    prepared = _map_tasks(prepare, range(dataset.n_tasks), n_threads)
     factors = [p[0] for p in prepared]
     const = sum(p[3] for p in prepared)
 

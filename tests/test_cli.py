@@ -301,6 +301,16 @@ class TestErrorPaths:
         assert "duplicate label fractions" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_duplicate_methods_exit_1(self, synth_dir, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        rc = main(["eval", str(synth_dir / "manifest.json"), "--out", str(report_path),
+                   "--methods", "fisher", "sfmc", "fisher", "all_features",
+                   "--fractions", "0.5",
+                   "--counts", "3", "--repeats", "1", "--k", "5"])
+        assert rc == 1
+        assert "duplicate methods" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_negative_seed_exit_1(self, synth_dir, tmp_path):
         rc = main(["eval", str(synth_dir / "manifest.json"), "--out",
                    str(tmp_path / "r.json"), "--methods", "fisher",

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from sfmc import graph
 from sfmc.graph import build_task_laplacian, knn_cliques
 from helpers import brute_knn, centering_oracle, dense_laplacian_oracle
 
@@ -41,6 +45,74 @@ class TestKnnCliques:
             knn_cliques(X, 4)
         with pytest.raises(ValueError):
             knn_cliques(X, 1)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                knn_cliques(np.array([[bad, 0.0, 1.0, 2.0]]), 2)
+
+    @pytest.fixture
+    def gemm_path(self, monkeypatch):
+        # small inputs skip the GEMM candidate scan; these tests need it
+        monkeypatch.setattr(graph, "DENSE_MIN", 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gemm_candidates_match_brute_force(self, seed, gemm_path):
+        # ties at the k-th distance (integer grids, duplicated columns) must
+        # be found among the GEMM candidates and broken by index
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(6, 60)).astype(float)
+        X[:, rng.integers(0, 60, size=10)] = X[:, rng.integers(0, 60, size=10)]
+        expected = brute_knn(X, 20)
+        for k in (2, 3, 8, 20):
+            np.testing.assert_array_equal(knn_cliques(X, k), expected[:, :k])
+
+    @pytest.mark.parametrize("scale, offset", [
+        (1e-200, 0.0), (1e-160, 0.0), (1e150, 0.0), (1e160, 0.0),
+        (1.0, 1e8), (1.0, 1e12),
+    ])
+    def test_badly_scaled_input_matches_brute_force(self, scale, offset, gemm_path):
+        # tiny and huge X under- or overflow X'X and the exact distances
+        # (brute force then ties them at 0 or inf); a common offset makes the
+        # GEMM distances cancel to their round-off.  Positive entries make
+        # every entry of an unscaled X'X overflow to +inf at scale 1e160
+        X = np.random.default_rng(6).random((5, 30)) * scale + offset
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            expected = [brute_knn(X, k) for k in (2, 4, 9)]
+            gram = X.T @ X
+        for k, cl in zip((2, 4, 9), expected):
+            np.testing.assert_array_equal(knn_cliques(X, k), cl)
+            np.testing.assert_array_equal(knn_cliques(X, k, gram=gram), cl)
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_block_edges(self, n, monkeypatch, gemm_path):
+        # five rows per block: n one below, at, and one past a block boundary
+        monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n * 5)
+        rng = np.random.default_rng(n)
+        X = rng.integers(0, 3, size=(2, n)).astype(float)
+        X[:, 3] = X[:, n - 1]
+        for k in (2, 4, n):
+            np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
+
+    @pytest.mark.parametrize("kind", ["identical", "grid01"])
+    def test_memory_bounded_on_ties(self, kind):
+        # every sample tied at the k-th distance (all identical) or many ties
+        # (a 0/1 grid) still scans in row blocks: no n x n arrays beyond X'X
+        n, d, k = 1500, 100, 15
+        rng = np.random.default_rng(7)
+        X = (np.ones((d, n)) if kind == "identical"
+             else rng.integers(0, 2, size=(d, n)).astype(float))
+        tracemalloc.start()
+        try:
+            cl = knn_cliques(X, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8
+        D = cdist(X.T, X.T, "sqeuclidean")
+        np.fill_diagonal(D, -1.0)
+        order = np.lexsort((np.broadcast_to(np.arange(n), D.shape), D), axis=1)
+        np.testing.assert_array_equal(cl, order[:, :k])
 
     def test_first_element_is_self(self):
         rng = np.random.default_rng(5)

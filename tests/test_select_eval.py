@@ -347,6 +347,14 @@ class TestRunExperiment:
             run_experiment(synth, methods=["fisher"], fractions=[0.2, 0.2],
                            feature_counts=[4], repeats=1, seed=0)
 
+    def test_rejects_duplicate_methods(self, synth):
+        # a repeated method would run and report each of its cells twice;
+        # names are compared after lowercasing
+        for methods in (["fisher", "sfmc", "fisher", "all_features"], ["SFMC", "sfmc"]):
+            with pytest.raises(ValidationError, match="duplicate methods"):
+                run_experiment(synth, methods=methods, fractions=[0.2],
+                               feature_counts=[4], repeats=1, seed=0)
+
     def test_graphs_built_once_per_split(self, synth, monkeypatch):
         # the Laplacian depends only on the split's X, k and lam, so every
         # fraction and grid cell of one repeat shares one graph per task

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,22 @@ class TestFitBasics:
         hp = Hyperparams(k=4, max_iter=10)
         shared = fit(ds, hp, graphs=build_graphs(ds, hp))
         assert shared.to_json_dict() == fit(ds, hp).to_json_dict()
+
+    def test_one_laplacian_alive_without_graphs(self):
+        # each task's L is built in its own precompute call and dropped after
+        # it, so the fit holds one n x n L, not all t; holding all three (as
+        # building every graph up front does) peaks above 7 n x n arrays
+        n = 600
+        ds = make_dataset(np.random.default_rng(0), t=3, d=10, n=n, c=2)
+        hp = Hyperparams(k=10, max_iter=5)
+        tracemalloc.start()
+        try:
+            model = fit(ds, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * n * 8
+        assert model.to_json_dict() == fit(ds, hp, graphs=build_graphs(ds, hp)).to_json_dict()
 
     def test_rejects_mismatched_graphs(self):
         rng = np.random.default_rng(9)
