@@ -27,7 +27,14 @@ singular values), so that form would all but freeze W's column space after
 the first solve.  The sum(c) x sum(c) form (1/2)(W'W + delta I)^(-1/2)
 majorizes the same trace norm, up to the constant (d - sum(c)) sqrt(delta),
 without that penalty; it couples the tasks' columns, so its W step is one
-joint system, solved by conjugate gradients.
+joint system, solved by preconditioned conjugate gradients.  That solve is
+inexact: it stops once its residual has fallen by a forcing term tied to the
+last relative objective change (at most CG_FORCING_CAP), as in inexact
+Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 1996) and
+CG-accelerated IRLS (Fornasier, Peter, Rauhut & Worm, Comput. Optim. Appl.
+2016).  CG starts at the current W and lowers the majorizer at every
+iterate, so descent holds at any tolerance, and the tolerance tightens
+toward rel_tol as the fit converges.
 """
 
 import json
@@ -45,9 +52,14 @@ from .graph import build_task_laplacian
 # the extrapolation step it tries before falling back to the plain step
 ANDERSON_MEMORY = 5
 ANDERSON_STEPS = (1.0, 0.5, 0.25)
-# relative residual, and iteration cap per unknown column, of the joint W solve
+# relative residual floor, and iteration cap per unknown column, of the joint
+# W solve
 CG_RTOL = 1e-12
 CG_MAX_ITER_PER_COLUMN = 10
+# cap on the forcing term fit passes to the joint W solve: the solve stops once
+# its residual falls by this factor, or by the last relative objective change
+# if that is smaller
+CG_FORCING_CAP = 1e-2
 
 
 class NumericalError(RuntimeError):
@@ -219,23 +231,27 @@ def selection_diag(mask, inf_surrogate):
     return np.where(mask, float(inf_surrogate), 1.0)
 
 
-def _spd_solve(A, B, factor=None):
-    """Solve the SPD system A X = B with one refinement pass.
+def _refined_solve(factor, B, matmul):
+    """cho_solve(factor, B), then one refinement pass against matmul(X) = A X.
 
     The refinement keeps the residual near machine precision even when the
     hyperparameter grid makes A badly scaled.
     """
-    try:
-        if factor is None:
-            factor = cho_factor(A)
-        X = cho_solve(factor, B)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    resid = B - A @ X
+    X = cho_solve(factor, B)
+    resid = B - matmul(X)
     norm_b = np.linalg.norm(B)
     if norm_b > 0 and np.linalg.norm(resid) > 1e-13 * norm_b:
         X = X + cho_solve(factor, resid)
     return X
+
+
+def _spd_solve(A, B):
+    """Solve the SPD system A X = B with one refinement pass."""
+    try:
+        factor = cho_factor(A)
+    except (LinAlgError, ValueError) as exc:
+        raise NumericalError(f"SPD factorization failed: {exc}") from exc
+    return _refined_solve(factor, B, lambda X: A @ X)
 
 
 def precompute_task(task, lap, hp):
@@ -251,7 +267,9 @@ def precompute_task(task, lap, hp):
     Tr(Y'UY) - Tr(Y'U A^-1 U Y), taken without cancellation as
     <Z_T, (alpha beta H + L) Y>.  Neither U nor the centering matrix H is
     formed: U acts as its diagonal u, and H as a subtraction of column
-    means, so A (with its factor) is the only n x n array built here.
+    means.  A is factored in place, so its factor is the only n x n array
+    built here; the refinement residual applies A as
+    alpha beta (Z - colmean Z) + u Z + L Z.
     """
     n = task.n_samples
     d = task.X.shape[0]
@@ -260,15 +278,17 @@ def precompute_task(task, lap, hp):
     B = task.X.T - task.X.T.mean(axis=0)
     rhs = np.hstack([u[:, None] * B + lap.L @ B, u[:, None] * task.Y])
     # alpha beta H + U + L in one n x n allocation, each entry rounded as in
-    # the sum of the dense terms; L is exactly symmetric, so A is too
+    # the sum of the dense terms; L is exactly symmetric, so A is too, and
+    # A.T is A in Fortran order, which LAPACK overwrites with its factor
     A = np.full((n, n), -(ab * (1.0 / n)))
     A[np.diag_indices(n)] = ab * (1.0 - 1.0 / n) + u
     A += lap.L
     try:
-        factor = cho_factor(A)
+        factor = cho_factor(A.T, lower=True, overwrite_a=True)
     except (LinAlgError, ValueError) as exc:
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    Z = _spd_solve(A, rhs, factor=factor)
+    Z = _refined_solve(factor, rhs, lambda X: (ab * (X - X.mean(axis=0))
+                                               + u[:, None] * X + lap.L @ X))
     R = B.T @ Z[:, :d]
     R = 0.5 * (R + R.T)
     T = B.T @ Z[:, d:]
@@ -319,7 +339,7 @@ def solve_W(R, T, Dl, Dtilde, hp):
     return _spd_solve(S, T)
 
 
-def solve_W_coupled(R, T, Dl, Dtilde, hp, W0):
+def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
     """Joint W update for the sum(c) x sum(c) column-form coupling Dtilde.
 
     Solves, for every task l at once,
@@ -328,8 +348,14 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0):
     the minimizer of the reweighted quadratic, an SPD system of size
     d sum(c).  R, T, Dl and W0 are per-task lists.  Preconditioned conjugate
     gradients start at W0, the point the weights were built at, and every
-    iterate lowers the quadratic from there, so the step keeps descent even
-    when it stops at its iteration cap.  The preconditioner solves each
+    iterate lowers the quadratic from there, so the step keeps descent
+    however early it stops.  It stops once the residual norm is at most
+    max(CG_RTOL ||T||, rtol ||Res_0||), Res_0 the residual at W0, or at its
+    iteration cap.  With rtol = 0 it solves to the CG_RTOL floor; fit passes
+    a forcing term tied to the objective's progress, so steps far from the
+    fixed point are cheap.
+    The test is relative to Res_0, so any rtol < 1 takes at least one step
+    unless W0 already meets the floor.  The preconditioner solves each
     task's own block exactly: with Dtilde_ll = V diag(lam) V', the columns
     of W_l V decouple into d x d systems R_l + D_l/beta + (gamma/(alpha beta)) lam_k I.
     """
@@ -352,7 +378,10 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0):
         lam, V = np.linalg.eigh(Dtilde[s, s])
         factors = []
         for lam_k in lam:
-            factor, info = dpotrf(R_l + np.diag(D_l + cpl * lam_k), clean=0)
+            # dpotrf factors a Fortran-ordered array in place, with no copy
+            S = np.array(R_l, order="F")
+            S[np.diag_indices_from(S)] += D_l + cpl * lam_k
+            factor, info = dpotrf(S, clean=0, overwrite_a=1)
             if info != 0:
                 raise NumericalError(f"preconditioner factorization failed (info {info})")
             factors.append(factor)
@@ -370,7 +399,7 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0):
     B = np.hstack(T)
     X = np.hstack(W0)
     Res = B - apply(X)
-    stop = CG_RTOL * np.linalg.norm(B)
+    stop = max(CG_RTOL * np.linalg.norm(B), rtol * np.linalg.norm(Res))
     Z = solve_precond(Res)
     P = Z
     rz = float((Res * Z).sum())
@@ -392,14 +421,16 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0):
     return [X[:, s].copy() for s in blocks]
 
 
-def reweighted_step(W, R, T, hp):
+def reweighted_step(W, R, T, hp, rtol=0.0):
     """One plain step of the W-map: reweight at W, then minimize the majorizer.
 
     W, R, T are per-task lists.  Returns (new W list, D_l list, Dtilde).
     Dtilde is None when gamma is 0.  Otherwise it comes from the smaller
     Gram matrix of the stacked W: the d x d row form when d <= sum(c), where
     tasks solve separately with solve_W, else the sum(c) x sum(c) column
-    form, solved jointly by solve_W_coupled warm-started at W.
+    form, solved jointly by solve_W_coupled warm-started at W, which stops
+    once its residual falls by the factor rtol (see solve_W_coupled).  The
+    direct solve_W path is exact whatever rtol is.
     """
     Dl = [update_Dl(W_l, hp.delta) for W_l in W]
     Dtilde = None
@@ -407,7 +438,7 @@ def reweighted_step(W, R, T, hp):
         stacked = np.hstack(W)
         if stacked.shape[0] > stacked.shape[1]:
             Dtilde = update_Dtilde(stacked.T, hp.delta)
-            return solve_W_coupled(R, T, Dl, Dtilde, hp, W), Dl, Dtilde
+            return solve_W_coupled(R, T, Dl, Dtilde, hp, W, rtol), Dl, Dtilde
         Dtilde = update_Dtilde(stacked, hp.delta)
     return [solve_W(R_l, T_l, D_l, Dtilde, hp)
             for R_l, T_l, D_l in zip(R, T, Dl)], Dl, Dtilde
@@ -523,7 +554,11 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     reweighting iteration then:
 
     1. takes the plain step of reweighted_step, which rebuilds D_l and
-       (unless gamma is 0) Dtilde at the current W;
+       (unless gamma is 0) Dtilde at the current W.  A joint CG W solve
+       stops once its residual falls by the forcing term
+       min(CG_FORCING_CAP, the last iteration's relative objective change),
+       CG_FORCING_CAP at the first iteration: loose far from the fixed
+       point, tightening toward rel_tol as the fit converges;
     2. lets Anderson extrapolate from the recent steps, keeping the
        extrapolated W only where reduced_objective rates it below the plain
        step.  With gamma 0 each task has its own history, so tasks stay
@@ -598,8 +633,10 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
               else [[l] for l in range(dataset.n_tasks)])
     accelerators = [Anderson() for _ in groups]
     converged = False
+    forcing = CG_FORCING_CAP
     for r in range(1, hp.max_iter + 1):
-        plain, state.Dl, state.Dtilde = reweighted_step(state.W, state.R, state.T, hp)
+        plain, state.Dl, state.Dtilde = reweighted_step(state.W, state.R, state.T, hp,
+                                                        forcing)
         for group, accel in zip(groups, accelerators):
             R_g = [state.R[l] for l in group]
             T_g = [state.T[l] for l in group]
@@ -615,9 +652,11 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
         state.iterations = r
         if callback is not None:
             callback(r, state)
-        if abs(prev - obj) < hp.rel_tol * max(abs(prev), np.finfo(float).tiny):
+        scale = max(abs(prev), np.finfo(float).tiny)
+        if abs(prev - obj) < hp.rel_tol * scale:
             converged = True
             break
+        forcing = min(CG_FORCING_CAP, abs(prev - obj) / scale)
 
     b = [solve_b(solve_F(task, W_l, hp, factor), task.X, W_l)
          for task, factor, W_l in zip(dataset.tasks, factors, state.W)]

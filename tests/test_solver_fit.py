@@ -107,6 +107,31 @@ class TestFitBasics:
             _, b = solve_Fb_oracle(t, L, U, hp, model.W[l])
             np.testing.assert_allclose(model.b[l], b, rtol=1e-10, atol=1e-12)
 
+    def test_cg_forcing_follows_progress(self, monkeypatch):
+        # d > sum(c) and gamma > 0, so every step is one joint CG solve; its
+        # forcing term is the cap at r = 1 and then the last relative
+        # objective change, capped
+        ds = make_dataset(np.random.default_rng(1), t=2, d=10, n=15, c=2)
+        hp = Hyperparams(k=5)
+        expected = fit(ds, hp)
+        seen = []
+        inner = solver.solve_W_coupled
+
+        def recording(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
+            seen.append(rtol)
+            return inner(R, T, Dl, Dtilde, hp, W0, rtol)
+
+        monkeypatch.setattr(solver, "solve_W_coupled", recording)
+        model = fit(ds, hp)
+        tr = model.objective_trace
+        assert model.iterations >= 3 and len(seen) == model.iterations
+        assert seen[0] == solver.CG_FORCING_CAP
+        for r in range(2, model.iterations + 1):
+            change = abs(tr[r - 2] - tr[r - 1]) / abs(tr[r - 2])
+            assert seen[r - 1] == min(solver.CG_FORCING_CAP, change)
+        assert min(seen) < solver.CG_FORCING_CAP
+        assert model.to_json_dict() == expected.to_json_dict()
+
     def test_supplied_graphs_match_built_ones(self):
         rng = np.random.default_rng(8)
         ds = make_dataset(rng, t=2, d=6, n=12, c=2)

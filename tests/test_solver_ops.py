@@ -6,9 +6,10 @@ import scipy.linalg
 
 from sfmc.dataset import TaskData, ValidationError
 from sfmc.graph import build_task_laplacian
-from sfmc.solver import (Hyperparams, norm_l21_smoothed, precompute_task,
-                         selection_diag, solve_F, solve_W, solve_W_coupled,
-                         solve_b, trace_norm_smoothed, update_Dl, update_Dtilde)
+from sfmc.solver import (CG_RTOL, Hyperparams, norm_l21_smoothed,
+                         precompute_task, selection_diag, solve_F, solve_W,
+                         solve_W_coupled, solve_b, trace_norm_smoothed,
+                         update_Dl, update_Dtilde)
 from helpers import (central_diff_grad, centering_oracle, make_task,
                      selection_diag_oracle, smoothed_l21_oracle,
                      smoothed_trace_norm_oracle, solve_Fb_oracle)
@@ -129,20 +130,36 @@ class TestPrecomputeTask:
         T_literal = task.X @ H @ P @ U @ task.Y
         np.testing.assert_allclose(T, T_literal, atol=1e-10)
 
-    def test_peak_allocation(self):
-        # U and H act as a vector and a mean subtraction, so the only n x n
-        # arrays precompute_task allocates are A and its Cholesky factor
+    def test_factors_in_place(self):
+        # U and H act as a vector and a mean subtraction, A is factored in
+        # place, and the refinement residual is formed from L, u and a mean
+        # subtraction, so A's factor is the one n x n array precompute_task
+        # allocates; keeping A beside a factored copy peaks near 2.2 blocks
         n, d = 600, 20
         task = make_task(np.random.default_rng(7), d, n, 3)
         hp = Hyperparams(k=10)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
         tracemalloc.start()
         try:
-            precompute_task(task, lap, hp)
+            factor, R, T, _ = precompute_task(task, lap, hp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * n * n * 8
+        assert peak < 1.5 * n * n * 8
+        # the literal formulas, with dense H and U and an explicit inverse
+        H = centering_oracle(n)
+        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
+        ab = hp.alpha * hp.beta
+        A = ab * H + U + lap.L
+        P = np.linalg.inv(A)
+        R_literal = task.X @ H @ (np.eye(n) - ab * P) @ H @ task.X.T
+        T_literal = task.X @ H @ P @ U @ task.Y
+        np.testing.assert_allclose(R, R_literal, rtol=0,
+                                   atol=1e-9 * np.abs(R_literal).max())
+        np.testing.assert_allclose(T, T_literal, rtol=0,
+                                   atol=1e-9 * np.abs(T_literal).max())
+        np.testing.assert_allclose(A @ scipy.linalg.cho_solve(factor, np.eye(n)),
+                                   np.eye(n), atol=1e-9)
 
 
 class TestUpdateDl:
@@ -257,39 +274,75 @@ class TestSolveW:
         assert np.linalg.norm(g) <= 1e-5 * (1 + np.linalg.norm(g0))
 
 
+def _joint_instances():
+    """Random joint W systems: (hp, R, T, Dl, Dtilde, W0, big, rhs).
+
+    Column j of the stacked W (task l(j)) satisfies
+    (R_l + D_l / beta) w_j + (gamma / (alpha beta)) sum_i Dtilde_ij w_i = T_l[:, j];
+    big is that d sum(c) system assembled entry by entry, acting on the
+    columns of W stacked into one vector, and rhs the stacked T.
+    """
+    rng = np.random.default_rng(15)
+    d, widths = 7, (2, 3)
+    for _ in range(5):
+        hp = Hyperparams(alpha=10.0 ** rng.uniform(-1, 1),
+                         beta=10.0 ** rng.uniform(-1, 1),
+                         gamma=10.0 ** rng.uniform(-1, 1))
+        R, T, Dl = [], [], []
+        for c in widths:
+            A = rng.standard_normal((d, d + 2))
+            R.append(A @ A.T)
+            T.append(rng.standard_normal((d, c)))
+            Dl.append(update_Dl(rng.standard_normal((d, c)), hp.delta))
+        W_now = rng.standard_normal((d, sum(widths)))
+        Dt = update_Dtilde(W_now.T, hp.delta)
+        owner = [l for l, c in enumerate(widths) for _ in range(c)]
+        n = d * len(owner)
+        big = np.zeros((n, n))
+        for j, l in enumerate(owner):
+            rows = slice(j * d, (j + 1) * d)
+            big[rows, rows] += R[l] + np.diag(Dl[l] / hp.beta)
+            for i in range(len(owner)):
+                big[rows, i * d:(i + 1) * d] += (
+                    hp.gamma / (hp.alpha * hp.beta) * Dt[i, j] * np.eye(d)
+                )
+        W0 = np.split(rng.standard_normal((d, sum(widths))), [widths[0]], axis=1)
+        yield hp, R, T, Dl, Dt, W0, big, np.hstack(T).T.ravel()
+
+
 class TestSolveWCoupled:
     def test_matches_dense_joint_system(self):
-        # column j of the stacked W (task l(j)) satisfies
-        # (R_l + D_l / beta) w_j + (gamma / (alpha beta)) sum_i Dtilde_ij w_i = T_l[:, j];
-        # assemble that d sum(c) system entry by entry and solve it densely
-        rng = np.random.default_rng(15)
-        d, widths = 7, (2, 3)
-        for _ in range(5):
-            hp = Hyperparams(alpha=10.0 ** rng.uniform(-1, 1),
-                             beta=10.0 ** rng.uniform(-1, 1),
-                             gamma=10.0 ** rng.uniform(-1, 1))
-            R, T, Dl = [], [], []
-            for c in widths:
-                A = rng.standard_normal((d, d + 2))
-                R.append(A @ A.T)
-                T.append(rng.standard_normal((d, c)))
-                Dl.append(update_Dl(rng.standard_normal((d, c)), hp.delta))
-            W_now = rng.standard_normal((d, sum(widths)))
-            Dt = update_Dtilde(W_now.T, hp.delta)
-            owner = [l for l, c in enumerate(widths) for _ in range(c)]
-            n = d * len(owner)
-            big = np.zeros((n, n))
-            for j, l in enumerate(owner):
-                rows = slice(j * d, (j + 1) * d)
-                big[rows, rows] += R[l] + np.diag(Dl[l] / hp.beta)
-                for i in range(len(owner)):
-                    big[rows, i * d:(i + 1) * d] += (
-                        hp.gamma / (hp.alpha * hp.beta) * Dt[i, j] * np.eye(d)
-                    )
-            expected = np.linalg.solve(big, np.hstack(T).T.ravel()).reshape(-1, d).T
-            W0 = np.split(rng.standard_normal((d, sum(widths))), [widths[0]], axis=1)
+        for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
+            d = R[0].shape[0]
+            expected = np.linalg.solve(big, rhs).reshape(-1, d).T
             got = np.hstack(solve_W_coupled(R, T, Dl, Dt, hp, W0))
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-8 * np.abs(expected).max())
+
+    def test_forcing_term_contract(self):
+        # a relative stop: the residual falls by the factor rtol from the one
+        # at W0, or to the absolute floor; and every CG iterate from W0
+        # lowers the majorizer 1/2 w'Mw - w't, whatever rtol is.  The second
+        # start lies near the solution, where a stop measured against ||T||
+        # would return W0 without a step
+        rng = np.random.default_rng(16)
+
+        def resid(W):
+            return np.linalg.norm(rhs - big @ np.hstack(W).T.ravel())
+
+        def majorizer(W):
+            w = np.hstack(W).T.ravel()
+            return 0.5 * w @ big @ w - w @ rhs
+
+        for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
+            d = R[0].shape[0]
+            exact = np.linalg.solve(big, rhs).reshape(-1, d).T
+            near = exact + 1e-4 * np.abs(exact).max() * rng.standard_normal(exact.shape)
+            for start in (W0, np.split(near, [T[0].shape[1]], axis=1)):
+                for rtol in (1e-1, 1e-2, 1e-4):
+                    W = solve_W_coupled(R, T, Dl, Dt, hp, start, rtol=rtol)
+                    assert resid(W) <= max(CG_RTOL * np.linalg.norm(rhs),
+                                           rtol * resid(start))
+                    assert majorizer(W) < majorizer(start)
 
 
 class TestSolveF:
