@@ -17,7 +17,9 @@ The propagated labels F and biases b have a closed form for any W, and the
 W step reads only the per-task d x d and d x c caches R and T, so the loop
 iterates on W alone.  It scores each iterate in d-space: the objective with
 F and b eliminated is reduced_objective plus a W-free constant per task,
-computed once by precompute_task.  F and b are solved once, after the loop.
+computed once by precompute_task.  The optimal b is affine in W, b = W'g + h,
+with g and h read off A^-1 1 in the same precomputation, so no task keeps
+an n-sized array past it and F is never formed.
 
 Dtilde is built from the smaller of the two Gram matrices of W.  The d x d
 form (1/2)(WW' + delta I)^(-1/2) puts the weight 1/(2 sqrt(delta)) on every
@@ -38,7 +40,8 @@ toward rel_tol as the fit converges.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,11 @@ class Hyperparams:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        # NaN passes every comparison below, so non-finite values go first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValidationError("alpha and beta must be positive")
         if self.gamma < 0:
@@ -255,17 +263,21 @@ def _spd_solve(A, B):
 
 
 def precompute_task(task, lap, hp):
-    """Per-task caches for the alternating updates: (factor, R, T, const).
+    """Per-task caches for the alternating updates: (factor, R, T, const, g, h).
 
     factor is the Cholesky factor of A = alpha beta H + U + L, in the form
-    scipy.linalg.cho_solve takes; fit reuses it for the final F solve.  With
-    B = H X', R = X H (I - alpha beta A^-1) H X' and T = X H A^-1 U Y.  The
-    inverse of A is never formed: one solve A Z = [(U + L) B, U Y] with
-    d + c right-hand sides gives R = B'Z_R, the cancellation-free form of R
-    that stays accurate at extreme alpha beta, and T = B'Z_T.  const is the
-    task's W-free part of the objective once F and b are eliminated,
+    scipy.linalg.cho_solve takes, for solve_F.  With B = H X',
+    R = X H (I - alpha beta A^-1) H X' and T = X H A^-1 U Y.  The inverse of
+    A is never formed: one solve A Z = [(U + L) B, U Y, 1] with d + c + 1
+    right-hand sides gives R = B'Z_R, the cancellation-free form of R that
+    stays accurate at extreme alpha beta, T = B'Z_T and z = A^-1 1.  const
+    is the task's W-free part of the objective once F and b are eliminated,
     Tr(Y'UY) - Tr(Y'U A^-1 U Y), taken without cancellation as
-    <Z_T, (alpha beta H + L) Y>.  Neither U nor the centering matrix H is
+    <Z_T, (alpha beta H + L) Y>.  g and h give the optimal bias for any W as
+    b = W'g + h: b is the mean over samples of F - X'W, and A is symmetric,
+    so the mean of F = A^-1 (alpha beta B W + U Y) is z'(alpha beta B W + U Y)/n.
+    Hence g = (alpha beta/n) B'z - xbar, xbar the feature means, and
+    h = Y'(u z)/n, both d-space.  Neither U nor the centering matrix H is
     formed: U acts as its diagonal u, and H as a subtraction of column
     means.  A is factored in place, so its factor is the only n x n array
     built here; the refinement residual applies A as
@@ -275,8 +287,10 @@ def precompute_task(task, lap, hp):
     d = task.X.shape[0]
     ab = hp.alpha * hp.beta
     u = selection_diag(task.labeled_mask, hp.inf_surrogate)
-    B = task.X.T - task.X.T.mean(axis=0)
-    rhs = np.hstack([u[:, None] * B + lap.L @ B, u[:, None] * task.Y])
+    xbar = task.X.T.mean(axis=0)
+    B = task.X.T - xbar
+    rhs = np.hstack([u[:, None] * B + lap.L @ B, u[:, None] * task.Y,
+                     np.ones((n, 1))])
     # alpha beta H + U + L in one n x n allocation, each entry rounded as in
     # the sum of the dense terms; L is exactly symmetric, so A is too, and
     # A.T is A in Fortran order, which LAPACK overwrites with its factor
@@ -289,12 +303,15 @@ def precompute_task(task, lap, hp):
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
     Z = _refined_solve(factor, rhs, lambda X: (ab * (X - X.mean(axis=0))
                                                + u[:, None] * X + lap.L @ X))
+    Z_T, z = Z[:, d:-1], Z[:, -1]
     R = B.T @ Z[:, :d]
     R = 0.5 * (R + R.T)
-    T = B.T @ Z[:, d:]
-    const = float((Z[:, d:] * (ab * (task.Y - task.Y.mean(axis=0))
-                               + lap.L @ task.Y)).sum())
-    return factor, R, T, const
+    T = B.T @ Z_T
+    const = float((Z_T * (ab * (task.Y - task.Y.mean(axis=0))
+                          + lap.L @ task.Y)).sum())
+    g = (ab / n) * (B.T @ z) - xbar
+    h = task.Y.T @ (u * z) / n
+    return factor, R, T, const, g, h
 
 
 def update_Dl(W, delta):
@@ -507,6 +524,8 @@ def solve_F(task, W, hp, factor):
     """Propagated labels: F = (alpha beta H + U + L)^-1 (alpha beta H X'W + U Y).
 
     factor is precompute_task's Cholesky factor of alpha beta H + U + L.
+    fit never forms F: solve_b(solve_F(...)) is the n-space closed form of
+    the bias that precompute_task's g and h give as W'g + h.
     """
     XW = task.X.T @ W
     u = selection_diag(task.labeled_mask, hp.inf_surrogate)
@@ -544,11 +563,13 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     """Run the alternating solver on every task of the dataset.
 
     Per task it takes the graph Laplacian from graphs (as build_graphs
-    returns them) and, from precompute_task, the Cholesky factor of
-    alpha beta H + U + L, the caches R, T and the W-free objective constant.
-    When graphs is None, each task's Laplacian is built in that task's
-    precompute call and dropped after it, so only the Laplacians being
-    precomputed are alive, not all t.  A supplied graph must match hp.k,
+    returns them) and keeps, from precompute_task, the caches R and T, the
+    W-free objective constant and the bias caches g and h; the Cholesky
+    factor of alpha beta H + U + L is dropped as soon as the task's
+    precompute call returns.  When graphs is None, each task's Laplacian is
+    built in that task's precompute call and dropped after it too, so a
+    single-thread fit holds one task's L and A at most, and nothing n-sized
+    once the precomputation is done.  A supplied graph must match hp.k,
     hp.lam and its task's sample count, or ValidationError is raised.  The
     initial W_l solve uses unit row weights and an identity coupling.  Each
     reweighting iteration then:
@@ -569,10 +590,9 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     d-space.  Stops when its relative change drops below hp.rel_tol or
     after hp.max_iter reweighting iterations, each one plain step whether or
     not the extrapolated W is taken.  The recorded trace is non-increasing.
-    state.Dtilde and state.Dl hold the weights the last step used.  After
-    the loop, solve_F and solve_b give F_l and b_l once, in closed form for
-    the final W, from the task's factor; no n x n array besides A and its
-    factor is formed.
+    state.Dtilde and state.Dl hold the weights the last step used.  The
+    bias of the final W is b_l = W_l'g_l + h_l, the closed form that
+    solve_b(solve_F(...)) computes in n-space.
 
     callback(iteration, state) is invoked after the initial solve (iteration
     0) and after each reweighting iteration.  n_threads > 1 parallelizes the
@@ -605,17 +625,17 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
         task = dataset.tasks[l]
         lap = (graphs[l] if graphs is not None
                else build_task_laplacian(task.X, hp.k, hp.lam))
-        return precompute_task(task, lap, hp)
+        # the factor is dropped here: b comes from the d-space caches g and h
+        return precompute_task(task, lap, hp)[1:]
 
-    prepared = _map_tasks(prepare, range(dataset.n_tasks), n_threads)
-    factors = [p[0] for p in prepared]
-    const = sum(p[3] for p in prepared)
+    R, T, consts, g, h = zip(*_map_tasks(prepare, range(dataset.n_tasks), n_threads))
+    const = sum(consts)
 
     d = dataset.n_features
     state = SolverState(
         W=[],
-        R=[p[1] for p in prepared],
-        T=[p[2] for p in prepared],
+        R=list(R),
+        T=list(T),
         Dl=[np.ones(d) for _ in dataset.tasks],
         Dtilde=np.eye(d) if hp.gamma != 0 else None,
     )
@@ -658,8 +678,7 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
             break
         forcing = min(CG_FORCING_CAP, abs(prev - obj) / scale)
 
-    b = [solve_b(solve_F(task, W_l, hp, factor), task.X, W_l)
-         for task, factor, W_l in zip(dataset.tasks, factors, state.W)]
+    b = [W_l.T @ g_l + h_l for W_l, g_l, h_l in zip(state.W, g, h)]
     scores = tuple(np.sqrt((W * W).sum(axis=1)) for W in state.W)
     return SelectionModel(
         task_names=tuple(task.name for task in dataset.tasks),

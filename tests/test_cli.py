@@ -98,6 +98,22 @@ class TestFit:
         ])
         assert rc == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma", "--lambda",
+                                      "--inf-surrogate", "--delta", "--rel-tol"])
+    def test_non_finite_hyperparameter_exit_1(self, synth_dir, tmp_path, capsys,
+                                              flag, value):
+        # NaN passes every range check: unchecked, --rel-tol nan would never
+        # stop and exit 0, and the others would fail as numerical errors
+        # (exit 2) with numpy warnings
+        out = tmp_path / "m.json"
+        rc = main(["fit", str(synth_dir / "manifest.json"), "--out", str(out),
+                   flag, value])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gamma_zero_decouples_tasks(self, tmp_path):
         # joint fit with gamma 0 equals fitting each task's own manifest
         ds = generate_synthetic(
@@ -177,6 +193,16 @@ class TestSelect:
                    str(tmp_path / "sel.json")])
         assert rc == 1
         assert "exact_w_update" in capsys.readouterr().err
+
+    def test_non_finite_hyperparameter_in_model_exit_1(self, model_path, tmp_path,
+                                                        capsys):
+        doc = json.loads(model_path.read_text())
+        doc["hyperparams"]["alpha"] = float("nan")
+        model_path.write_text(json.dumps(doc))
+        rc = main(["select", str(model_path), "--top", "4", "--out",
+                   str(tmp_path / "sel.json")])
+        assert rc == 1
+        assert "alpha must be finite" in capsys.readouterr().err
 
     def test_top_1_is_max_row_norm(self, model_path, tmp_path):
         out = tmp_path / "sel.json"

@@ -77,15 +77,20 @@ class TestFitBasics:
         back = load_manifest(write_manifest(ds, tmp_path))
         assert json.dumps(fit(back, hp).to_json_dict()) == expected
 
-    @pytest.mark.parametrize("gamma, d, c", [(0.0, 6, 2), (0.5, 5, 3), (0.5, 8, 2)])
-    def test_trace_is_full_objective_at_every_iterate(self, gamma, d, c):
+    @pytest.mark.parametrize("gamma, d, c, alpha, beta", [
+        pytest.param(gamma, d, c, alpha, beta, id=f"{gamma}-{d}-{c}{suffix}")
+        for alpha, beta, suffix in [(0.8, 1.5, ""), (1e-6, 1.0, "-ab1e-6"),
+                                    (1.0, 1e6, "-ab1e6")]
+        for gamma, d, c in [(0.0, 6, 2), (0.5, 5, 3), (0.5, 8, 2)]])
+    def test_trace_is_full_objective_at_every_iterate(self, gamma, d, c, alpha, beta):
         # the loop scores W in d-space; every entry must equal the full
         # objective at that W with F and b at their closed-form optimum.  The
         # cases: no coupling, the d x d coupling (d <= sum(c)) and the
-        # sum(c) x sum(c) joint W step (d > sum(c))
+        # sum(c) x sum(c) joint W step (d > sum(c)), each at alpha beta = 1.2,
+        # 1e-6 and 1e6, where the final b checks the bias caches' scaling
         rng = np.random.default_rng(31)
         ds = make_dataset(rng, t=2, d=d, n=12, c=c)
-        hp = Hyperparams(alpha=0.8, beta=1.5, gamma=gamma, k=4, inf_surrogate=1e3,
+        hp = Hyperparams(alpha=alpha, beta=beta, gamma=gamma, k=4, inf_surrogate=1e3,
                          max_iter=15)
         iterates = []
 
@@ -212,7 +217,7 @@ class TestGammaZeroDecoupling:
 
         task = ds.tasks[0]
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        _, R, T, _ = precompute_task(task, lap, hp)
+        _, R, T, *_ = precompute_task(task, lap, hp)
         W = [solve_W(R, T, np.ones(5), None, hp)]
         np.testing.assert_allclose(history[0], W[0], atol=1e-10)
         accel = Anderson()
@@ -247,7 +252,7 @@ class TestStationarityAtConvergence:
         Dt = update_Dtilde(np.hstack(model.W), hp.delta)
         for l in range(ds.n_tasks):
             lap = build_task_laplacian(ds.tasks[l].X, hp.k, hp.lam)
-            _, R, T, _ = precompute_task(ds.tasks[l], lap, hp)
+            _, R, T, *_ = precompute_task(ds.tasks[l], lap, hp)
             W_again = solve_W(R, T, update_Dl(model.W[l], hp.delta), Dt, hp)
             rel = np.linalg.norm(W_again - model.W[l]) / np.linalg.norm(model.W[l])
             assert rel <= 1e-6
@@ -316,7 +321,7 @@ class TestFeatureScaleCovariance:
         task = make_task(rng, d, n, c_classes)
         hp = Hyperparams(alpha=1.0, beta=1e4, gamma=0.0, k=4, delta=1e-9)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        _, R, T, _ = precompute_task(task, lap, hp)
+        _, R, T, *_ = precompute_task(task, lap, hp)
 
         def fixed_point(Rx, Tx):
             W = solve_W(Rx, Tx, np.ones(d), None, hp)

@@ -6,11 +6,11 @@ import scipy.linalg
 
 from sfmc.dataset import TaskData, ValidationError
 from sfmc.graph import build_task_laplacian
-from sfmc.solver import (CG_RTOL, Hyperparams, norm_l21_smoothed,
+from sfmc.solver import (CG_RTOL, Hyperparams, fit, norm_l21_smoothed,
                          precompute_task, selection_diag, solve_F, solve_W,
                          solve_W_coupled, solve_b, trace_norm_smoothed,
                          update_Dl, update_Dtilde)
-from helpers import (central_diff_grad, centering_oracle, make_task,
+from helpers import (central_diff_grad, centering_oracle, make_dataset, make_task,
                      selection_diag_oracle, smoothed_l21_oracle,
                      smoothed_trace_norm_oracle, solve_Fb_oracle)
 
@@ -71,7 +71,7 @@ def _task_with_caches(rng, d=5, n=8, c=2, **hp_kwargs):
     hp = Hyperparams(k=min(4, n), **hp_kwargs)
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
     U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
-    factor, R, T, _ = precompute_task(task, lap, hp)
+    factor, R, T, *_ = precompute_task(task, lap, hp)
     return task, lap, U, factor, R, T, centering_oracle(n), hp
 
 
@@ -92,7 +92,7 @@ class TestPrecomputeTask:
             L = np.zeros((n, n))
 
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
-        factor, _, _, _ = precompute_task(Unlabeled(), ZeroLap(), hp)
+        factor = precompute_task(Unlabeled(), ZeroLap(), hp)[0]
         X = scipy.linalg.cho_solve(factor, np.eye(n))
         H = centering_oracle(n)
         np.testing.assert_allclose((H + np.eye(n)) @ X, np.eye(n), atol=1e-12)
@@ -116,7 +116,7 @@ class TestPrecomputeTask:
             n_samples = base.n_samples
             labeled_mask = base.labeled_mask
 
-        _, _, T, _ = precompute_task(Zeroed(), lap, hp)
+        T = precompute_task(Zeroed(), lap, hp)[2]
         np.testing.assert_allclose(T, 0.0, atol=1e-15)
 
     def test_matches_printed_form_at_moderate_scale(self):
@@ -141,7 +141,7 @@ class TestPrecomputeTask:
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
         tracemalloc.start()
         try:
-            factor, R, T, _ = precompute_task(task, lap, hp)
+            factor, R, T, *_ = precompute_task(task, lap, hp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -160,6 +160,22 @@ class TestPrecomputeTask:
                                    atol=1e-9 * np.abs(T_literal).max())
         np.testing.assert_allclose(A @ scipy.linalg.cho_solve(factor, np.eye(n)),
                                    np.eye(n), atol=1e-9)
+
+    def test_fit_holds_no_factor(self):
+        # fit keeps only each task's d-space caches, so a single-thread fit
+        # peaks at one task's L beside its A, about 2.3 n x n blocks; a fit
+        # that kept every task's factor to the end would stack them, about
+        # 4.25 blocks at t = 3
+        n = 600
+        ds = make_dataset(np.random.default_rng(7), t=3, d=20, n=n, c=3)
+        hp = Hyperparams(k=10)
+        tracemalloc.start()
+        try:
+            fit(ds, hp, n_threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
 
 class TestUpdateDl:
