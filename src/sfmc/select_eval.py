@@ -3,6 +3,7 @@ average-precision metrics, and the benchmark experiment runner."""
 
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -88,13 +89,18 @@ class LSClassifier:
         return np.argmax(self.decision(X), axis=1)
 
 
+def _check_ridge(ridge):
+    # NaN passes a <= comparison, so finiteness is checked first
+    if not (math.isfinite(ridge) and ridge > 0):
+        raise ValidationError(f"ridge must be positive and finite, got {ridge}")
+
+
 def train_ls_classifier(X, Y, ridge):
     """Fit min_W,b ||X'W + 1b' - Y||_F^2 + ridge ||W||_F^2 in closed form.
 
     X is features x samples, Y is the n x c one-hot target matrix.
     """
-    if ridge <= 0:
-        raise ValidationError(f"ridge must be positive, got {ridge}")
+    _check_ridge(ridge)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] == 0:
@@ -307,6 +313,7 @@ def run_experiment(
         raise ValidationError("repeats must be at least 1")
     if not 0 < test_fraction < 1:
         raise ValidationError("test_fraction must be in (0, 1)")
+    _check_ridge(ridge)
     for task in dataset.tasks:
         if not task.labeled_mask.all():
             raise ValidationError(

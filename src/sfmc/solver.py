@@ -29,12 +29,16 @@ singular values), so that form would all but freeze W's column space after
 the first solve.  The sum(c) x sum(c) form (1/2)(W'W + delta I)^(-1/2)
 majorizes the same trace norm, up to the constant (d - sum(c)) sqrt(delta),
 without that penalty; it couples the tasks' columns, so its W step is one
-joint system, solved by preconditioned conjugate gradients.  That solve is
-inexact: it stops once its residual has fallen by a forcing term tied to the
-last relative objective change (at most CG_FORCING_CAP), as in inexact
-Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 1996) and
-CG-accelerated IRLS (Fornasier, Peter, Rauhut & Worm, Comput. Optim. Appl.
-2016).  CG starts at the current W and lowers the majorizer at every
+joint system, solved by preconditioned conjugate gradients.  Its
+preconditioner is block Jacobi over tasks (exact within a task, blind to the
+cross-task coupling) or over feature rows (exact in the coupling, blind to
+R_l's off-diagonal), whichever drops the part of the operator with the
+smaller Frobenius norm; at large gamma the coupling dominates, and the row
+split keeps it.  That solve is inexact: it stops once its residual has
+fallen by a forcing term tied to the last relative objective change (at
+most CG_FORCING_CAP), as in inexact Newton methods (Eisenstat & Walker,
+SIAM J. Sci. Comput. 1996) and CG-accelerated IRLS (Fornasier, Peter,
+Rauhut & Worm, Comput. Optim. Appl. 2016).  CG starts at the current W and lowers the majorizer at every
 iterate, so descent holds at any tolerance, and the tolerance tightens
 toward rel_tol as the fit converges.
 """
@@ -141,6 +145,10 @@ class SolverState:
     Dtilde: np.ndarray
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
+    # the last step's joint CG solve: its iteration count and preconditioner
+    # split ("task" or "row"); 0 and None on the direct solve_W path
+    cg_iterations: int = 0
+    cg_split: str = None
 
 
 @dataclass(frozen=True)
@@ -356,38 +364,12 @@ def solve_W(R, T, Dl, Dtilde, hp):
     return _spd_solve(S, T)
 
 
-def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
-    """Joint W update for the sum(c) x sum(c) column-form coupling Dtilde.
+def _task_split(R, diags, Dtilde, blocks, cpl):
+    """Block-Jacobi preconditioner over tasks: each task's own block, solved exactly.
 
-    Solves, for every task l at once,
-        R_l W_l + D_l W_l / beta + (gamma/(alpha beta)) (W Dtilde)_l = T_l,
-    where (W Dtilde)_l are task l's columns of the stacked W times Dtilde:
-    the minimizer of the reweighted quadratic, an SPD system of size
-    d sum(c).  R, T, Dl and W0 are per-task lists.  Preconditioned conjugate
-    gradients start at W0, the point the weights were built at, and every
-    iterate lowers the quadratic from there, so the step keeps descent
-    however early it stops.  It stops once the residual norm is at most
-    max(CG_RTOL ||T||, rtol ||Res_0||), Res_0 the residual at W0, or at its
-    iteration cap.  With rtol = 0 it solves to the CG_RTOL floor; fit passes
-    a forcing term tied to the objective's progress, so steps far from the
-    fixed point are cheap.
-    The test is relative to Res_0, so any rtol < 1 takes at least one step
-    unless W0 already meets the floor.  The preconditioner solves each
-    task's own block exactly: with Dtilde_ll = V diag(lam) V', the columns
-    of W_l V decouple into d x d systems R_l + D_l/beta + (gamma/(alpha beta)) lam_k I.
+    With Dtilde_ll = V diag(lam) V', the columns of W_l V decouple into d x d
+    systems R_l + D_l/beta + cpl lam_k I, factored once each.
     """
-    coef = 1.0 / hp.beta
-    cpl = hp.gamma / (hp.alpha * hp.beta)
-    bounds = np.cumsum([0] + [T_l.shape[1] for T_l in T])
-    blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    diags = [coef * np.asarray(D_l, dtype=np.float64) for D_l in Dl]
-
-    def apply(X):
-        out = cpl * (X @ Dtilde)
-        for s, R_l, D_l in zip(blocks, R, diags):
-            out[:, s] += R_l @ X[:, s] + D_l[:, None] * X[:, s]
-        return out
-
     # the preconditioner applies thousands of small solves per fit, so it
     # calls LAPACK directly rather than through cho_factor / cho_solve
     precond = []
@@ -404,7 +386,7 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
             factors.append(factor)
         precond.append((V, factors))
 
-    def solve_precond(Res):
+    def solve(Res):
         Z = np.empty_like(Res)
         for s, (V, factors) in zip(blocks, precond):
             Y = Res[:, s] @ V
@@ -413,6 +395,91 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
             Z[:, s] = Y @ V.T
         return Z
 
+    return solve
+
+
+def _row_split(R, diags, Dtilde, widths, cpl):
+    """Block-Jacobi preconditioner over feature rows: P_j = diag(m_j) + cpl Dtilde.
+
+    (m_j)_k = R_l[j, j] + D_l[j]/beta for the task l that owns column k, so
+    P_j is the joint operator restricted to row j of W with each R_l cut to
+    its diagonal.  All d blocks are sum(c) x sum(c); one batched Cholesky
+    factors them and its inverse is formed once, so each apply is a batched
+    product.
+    """
+    m = np.repeat(np.array([np.diag(R_l) + D_l for R_l, D_l in zip(R, diags)]),
+                  widths, axis=0).T
+    P = np.broadcast_to(cpl * Dtilde, m.shape + Dtilde.shape[-1:]).copy()
+    diag = np.arange(m.shape[1])
+    P[:, diag, diag] += m
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(P))
+    except LinAlgError as exc:
+        raise NumericalError(f"preconditioner factorization failed: {exc}") from exc
+    P_inv = np.swapaxes(L_inv, 1, 2) @ L_inv
+
+    def solve(Res):
+        return (P_inv @ Res[:, :, None])[:, :, 0]
+
+    return solve
+
+
+def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
+    """Joint W update for the sum(c) x sum(c) column-form coupling Dtilde.
+
+    Solves, for every task l at once,
+        R_l W_l + D_l W_l / beta + (gamma/(alpha beta)) (W Dtilde)_l = T_l,
+    where (W Dtilde)_l are task l's columns of the stacked W times Dtilde:
+    the minimizer of the reweighted quadratic, an SPD system of size
+    d sum(c).  R, T, Dl and W0 are per-task lists.  Preconditioned conjugate
+    gradients start at W0, the point the weights were built at, and every
+    iterate lowers the quadratic from there, so the step keeps descent
+    however early it stops.  It stops once the residual norm is at most
+    max(CG_RTOL ||T||, rtol ||Res_0||), Res_0 the residual at W0, or at its
+    iteration cap.  With rtol = 0 it solves to the CG_RTOL floor; fit passes
+    a forcing term tied to the objective's progress, so steps far from the
+    fixed point are cheap.
+    The test is relative to Res_0, so any rtol < 1 takes at least one step
+    unless W0 already meets the floor.
+
+    The preconditioner is block Jacobi over one of two partitions of the
+    unknowns (Saad, Iterative Methods for Sparse Linear Systems, 2003,
+    ch. 10).  The task split solves each task's d x d block exactly and
+    drops the cross-task blocks (gamma/(alpha beta)) Dtilde_lm; the row
+    split solves each feature row's sum(c) x sum(c) block exactly and drops
+    the off-diagonal of every R_l.  Each solve takes the split whose dropped
+    part has the smaller Frobenius norm: (gamma/(alpha beta)) sqrt(d) times
+    that of Dtilde's off-task blocks, against
+    sqrt(sum_l c_l ||R_l - diag R_l||_F^2).  So the row split serves
+    strongly coupled fits, and the task split weakly coupled ones and
+    single tasks, where it is exact.
+
+    Returns (W list, CG iterations taken, "task" or "row").
+    """
+    coef = 1.0 / hp.beta
+    cpl = hp.gamma / (hp.alpha * hp.beta)
+    widths = [T_l.shape[1] for T_l in T]
+    bounds = np.cumsum([0] + widths)
+    blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    diags = [coef * np.asarray(D_l, dtype=np.float64) for D_l in Dl]
+
+    def apply(X):
+        out = cpl * (X @ Dtilde)
+        for s, R_l, D_l in zip(blocks, R, diags):
+            out[:, s] += R_l @ X[:, s] + D_l[:, None] * X[:, s]
+        return out
+
+    off_task = Dtilde.copy()
+    for s in blocks:
+        off_task[s, s] = 0.0
+    task_drop = cpl * np.linalg.norm(off_task) * math.sqrt(R[0].shape[0])
+    row_drop = math.sqrt(sum(c * np.linalg.norm(R_l - np.diag(np.diag(R_l))) ** 2
+                             for c, R_l in zip(widths, R)))
+    if row_drop < task_drop:
+        split, solve_precond = "row", _row_split(R, diags, Dtilde, widths, cpl)
+    else:
+        split, solve_precond = "task", _task_split(R, diags, Dtilde, blocks, cpl)
+
     B = np.hstack(T)
     X = np.hstack(W0)
     Res = B - apply(X)
@@ -420,9 +487,9 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
     Z = solve_precond(Res)
     P = Z
     rz = float((Res * Z).sum())
-    for _ in range(CG_MAX_ITER_PER_COLUMN * B.shape[1]):
-        if np.linalg.norm(Res) <= stop:
-            break
+    iterations = 0
+    while (iterations < CG_MAX_ITER_PER_COLUMN * B.shape[1]
+           and np.linalg.norm(Res) > stop):
         AP = apply(P)
         curv = float((P * AP).sum())
         if not curv > 0:
@@ -433,21 +500,24 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
         Z = solve_precond(Res)
         rz, rz_old = float((Res * Z).sum()), rz
         P = Z + (rz / rz_old) * P
+        iterations += 1
     if not np.all(np.isfinite(X)):
         raise NumericalError("joint W solve produced non-finite values")
-    return [X[:, s].copy() for s in blocks]
+    return [X[:, s].copy() for s in blocks], iterations, split
 
 
 def reweighted_step(W, R, T, hp, rtol=0.0):
     """One plain step of the W-map: reweight at W, then minimize the majorizer.
 
-    W, R, T are per-task lists.  Returns (new W list, D_l list, Dtilde).
-    Dtilde is None when gamma is 0.  Otherwise it comes from the smaller
-    Gram matrix of the stacked W: the d x d row form when d <= sum(c), where
-    tasks solve separately with solve_W, else the sum(c) x sum(c) column
-    form, solved jointly by solve_W_coupled warm-started at W, which stops
-    once its residual falls by the factor rtol (see solve_W_coupled).  The
-    direct solve_W path is exact whatever rtol is.
+    W, R, T are per-task lists.  Returns (new W list, D_l list, Dtilde,
+    CG iterations, split): the last two are solve_W_coupled's, or 0 and None
+    on the direct path.  Dtilde is None when gamma is 0.  Otherwise it comes
+    from the smaller Gram matrix of the stacked W: the d x d row form when
+    d <= sum(c), where tasks solve separately with solve_W, else the
+    sum(c) x sum(c) column form, solved jointly by solve_W_coupled
+    warm-started at W, which stops once its residual falls by the factor
+    rtol (see solve_W_coupled).  The direct solve_W path is exact whatever
+    rtol is.
     """
     Dl = [update_Dl(W_l, hp.delta) for W_l in W]
     Dtilde = None
@@ -455,10 +525,11 @@ def reweighted_step(W, R, T, hp, rtol=0.0):
         stacked = np.hstack(W)
         if stacked.shape[0] > stacked.shape[1]:
             Dtilde = update_Dtilde(stacked.T, hp.delta)
-            return solve_W_coupled(R, T, Dl, Dtilde, hp, W, rtol), Dl, Dtilde
+            W_new, iterations, split = solve_W_coupled(R, T, Dl, Dtilde, hp, W, rtol)
+            return W_new, Dl, Dtilde, iterations, split
         Dtilde = update_Dtilde(stacked, hp.delta)
     return [solve_W(R_l, T_l, D_l, Dtilde, hp)
-            for R_l, T_l, D_l in zip(R, T, Dl)], Dl, Dtilde
+            for R_l, T_l, D_l in zip(R, T, Dl)], Dl, Dtilde, 0, None
 
 
 def reduced_objective(W, R, T, hp):
@@ -483,8 +554,10 @@ class Anderson:
     """Safeguarded type-II Anderson acceleration of a fixed-point map.
 
     step(x, gx, score) takes the current iterate x and the plain step
-    gx = g(x), both lists of arrays, and returns the next iterate.  From the
-    last ANDERSON_MEMORY steps it extrapolates the point whose residual g(x) - x
+    gx = g(x), both lists of arrays, and returns the next iterate and its
+    score, or None in place of the score when it scored nothing (a history
+    shorter than 2, or a non-finite direction).  From the last
+    ANDERSON_MEMORY steps it extrapolates the point whose residual g(x) - x
     the secant model predicts smallest (Zhang, O'Donoghue & Boyd, SIAM J.
     Optim. 2020).  It takes that point, or failing that the point 1/2 or
     1/4 of the way to it from gx, if score rates it strictly below gx;
@@ -501,11 +574,12 @@ class Anderson:
         self._g.append(np.concatenate([a.ravel() for a in gx]))
         del self._x[:-ANDERSON_MEMORY - 1], self._g[:-ANDERSON_MEMORY - 1]
         if len(self._g) < 2:
-            return gx
+            return gx, None
         G = np.array(self._g).T
         F = G - np.array(self._x).T
         coeffs = np.linalg.lstsq(np.diff(F, axis=1), F[:, -1], rcond=None)[0]
         direction = -(np.diff(G, axis=1) @ coeffs)
+        plain = None
         if np.all(np.isfinite(direction)):
             bounds = np.cumsum([0] + [a.size for a in gx])
             plain = score(gx)
@@ -513,11 +587,12 @@ class Anderson:
                 flat = G[:, -1] + t * direction
                 cand = [flat[a:b].reshape(g.shape)
                         for a, b, g in zip(bounds[:-1], bounds[1:], gx)]
-                if score(cand) < plain:
-                    return cand
+                cand_score = score(cand)
+                if cand_score < plain:
+                    return cand, cand_score
         self._x.clear()
         self._g.clear()
-        return gx
+        return gx, plain
 
 
 def solve_F(task, W, hp, factor):
@@ -587,7 +662,8 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
 
     Every recorded objective is reduced_objective plus the tasks' constants:
     the full objective at W with F and b at their optimum, computed in
-    d-space.  Stops when its relative change drops below hp.rel_tol or
+    d-space.  Each iterate is scored once: by Anderson when it scored the
+    point it took, else here (with gamma 0, per task, summed in task order).  Stops when its relative change drops below hp.rel_tol or
     after hp.max_iter reweighting iterations, each one plain step whether or
     not the extrapolated W is taken.  The recorded trace is non-increasing.
     state.Dtilde and state.Dl hold the weights the last step used.  The
@@ -595,7 +671,9 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     solve_b(solve_F(...)) computes in n-space.
 
     callback(iteration, state) is invoked after the initial solve (iteration
-    0) and after each reweighting iteration.  n_threads > 1 parallelizes the
+    0) and after each reweighting iteration; state.cg_iterations and
+    state.cg_split then give that iteration's joint CG solve (0 and None on
+    the direct solve_W path).  n_threads > 1 parallelizes the
     per-task graph building and precomputation; results are identical to
     the sequential path.
     """
@@ -655,16 +733,18 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     converged = False
     forcing = CG_FORCING_CAP
     for r in range(1, hp.max_iter + 1):
-        plain, state.Dl, state.Dtilde = reweighted_step(state.W, state.R, state.T, hp,
-                                                        forcing)
+        (plain, state.Dl, state.Dtilde, state.cg_iterations,
+         state.cg_split) = reweighted_step(state.W, state.R, state.T, hp, forcing)
+        obj = const
         for group, accel in zip(groups, accelerators):
             R_g = [state.R[l] for l in group]
             T_g = [state.T[l] for l in group]
-            taken = accel.step([state.W[l] for l in group], [plain[l] for l in group],
-                               lambda V: reduced_objective(V, R_g, T_g, hp))
+            taken, score = accel.step([state.W[l] for l in group],
+                                      [plain[l] for l in group],
+                                      lambda V: reduced_objective(V, R_g, T_g, hp))
             for l, W_l in zip(group, taken):
                 state.W[l] = W_l
-        obj = reduced_objective(state.W, state.R, state.T, hp) + const
+            obj += score if score is not None else reduced_objective(taken, R_g, T_g, hp)
         if not np.isfinite(obj):
             raise NumericalError(f"objective is non-finite at iteration {r}")
         prev = state.objective_trace[-1]

@@ -253,6 +253,26 @@ class TestEval:
         assert main(args + ["--out", str(tmp_path / "r2.json")]) == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_ridge_exit_1(self, synth_dir, tmp_path, capsys, value,
+                                     monkeypatch):
+        # NaN passes a positivity check: unchecked, the first classifier
+        # fit failed as a numerical error (exit 2) after a whole fit had run
+        import sfmc.select_eval as select_eval
+
+        def no_graphs(*args, **kwargs):
+            raise AssertionError("ridge must be checked before any graph")
+
+        monkeypatch.setattr(select_eval, "build_graphs", no_graphs)
+        out = tmp_path / "report.json"
+        rc = main(["eval", str(synth_dir / "manifest.json"), "--out", str(out),
+                   "--methods", "sfmc", "--fractions", "0.5", "--counts", "3",
+                   "--k", "5", "--ridge", value])
+        assert rc == 1
+        assert "ridge must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_flag_does_not_change_output(self, synth_dir, tmp_path):
         args = [
             "eval", str(synth_dir / "manifest.json"), "--methods", "fisher",

@@ -191,6 +191,11 @@ class TestLSClassifier:
         with pytest.raises(ValidationError):
             train_ls_classifier(np.zeros((2, 3)), np.zeros((3, 2)), 0.0)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+    def test_ridge_must_be_finite(self, ridge):
+        with pytest.raises(ValidationError):
+            train_ls_classifier(np.zeros((2, 3)), np.zeros((3, 2)), ridge)
+
 
 class TestAveragePrecision:
     def test_worked_example(self):

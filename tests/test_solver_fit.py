@@ -137,6 +137,46 @@ class TestFitBasics:
         assert min(seen) < solver.CG_FORCING_CAP
         assert model.to_json_dict() == expected.to_json_dict()
 
+    def test_callback_sees_cg_work(self):
+        # t=3, d > sum(c), alpha = beta = 1, gamma = 100: the cross-task
+        # coupling dominates the joint operator, so the row split is taken
+        # and CG needs few iterations per joint solve (the task split alone
+        # averages 4.86 on this instance)
+        ds = make_dataset(np.random.default_rng(0), t=3, d=20, n=25, c=2)
+        seen = []
+        fit(ds, Hyperparams(alpha=1.0, beta=1.0, gamma=100.0, k=5),
+            callback=lambda r, s: seen.append((s.cg_iterations, s.cg_split)))
+        assert seen[0] == (0, None)
+        assert all(it >= 1 and split in ("task", "row") for it, split in seen[1:])
+        assert "row" in {split for _, split in seen[1:]}
+        assert np.mean([it for it, _ in seen[1:]]) <= 2.5
+        # d <= sum(c): the tasks solve directly, with no CG
+        seen.clear()
+        fit(make_dataset(np.random.default_rng(0), t=3, d=5, n=25, c=2),
+            Hyperparams(k=5), callback=lambda r, s: seen.append((s.cg_iterations,
+                                                                 s.cg_split)))
+        assert len(seen) > 1 and set(seen) == {(0, None)}
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_each_iterate_scored_once(self, monkeypatch, gamma):
+        # Anderson hands fit the score of the point it takes, so no point is
+        # passed to reduced_objective twice
+        ds = make_dataset(np.random.default_rng(2), t=2, d=10, n=15, c=2)
+        hp = Hyperparams(gamma=gamma, k=5)
+        expected = fit(ds, hp)
+        scored = []
+        inner = solver.reduced_objective
+
+        def recording(W, R, T, hp):
+            scored.append(b"".join(W_l.tobytes() for W_l in W))
+            return inner(W, R, T, hp)
+
+        monkeypatch.setattr(solver, "reduced_objective", recording)
+        model = fit(ds, hp)
+        assert model.iterations >= 3
+        assert len(set(scored)) == len(scored)
+        assert model.to_json_dict() == expected.to_json_dict()
+
     def test_supplied_graphs_match_built_ones(self):
         rng = np.random.default_rng(8)
         ds = make_dataset(rng, t=2, d=6, n=12, c=2)
@@ -222,9 +262,9 @@ class TestGammaZeroDecoupling:
         np.testing.assert_allclose(history[0], W[0], atol=1e-10)
         accel = Anderson()
         for r in range(1, hp.max_iter + 1):
-            plain, _, coupling = reweighted_step(W, [R], [T], hp)
-            assert coupling is None
-            W = accel.step(W, plain, lambda V: reduced_objective(V, [R], [T], hp))
+            plain, _, coupling, cg_iterations, split = reweighted_step(W, [R], [T], hp)
+            assert coupling is None and cg_iterations == 0 and split is None
+            W, _ = accel.step(W, plain, lambda V: reduced_objective(V, [R], [T], hp))
             np.testing.assert_allclose(history[r], W[0], atol=1e-10)
         np.testing.assert_array_equal(model.W[0], history[-1])
 

@@ -6,10 +6,10 @@ import scipy.linalg
 
 from sfmc.dataset import TaskData, ValidationError
 from sfmc.graph import build_task_laplacian
-from sfmc.solver import (CG_RTOL, Hyperparams, fit, norm_l21_smoothed,
-                         precompute_task, selection_diag, solve_F, solve_W,
-                         solve_W_coupled, solve_b, trace_norm_smoothed,
-                         update_Dl, update_Dtilde)
+from sfmc.solver import (CG_RTOL, Hyperparams, NumericalError, _row_split, fit,
+                         norm_l21_smoothed, precompute_task, selection_diag,
+                         solve_F, solve_W, solve_W_coupled, solve_b,
+                         trace_norm_smoothed, update_Dl, update_Dtilde)
 from helpers import (central_diff_grad, centering_oracle, make_dataset, make_task,
                      selection_diag_oracle, smoothed_l21_oracle,
                      smoothed_trace_norm_oracle, solve_Fb_oracle)
@@ -290,20 +290,42 @@ class TestSolveW:
         assert np.linalg.norm(g) <= 1e-5 * (1 + np.linalg.norm(g0))
 
 
-def _joint_instances():
-    """Random joint W systems: (hp, R, T, Dl, Dtilde, W0, big, rhs).
+def _joint_operator(R, Dl, Dt, hp, widths):
+    """The d sum(c) joint W system assembled entry by entry.
 
     Column j of the stacked W (task l(j)) satisfies
     (R_l + D_l / beta) w_j + (gamma / (alpha beta)) sum_i Dtilde_ij w_i = T_l[:, j];
-    big is that d sum(c) system assembled entry by entry, acting on the
-    columns of W stacked into one vector, and rhs the stacked T.
+    the operator acts on the columns of W stacked into one vector.
+    """
+    d = R[0].shape[0]
+    owner = [l for l, c in enumerate(widths) for _ in range(c)]
+    n = d * len(owner)
+    big = np.zeros((n, n))
+    for j, l in enumerate(owner):
+        rows = slice(j * d, (j + 1) * d)
+        big[rows, rows] += R[l] + np.diag(Dl[l] / hp.beta)
+        for i in range(len(owner)):
+            big[rows, i * d:(i + 1) * d] += (
+                hp.gamma / (hp.alpha * hp.beta) * Dt[i, j] * np.eye(d)
+            )
+    return big
+
+
+def _joint_instances():
+    """Random joint W systems: (hp, R, T, Dl, Dtilde, W0, big, rhs).
+
+    big is _joint_operator's assembly of the system and rhs the stacked T.
+    Five draws have alpha, beta and gamma within a decade of 1; the last is
+    strongly coupled (alpha = beta = 1, gamma = 100).
     """
     rng = np.random.default_rng(15)
     d, widths = 7, (2, 3)
-    for _ in range(5):
+    for i in range(6):
         hp = Hyperparams(alpha=10.0 ** rng.uniform(-1, 1),
                          beta=10.0 ** rng.uniform(-1, 1),
                          gamma=10.0 ** rng.uniform(-1, 1))
+        if i == 5:
+            hp = Hyperparams(alpha=1.0, beta=1.0, gamma=100.0)
         R, T, Dl = [], [], []
         for c in widths:
             A = rng.standard_normal((d, d + 2))
@@ -312,27 +334,65 @@ def _joint_instances():
             Dl.append(update_Dl(rng.standard_normal((d, c)), hp.delta))
         W_now = rng.standard_normal((d, sum(widths)))
         Dt = update_Dtilde(W_now.T, hp.delta)
-        owner = [l for l, c in enumerate(widths) for _ in range(c)]
-        n = d * len(owner)
-        big = np.zeros((n, n))
-        for j, l in enumerate(owner):
-            rows = slice(j * d, (j + 1) * d)
-            big[rows, rows] += R[l] + np.diag(Dl[l] / hp.beta)
-            for i in range(len(owner)):
-                big[rows, i * d:(i + 1) * d] += (
-                    hp.gamma / (hp.alpha * hp.beta) * Dt[i, j] * np.eye(d)
-                )
+        big = _joint_operator(R, Dl, Dt, hp, widths)
         W0 = np.split(rng.standard_normal((d, sum(widths))), [widths[0]], axis=1)
         yield hp, R, T, Dl, Dt, W0, big, np.hstack(T).T.ravel()
 
 
+def _split_rule(R, T, Dt, hp):
+    """The preconditioner split solve_W_coupled should take, from its stated rule."""
+    d = R[0].shape[0]
+    widths = [T_l.shape[1] for T_l in T]
+    owner = np.repeat(np.arange(len(widths)), widths)
+    off_task = np.where(owner[:, None] != owner[None, :], Dt, 0.0)
+    task_drop = hp.gamma / (hp.alpha * hp.beta) * np.sqrt(d * (off_task ** 2).sum())
+    row_drop = np.sqrt(sum(c * ((R_l - np.diag(np.diag(R_l))) ** 2).sum()
+                           for c, R_l in zip(widths, R)))
+    return "row" if row_drop < task_drop else "task"
+
+
 class TestSolveWCoupled:
     def test_matches_dense_joint_system(self):
+        splits = []
         for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
             d = R[0].shape[0]
             expected = np.linalg.solve(big, rhs).reshape(-1, d).T
-            got = np.hstack(solve_W_coupled(R, T, Dl, Dt, hp, W0))
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-8 * np.abs(expected).max())
+            W, _, split = solve_W_coupled(R, T, Dl, Dt, hp, W0)
+            assert split == _split_rule(R, T, Dt, hp)
+            splits.append(split)
+            np.testing.assert_allclose(np.hstack(W), expected, rtol=0,
+                                       atol=1e-8 * np.abs(expected).max())
+        assert splits == ["task"] * 5 + ["row"]
+
+    def test_row_split_inverts_operator_with_diagonal_r(self):
+        # the row split's preconditioner is the inverse of the joint operator
+        # with each R_l cut to its diagonal, which leaves one sum(c) x sum(c)
+        # block per feature row
+        rng = np.random.default_rng(17)
+        for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
+            d, widths = R[0].shape[0], [T_l.shape[1] for T_l in T]
+            diag_R = [np.diag(np.diag(R_l)) for R_l in R]
+            expected_op = _joint_operator(diag_R, Dl, Dt, hp, widths)
+            precond = _row_split(R, [D_l / hp.beta for D_l in Dl], Dt, widths,
+                                 hp.gamma / (hp.alpha * hp.beta))
+            Res = rng.standard_normal((d, sum(widths)))
+            expected = np.linalg.solve(expected_op, Res.T.ravel()).reshape(-1, d).T
+            np.testing.assert_allclose(precond(Res), expected, rtol=1e-10,
+                                       atol=1e-12 * np.abs(expected).max())
+
+    def test_row_split_factorization_failure(self):
+        # a negative diagonal of R leaves the row blocks indefinite; R is
+        # diagonal, so the row split drops nothing and is the one taken
+        hp = Hyperparams(gamma=10.0)
+        d, widths = 6, (2, 2)
+        rng = np.random.default_rng(18)
+        R = [-1e3 * np.eye(d) for _ in widths]
+        T = [rng.standard_normal((d, c)) for c in widths]
+        Dl = [np.ones(d) for _ in widths]
+        Dt = update_Dtilde(rng.standard_normal((d, sum(widths))).T, hp.delta)
+        assert _split_rule(R, T, Dt, hp) == "row"
+        with pytest.raises(NumericalError, match="preconditioner factorization"):
+            solve_W_coupled(R, T, Dl, Dt, hp, [np.zeros((d, c)) for c in widths])
 
     def test_forcing_term_contract(self):
         # a relative stop: the residual falls by the factor rtol from the one
@@ -355,7 +415,7 @@ class TestSolveWCoupled:
             near = exact + 1e-4 * np.abs(exact).max() * rng.standard_normal(exact.shape)
             for start in (W0, np.split(near, [T[0].shape[1]], axis=1)):
                 for rtol in (1e-1, 1e-2, 1e-4):
-                    W = solve_W_coupled(R, T, Dl, Dt, hp, start, rtol=rtol)
+                    W, _, _ = solve_W_coupled(R, T, Dl, Dt, hp, start, rtol=rtol)
                     assert resid(W) <= max(CG_RTOL * np.linalg.norm(rhs),
                                            rtol * resid(start))
                     assert majorizer(W) < majorizer(start)
