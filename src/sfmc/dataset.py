@@ -169,9 +169,15 @@ def _read_matrix_csv(path):
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
     try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        # an empty file is reported below, by name, instead of by numpy's warning
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"could not parse {path}: {exc}") from exc
+    if data.size == 0:
+        raise ValidationError(f"{path} holds no data")
+    return data
 
 
 def load_manifest(path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import MultiTaskDataset, TaskData, ValidationError, apply_label_fraction
-from .solver import Hyperparams, build_graphs, fit, _spd_solve
+from .solver import Hyperparams, build_graphs, fit, prepare, _spd_solve
 
 METHODS = ("sfmc", "fisher", "all_features")
 
@@ -268,10 +268,20 @@ def _evaluate_rankings(rankings, train_tasks, test_sets, counts, ridge, support)
 
 def _candidate_rankings(method, dataset, combos, hp, graphs, n_threads):
     """Per-task rankings of each candidate: one per grid cell for sfmc, each
-    model ranked as soon as it is fitted, and one for the baselines."""
+    model ranked as soon as it is fitted, and one for the baselines.
+
+    A grid cell's caches depend on alpha and beta only through their
+    product, so consecutive cells with the same product, every gamma of an
+    (alpha, beta) among them, share one prepared set.  At most one is alive.
+    """
     if method == "sfmc":
+        prepared = None
         for combo in combos:
-            model = fit(dataset, replace(hp, **combo), n_threads=n_threads, graphs=graphs)
+            cell = replace(hp, **combo)
+            if prepared is None or prepared.alpha_beta != cell.alpha * cell.beta:
+                prepared = None  # drop the last set before building the next
+                prepared = prepare(dataset, cell, n_threads, graphs)
+            model = fit(dataset, cell, prepared=prepared)
             yield [rank_features(model, l) for l in range(model.n_tasks)]
     elif method == "fisher":
         yield [_rank_from_scores(fisher_score(t)) for t in dataset.tasks]
@@ -298,12 +308,15 @@ def run_experiment(
     label masking at each fraction, fit/rank per method, then a regularized
     least-squares classifier on the selected features of the labeled samples,
     scored by mean average precision on the test split.  For the joint solver
-    a hyperparameter grid is crossed and the best cell (by mean MAP over
-    repeats) is reported; each split's task graphs are built once and shared
-    by all its fits.  When the dataset carries a planted support,
+    a hyperparameter grid is crossed, gamma innermost, and the best cell (by
+    mean MAP over repeats) is reported; each split's task graphs are built
+    once and shared by all its fits, and each label mask's per-task caches
+    (solver.prepare) are built once per run of grid cells with the same
+    alpha beta and shared by their fits, one fit call per cell.  When the
+    dataset carries a planted support,
     support-recovery precision at each count is reported as well.
     Repeats run in order; n_threads goes to the per-task work of the graph
-    builds and fits.  Deterministic for a fixed seed.
+    builds and cache preparations.  Deterministic for a fixed seed.
     """
     methods = [m.lower() for m in methods]
     for m in methods:

@@ -364,7 +364,32 @@ def solve_W(R, T, Dl, Dtilde, hp):
     return _spd_solve(S, T)
 
 
-def _task_split(R, diags, Dtilde, blocks, cpl):
+class JointSystem:
+    """Every task's R and T, and what the W steps of one fit derive from them alone.
+
+    fit builds one per fit, and each W step reads it: blocks and widths are
+    the tasks' column slices of the stacked W and their sizes, B the stacked
+    T, floor = CG_RTOL ||B|| the joint solve's absolute residual floor,
+    diag_R each R_l's diagonal for the row split, and row_drop the Frobenius
+    norm of the part of the operator the row split drops,
+    sqrt(sum_l c_l ||R_l - diag R_l||_F^2).
+    """
+
+    def __init__(self, R, T):
+        self.R = list(R)
+        self.T = list(T)
+        self.widths = [T_l.shape[1] for T_l in self.T]
+        bounds = np.cumsum([0] + self.widths)
+        self.blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.B = np.hstack(self.T)
+        self.floor = CG_RTOL * np.linalg.norm(self.B)
+        self.diag_R = [np.diag(R_l) for R_l in self.R]
+        self.row_drop = math.sqrt(sum(
+            c * np.linalg.norm(R_l - np.diag(diag)) ** 2
+            for c, R_l, diag in zip(self.widths, self.R, self.diag_R)))
+
+
+def _task_split(system, diags, Dtilde, cpl):
     """Block-Jacobi preconditioner over tasks: each task's own block, solved exactly.
 
     With Dtilde_ll = V diag(lam) V', the columns of W_l V decouple into d x d
@@ -373,13 +398,14 @@ def _task_split(R, diags, Dtilde, blocks, cpl):
     # the preconditioner applies thousands of small solves per fit, so it
     # calls LAPACK directly rather than through cho_factor / cho_solve
     precond = []
-    for s, R_l, D_l in zip(blocks, R, diags):
+    for s, R_l, D_l in zip(system.blocks, system.R, diags):
         lam, V = np.linalg.eigh(Dtilde[s, s])
         factors = []
         for lam_k in lam:
-            # dpotrf factors a Fortran-ordered array in place, with no copy
+            # dpotrf factors a Fortran-ordered array in place, with no copy;
+            # its diagonal is every (d + 1)-th entry of its flat view
             S = np.array(R_l, order="F")
-            S[np.diag_indices_from(S)] += D_l + cpl * lam_k
+            S.ravel(order="F")[::S.shape[0] + 1] += D_l + cpl * lam_k
             factor, info = dpotrf(S, clean=0, overwrite_a=1)
             if info != 0:
                 raise NumericalError(f"preconditioner factorization failed (info {info})")
@@ -388,7 +414,7 @@ def _task_split(R, diags, Dtilde, blocks, cpl):
 
     def solve(Res):
         Z = np.empty_like(Res)
-        for s, (V, factors) in zip(blocks, precond):
+        for s, (V, factors) in zip(system.blocks, precond):
             Y = Res[:, s] @ V
             for k, factor in enumerate(factors):
                 Y[:, k] = dpotrs(factor, Y[:, k])[0]
@@ -398,7 +424,7 @@ def _task_split(R, diags, Dtilde, blocks, cpl):
     return solve
 
 
-def _row_split(R, diags, Dtilde, widths, cpl):
+def _row_split(system, diags, Dtilde, cpl):
     """Block-Jacobi preconditioner over feature rows: P_j = diag(m_j) + cpl Dtilde.
 
     (m_j)_k = R_l[j, j] + D_l[j]/beta for the task l that owns column k, so
@@ -407,8 +433,8 @@ def _row_split(R, diags, Dtilde, widths, cpl):
     factors them and its inverse is formed once, so each apply is a batched
     product.
     """
-    m = np.repeat(np.array([np.diag(R_l) + D_l for R_l, D_l in zip(R, diags)]),
-                  widths, axis=0).T
+    m = np.repeat(np.array([diag + D_l for diag, D_l in zip(system.diag_R, diags)]),
+                  system.widths, axis=0).T
     P = np.broadcast_to(cpl * Dtilde, m.shape + Dtilde.shape[-1:]).copy()
     diag = np.arange(m.shape[1])
     P[:, diag, diag] += m
@@ -424,23 +450,24 @@ def _row_split(R, diags, Dtilde, widths, cpl):
     return solve
 
 
-def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
+def solve_W_coupled(system, Dl, Dtilde, hp, W0, rtol=0.0):
     """Joint W update for the sum(c) x sum(c) column-form coupling Dtilde.
 
     Solves, for every task l at once,
         R_l W_l + D_l W_l / beta + (gamma/(alpha beta)) (W Dtilde)_l = T_l,
     where (W Dtilde)_l are task l's columns of the stacked W times Dtilde:
     the minimizer of the reweighted quadratic, an SPD system of size
-    d sum(c).  R, T, Dl and W0 are per-task lists.  Preconditioned conjugate
-    gradients start at W0, the point the weights were built at, and every
-    iterate lowers the quadratic from there, so the step keeps descent
-    however early it stops.  It stops once the residual norm is at most
-    max(CG_RTOL ||T||, rtol ||Res_0||), Res_0 the residual at W0, or at its
-    iteration cap.  With rtol = 0 it solves to the CG_RTOL floor; fit passes
-    a forcing term tied to the objective's progress, so steps far from the
-    fixed point are cheap.
-    The test is relative to Res_0, so any rtol < 1 takes at least one step
-    unless W0 already meets the floor.
+    d sum(c).  system is the fit's JointSystem, which holds R and T and
+    what the solve derives from them alone; Dl and W0 are per-task lists.
+    Preconditioned conjugate gradients start at W0, the point the weights
+    were built at, and every iterate lowers the quadratic from there, so the
+    step keeps descent however early it stops.  It stops once the residual
+    norm is at most max(CG_RTOL ||T||, rtol ||Res_0||), Res_0 the residual
+    at W0, or at its iteration cap.  With rtol = 0 it solves to the
+    CG_RTOL floor; fit passes a forcing term tied to the objective's
+    progress, so steps far from the fixed point are cheap.  The test is
+    relative to Res_0, so any rtol < 1 takes at least one step unless W0
+    already meets the floor.
 
     The preconditioner is block Jacobi over one of two partitions of the
     unknowns (Saad, Iterative Methods for Sparse Linear Systems, 2003,
@@ -449,41 +476,36 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
     split solves each feature row's sum(c) x sum(c) block exactly and drops
     the off-diagonal of every R_l.  Each solve takes the split whose dropped
     part has the smaller Frobenius norm: (gamma/(alpha beta)) sqrt(d) times
-    that of Dtilde's off-task blocks, against
-    sqrt(sum_l c_l ||R_l - diag R_l||_F^2).  So the row split serves
-    strongly coupled fits, and the task split weakly coupled ones and
-    single tasks, where it is exact.
+    that of Dtilde's off-task blocks, against system.row_drop.  So the row
+    split serves strongly coupled fits, and the task split weakly coupled
+    ones and single tasks, where it is exact.
 
     Returns (W list, CG iterations taken, "task" or "row").
     """
     coef = 1.0 / hp.beta
     cpl = hp.gamma / (hp.alpha * hp.beta)
-    widths = [T_l.shape[1] for T_l in T]
-    bounds = np.cumsum([0] + widths)
-    blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    blocks = system.blocks
     diags = [coef * np.asarray(D_l, dtype=np.float64) for D_l in Dl]
 
     def apply(X):
         out = cpl * (X @ Dtilde)
-        for s, R_l, D_l in zip(blocks, R, diags):
+        for s, R_l, D_l in zip(blocks, system.R, diags):
             out[:, s] += R_l @ X[:, s] + D_l[:, None] * X[:, s]
         return out
 
     off_task = Dtilde.copy()
     for s in blocks:
         off_task[s, s] = 0.0
-    task_drop = cpl * np.linalg.norm(off_task) * math.sqrt(R[0].shape[0])
-    row_drop = math.sqrt(sum(c * np.linalg.norm(R_l - np.diag(np.diag(R_l))) ** 2
-                             for c, R_l in zip(widths, R)))
-    if row_drop < task_drop:
-        split, solve_precond = "row", _row_split(R, diags, Dtilde, widths, cpl)
+    task_drop = cpl * np.linalg.norm(off_task) * math.sqrt(system.B.shape[0])
+    if system.row_drop < task_drop:
+        split, solve_precond = "row", _row_split(system, diags, Dtilde, cpl)
     else:
-        split, solve_precond = "task", _task_split(R, diags, Dtilde, blocks, cpl)
+        split, solve_precond = "task", _task_split(system, diags, Dtilde, cpl)
 
-    B = np.hstack(T)
+    B = system.B
     X = np.hstack(W0)
     Res = B - apply(X)
-    stop = max(CG_RTOL * np.linalg.norm(B), rtol * np.linalg.norm(Res))
+    stop = max(system.floor, rtol * np.linalg.norm(Res))
     Z = solve_precond(Res)
     P = Z
     rz = float((Res * Z).sum())
@@ -506,12 +528,13 @@ def solve_W_coupled(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
     return [X[:, s].copy() for s in blocks], iterations, split
 
 
-def reweighted_step(W, R, T, hp, rtol=0.0):
+def reweighted_step(W, system, hp, rtol=0.0):
     """One plain step of the W-map: reweight at W, then minimize the majorizer.
 
-    W, R, T are per-task lists.  Returns (new W list, D_l list, Dtilde,
-    CG iterations, split): the last two are solve_W_coupled's, or 0 and None
-    on the direct path.  Dtilde is None when gamma is 0.  Otherwise it comes
+    W is a per-task list, and system the fit's JointSystem, which holds R
+    and T.  Returns (new W list, D_l list, Dtilde, CG iterations, split):
+    the last two are solve_W_coupled's, or 0 and None on the direct path.
+    Dtilde is None when gamma is 0.  Otherwise it comes
     from the smaller Gram matrix of the stacked W: the d x d row form when
     d <= sum(c), where tasks solve separately with solve_W, else the
     sum(c) x sum(c) column form, solved jointly by solve_W_coupled
@@ -525,11 +548,11 @@ def reweighted_step(W, R, T, hp, rtol=0.0):
         stacked = np.hstack(W)
         if stacked.shape[0] > stacked.shape[1]:
             Dtilde = update_Dtilde(stacked.T, hp.delta)
-            W_new, iterations, split = solve_W_coupled(R, T, Dl, Dtilde, hp, W, rtol)
+            W_new, iterations, split = solve_W_coupled(system, Dl, Dtilde, hp, W, rtol)
             return W_new, Dl, Dtilde, iterations, split
         Dtilde = update_Dtilde(stacked, hp.delta)
     return [solve_W(R_l, T_l, D_l, Dtilde, hp)
-            for R_l, T_l, D_l in zip(R, T, Dl)], Dl, Dtilde, 0, None
+            for R_l, T_l, D_l in zip(system.R, system.T, Dl)], Dl, Dtilde, 0, None
 
 
 def reduced_objective(W, R, T, hp):
@@ -625,7 +648,7 @@ def _map_tasks(fn, items, n_threads):
 
 
 def build_graphs(dataset, hp, n_threads=1):
-    """Every task's Laplacian at hp.k and hp.lam, in task order, for fit(graphs=).
+    """Every task's Laplacian at hp.k and hp.lam, in task order, for prepare(graphs=).
 
     A Laplacian depends only on its task's X, k and lam, so fits that differ
     only in alpha, beta, gamma or the label mask can share one list.
@@ -634,8 +657,57 @@ def build_graphs(dataset, hp, n_threads=1):
                       dataset.tasks, n_threads)
 
 
-def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
-    """Run the alternating solver on every task of the dataset.
+@dataclass(frozen=True)
+class PreparedTasks:
+    """Every task's caches from precompute_task, and what they were built for.
+
+    R, T, const, g and h hold one entry per task, in task order.  Beyond a
+    task's X and Y they depend only on its labeled mask, on alpha and beta
+    through their product alpha_beta, on inf_surrogate, and on the graph's
+    k and lam.  So fits that differ only in gamma, or in alpha and beta with
+    the same product, can share one set; fit checks each of these against
+    its own dataset and hyperparameters.
+    """
+
+    R: tuple
+    T: tuple
+    const: tuple
+    g: tuple
+    h: tuple
+    alpha_beta: float
+    inf_surrogate: float
+    k: int
+    lam: float
+    masks: tuple
+
+    def check(self, dataset, hp):
+        """Raise ValidationError unless the set was built for this dataset and hp."""
+        built = (self.alpha_beta, self.inf_surrogate, self.k, self.lam)
+        wanted = (hp.alpha * hp.beta, hp.inf_surrogate, hp.k, hp.lam)
+        if built != wanted:
+            raise ValidationError(
+                "caches prepared with (alpha*beta, inf_surrogate, k, lam) = "
+                f"{built}, but the fit has {wanted}"
+            )
+        if len(self.masks) != dataset.n_tasks:
+            raise ValidationError(
+                f"caches prepared for {len(self.masks)} tasks, but the dataset "
+                f"has {dataset.n_tasks}"
+            )
+        for task, mask in zip(dataset.tasks, self.masks):
+            if mask.size != task.n_samples:
+                raise ValidationError(
+                    f"task {task.name!r}: caches prepared on {mask.size} samples, "
+                    f"but the task has {task.n_samples}"
+                )
+            if not np.array_equal(mask, task.labeled_mask):
+                raise ValidationError(
+                    f"task {task.name!r}: caches prepared for another labeled mask"
+                )
+
+
+def prepare(dataset, hp, n_threads=1, graphs=None):
+    """Every task's precompute_task caches for fits of dataset at hp, as a PreparedTasks.
 
     Per task it takes the graph Laplacian from graphs (as build_graphs
     returns them) and keeps, from precompute_task, the caches R and T, the
@@ -643,39 +715,12 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     factor of alpha beta H + U + L is dropped as soon as the task's
     precompute call returns.  When graphs is None, each task's Laplacian is
     built in that task's precompute call and dropped after it too, so a
-    single-thread fit holds one task's L and A at most, and nothing n-sized
-    once the precomputation is done.  A supplied graph must match hp.k,
-    hp.lam and its task's sample count, or ValidationError is raised.  The
-    initial W_l solve uses unit row weights and an identity coupling.  Each
-    reweighting iteration then:
-
-    1. takes the plain step of reweighted_step, which rebuilds D_l and
-       (unless gamma is 0) Dtilde at the current W.  A joint CG W solve
-       stops once its residual falls by the forcing term
-       min(CG_FORCING_CAP, the last iteration's relative objective change),
-       CG_FORCING_CAP at the first iteration: loose far from the fixed
-       point, tightening toward rel_tol as the fit converges;
-    2. lets Anderson extrapolate from the recent steps, keeping the
-       extrapolated W only where reduced_objective rates it below the plain
-       step.  With gamma 0 each task has its own history, so tasks stay
-       decoupled; otherwise all tasks share one.
-
-    Every recorded objective is reduced_objective plus the tasks' constants:
-    the full objective at W with F and b at their optimum, computed in
-    d-space.  Each iterate is scored once: by Anderson when it scored the
-    point it took, else here (with gamma 0, per task, summed in task order).  Stops when its relative change drops below hp.rel_tol or
-    after hp.max_iter reweighting iterations, each one plain step whether or
-    not the extrapolated W is taken.  The recorded trace is non-increasing.
-    state.Dtilde and state.Dl hold the weights the last step used.  The
-    bias of the final W is b_l = W_l'g_l + h_l, the closed form that
-    solve_b(solve_F(...)) computes in n-space.
-
-    callback(iteration, state) is invoked after the initial solve (iteration
-    0) and after each reweighting iteration; state.cg_iterations and
-    state.cg_split then give that iteration's joint CG solve (0 and None on
-    the direct solve_W path).  n_threads > 1 parallelizes the
-    per-task graph building and precomputation; results are identical to
-    the sequential path.
+    single-thread call holds one task's L and A at most, and returns nothing
+    n-sized but the labeled masks.  A supplied graph must match hp.k, hp.lam
+    and its task's sample count, or ValidationError is raised.  gamma is not
+    read, and alpha and beta only through their product.  n_threads > 1
+    runs the tasks on a thread pool; results are identical to the
+    sequential path.
     """
     if dataset.n_tasks < 1:
         raise ValidationError("dataset has no tasks")
@@ -699,21 +744,72 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
                     f"lam={hp.lam} and {task.n_samples} samples"
                 )
 
-    def prepare(l):
+    def caches(l):
         task = dataset.tasks[l]
         lap = (graphs[l] if graphs is not None
                else build_task_laplacian(task.X, hp.k, hp.lam))
         # the factor is dropped here: b comes from the d-space caches g and h
         return precompute_task(task, lap, hp)[1:]
 
-    R, T, consts, g, h = zip(*_map_tasks(prepare, range(dataset.n_tasks), n_threads))
-    const = sum(consts)
+    R, T, const, g, h = zip(*_map_tasks(caches, range(dataset.n_tasks), n_threads))
+    return PreparedTasks(
+        R=R, T=T, const=const, g=g, h=h, alpha_beta=hp.alpha * hp.beta,
+        inf_surrogate=hp.inf_surrogate, k=hp.k, lam=hp.lam,
+        masks=tuple(task.labeled_mask for task in dataset.tasks),
+    )
+
+
+def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
+    """Run the alternating solver on every task of the dataset.
+
+    The per-task caches come from prepared, a PreparedTasks from prepare;
+    when it is None, fit calls prepare(dataset, hp, n_threads) itself, so a
+    lone fit holds one task's L and A at most, and nothing n-sized once the
+    precomputation is done.  A prepared set must have been built for this
+    dataset's labeled masks and sample counts and for hp's alpha beta,
+    inf_surrogate, k and lam (gamma is free), or ValidationError is raised.
+    What the W steps derive from R and T alone (JointSystem) is built once
+    per fit.  The initial W_l solve uses unit row weights and an identity
+    coupling.  Each reweighting iteration then:
+
+    1. takes the plain step of reweighted_step, which rebuilds D_l and
+       (unless gamma is 0) Dtilde at the current W.  A joint CG W solve
+       stops once its residual falls by the forcing term
+       min(CG_FORCING_CAP, the last iteration's relative objective change),
+       CG_FORCING_CAP at the first iteration: loose far from the fixed
+       point, tightening toward rel_tol as the fit converges;
+    2. lets Anderson extrapolate from the recent steps, keeping the
+       extrapolated W only where reduced_objective rates it below the plain
+       step.  With gamma 0 each task has its own history, so tasks stay
+       decoupled; otherwise all tasks share one.
+
+    Every recorded objective is reduced_objective plus the tasks' constants:
+    the full objective at W with F and b at their optimum, computed in
+    d-space.  Each iterate is scored once: by Anderson when it scored the
+    point it took, else here (with gamma 0, per task, summed in task order).
+    Stops when its relative change drops below hp.rel_tol or after
+    hp.max_iter reweighting iterations, each one plain step whether or not
+    the extrapolated W is taken.  The recorded trace is non-increasing.
+    state.Dtilde and state.Dl hold the weights the last step used.  The
+    bias of the final W is b_l = W_l'g_l + h_l, the closed form that
+    solve_b(solve_F(...)) computes in n-space.
+
+    callback(iteration, state) is invoked after the initial solve (iteration
+    0) and after each reweighting iteration; state.cg_iterations and
+    state.cg_split then give that iteration's joint CG solve (0 and None on
+    the direct solve_W path).  n_threads goes to prepare.
+    """
+    if prepared is None:
+        prepared = prepare(dataset, hp, n_threads)
+    prepared.check(dataset, hp)
+    const = sum(prepared.const)
+    system = JointSystem(prepared.R, prepared.T)
 
     d = dataset.n_features
     state = SolverState(
         W=[],
-        R=list(R),
-        T=list(T),
+        R=system.R,
+        T=system.T,
         Dl=[np.ones(d) for _ in dataset.tasks],
         Dtilde=np.eye(d) if hp.gamma != 0 else None,
     )
@@ -734,7 +830,7 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
     forcing = CG_FORCING_CAP
     for r in range(1, hp.max_iter + 1):
         (plain, state.Dl, state.Dtilde, state.cg_iterations,
-         state.cg_split) = reweighted_step(state.W, state.R, state.T, hp, forcing)
+         state.cg_split) = reweighted_step(state.W, system, hp, forcing)
         obj = const
         for group, accel in zip(groups, accelerators):
             R_g = [state.R[l] for l in group]
@@ -758,7 +854,8 @@ def fit(dataset, hp, callback=None, n_threads=1, graphs=None):
             break
         forcing = min(CG_FORCING_CAP, abs(prev - obj) / scale)
 
-    b = [W_l.T @ g_l + h_l for W_l, g_l, h_l in zip(state.W, g, h)]
+    b = [W_l.T @ g_l + h_l
+         for W_l, g_l, h_l in zip(state.W, prepared.g, prepared.h)]
     scores = tuple(np.sqrt((W * W).sum(axis=1)) for W in state.W)
     return SelectionModel(
         task_names=tuple(task.name for task in dataset.tasks),

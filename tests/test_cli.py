@@ -299,14 +299,28 @@ class TestErrorPaths:
 
     def test_mismatched_graphs_exit_1(self, synth_dir, tmp_path, monkeypatch):
         from dataclasses import replace
-        from sfmc.solver import build_graphs, fit
+        from sfmc.solver import build_graphs, fit, prepare
         import sfmc.cli as cli
 
         def fit_with_stale_graphs(ds, hp, **kwargs):
             graphs = build_graphs(ds, replace(hp, k=hp.k + 1))
-            return fit(ds, hp, graphs=graphs, **kwargs)
+            return fit(ds, hp, prepared=prepare(ds, hp, graphs=graphs), **kwargs)
 
         monkeypatch.setattr(cli, "fit", fit_with_stale_graphs)
+        rc = main(["fit", str(synth_dir / "manifest.json"), "--out",
+                   str(tmp_path / "m.json"), "--k", "5"])
+        assert rc == 1
+
+    def test_mismatched_prepared_exit_1(self, synth_dir, tmp_path, monkeypatch):
+        from dataclasses import replace
+        from sfmc.solver import fit, prepare
+        import sfmc.cli as cli
+
+        def fit_with_stale_caches(ds, hp, **kwargs):
+            prepared = prepare(ds, replace(hp, alpha=2 * hp.alpha))
+            return fit(ds, hp, prepared=prepared, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", fit_with_stale_caches)
         rc = main(["fit", str(synth_dir / "manifest.json"), "--out",
                    str(tmp_path / "m.json"), "--k", "5"])
         assert rc == 1

@@ -88,6 +88,17 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match="could not parse"):
             load_manifest(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["features", "labels", "mask"])
+    def test_empty_csv(self, tmp_path, kind):
+        # an empty file fails by name, without numpy's no-data warning and
+        # before any length check can blame another file
+        ds = generate_synthetic(SynthConfig(d=4, s=2, t=2, n_per_task=10, seed=0))
+        manifest = write_manifest(ds, tmp_path)
+        (tmp_path / f"task0_{kind}.csv").write_text("")
+        with pytest.raises(ValidationError, match=f"task0_{kind}.csv holds no data"):
+            load_manifest(manifest)
+
     def test_constant_feature_warns_not_rejects(self, tmp_path):
         path = small_manifest(tmp_path)
         arr = np.loadtxt(tmp_path / "f0.csv", delimiter=",", ndmin=2)

@@ -380,11 +380,44 @@ class TestRunExperiment:
         fit_per_cell = select_eval.fit
         monkeypatch.setattr(
             select_eval, "fit",
-            lambda ds, hp, graphs=None, **kw: fit_per_cell(ds, hp, **kw))
+            lambda ds, hp, prepared=None, **kw: fit_per_cell(ds, hp, **kw))
         del built[:]
         unshared = run_experiment(synth, **kwargs)
         # the unused per-split build, then one per fit: 2 fractions x 2 cells
         assert len(built) == 2 * synth.n_tasks * (1 + 2 * 2)
+        assert shared.to_json_dict() == unshared.to_json_dict()
+
+    def test_caches_prepared_once_per_alpha_beta(self, synth, monkeypatch):
+        # a cell's caches depend on its mask and on alpha beta alone, and gamma
+        # is innermost in the grid, so consecutive cells with one product of
+        # alpha and beta share one prepared set
+        from sfmc import select_eval, solver
+
+        kwargs = dict(
+            methods=["sfmc"], fractions=[0.2, 1.0], feature_counts=[4],
+            repeats=2, seed=4,
+            grid={"alpha": [1.0, 100.0], "beta": [0.01, 1.0], "gamma": [0.1, 10.0]},
+            hp_base=Hyperparams(k=6, max_iter=10),
+        )
+        calls = []
+        precompute = solver.precompute_task
+        monkeypatch.setattr(solver, "precompute_task",
+                            lambda *a: calls.append(1) or precompute(*a))
+        shared = run_experiment(synth, **kwargs)
+        # alpha beta runs 0.01, 1, 1, 100 over the (alpha, beta) pairs, so
+        # each (repeat, fraction) prepares three sets
+        assert 1.0 * 1.0 == 100.0 * 0.01
+        assert len(calls) == 2 * 2 * 3 * synth.n_tasks
+
+        fit_per_cell = select_eval.fit
+        monkeypatch.setattr(
+            select_eval, "fit",
+            lambda ds, hp, prepared=None, **kw: fit_per_cell(ds, hp, **kw))
+        del calls[:]
+        unshared = run_experiment(synth, **kwargs)
+        # per (repeat, fraction): the three shared sets, now unused, and one
+        # per fit of the 8 cells
+        assert len(calls) == 2 * 2 * (3 + 8) * synth.n_tasks
         assert shared.to_json_dict() == unshared.to_json_dict()
 
     def test_more_labels_help(self):

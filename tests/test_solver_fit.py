@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from sfmc.dataset import (MultiTaskDataset, TaskData, ValidationError,
-                          load_manifest, write_manifest)
+                          apply_label_fraction, load_manifest, write_manifest)
 from sfmc import solver
 from sfmc.graph import build_task_laplacian
-from sfmc.solver import (Anderson, Hyperparams, build_graphs, fit,
-                         load_selection_model, precompute_task,
+from sfmc.solver import (Anderson, Hyperparams, JointSystem, build_graphs, fit,
+                         load_selection_model, precompute_task, prepare,
                          reduced_objective, reweighted_step, solve_W,
                          update_Dl, update_Dtilde)
 from helpers import (analytic_full_gradient, central_diff_grad, descent_minimize,
@@ -122,9 +122,9 @@ class TestFitBasics:
         seen = []
         inner = solver.solve_W_coupled
 
-        def recording(R, T, Dl, Dtilde, hp, W0, rtol=0.0):
+        def recording(system, Dl, Dtilde, hp, W0, rtol=0.0):
             seen.append(rtol)
-            return inner(R, T, Dl, Dtilde, hp, W0, rtol)
+            return inner(system, Dl, Dtilde, hp, W0, rtol)
 
         monkeypatch.setattr(solver, "solve_W_coupled", recording)
         model = fit(ds, hp)
@@ -181,7 +181,7 @@ class TestFitBasics:
         rng = np.random.default_rng(8)
         ds = make_dataset(rng, t=2, d=6, n=12, c=2)
         hp = Hyperparams(k=4, max_iter=10)
-        shared = fit(ds, hp, graphs=build_graphs(ds, hp))
+        shared = fit(ds, hp, prepared=prepare(ds, hp, graphs=build_graphs(ds, hp)))
         assert shared.to_json_dict() == fit(ds, hp).to_json_dict()
 
     def test_one_laplacian_alive_without_graphs(self):
@@ -198,7 +198,8 @@ class TestFitBasics:
         finally:
             tracemalloc.stop()
         assert peak < 6 * n * n * 8
-        assert model.to_json_dict() == fit(ds, hp, graphs=build_graphs(ds, hp)).to_json_dict()
+        shared = fit(ds, hp, prepared=prepare(ds, hp, graphs=build_graphs(ds, hp)))
+        assert model.to_json_dict() == shared.to_json_dict()
 
     def test_rejects_mismatched_graphs(self):
         rng = np.random.default_rng(9)
@@ -207,12 +208,46 @@ class TestFitBasics:
         graphs = build_graphs(ds, hp)
         for bad in (replace(hp, k=5), replace(hp, lam=2.0)):
             with pytest.raises(ValidationError, match="graph built with"):
-                fit(ds, bad, graphs=graphs)
+                prepare(ds, bad, graphs=graphs)
         small = make_dataset(rng, t=2, d=6, n=10, c=2)
         with pytest.raises(ValidationError, match="on 12 samples"):
-            fit(small, hp, graphs=graphs)
+            prepare(small, hp, graphs=graphs)
         with pytest.raises(ValidationError, match="1 graphs for 2 tasks"):
-            fit(ds, hp, graphs=graphs[:1])
+            prepare(ds, hp, graphs=graphs[:1])
+
+    def test_prepared_caches_shared_across_gamma(self):
+        # the caches depend on alpha and beta only through their product, so
+        # one prepared set serves every gamma and both (alpha, beta) pairs
+        # with product 1; each fit equals a plain fit bit for bit, on the
+        # joint (d > sum(c)) path and the direct one
+        rng = np.random.default_rng(8)
+        for d in (10, 3):
+            ds = make_dataset(rng, t=2, d=d, n=15, c=2)
+            hp = Hyperparams(k=4, max_iter=10)
+            prepared = prepare(ds, hp)
+            for alpha, beta in ((1.0, 1.0), (100.0, 0.01)):
+                for gamma in (0.0, 0.01, 1.0, 100.0):
+                    cell = replace(hp, alpha=alpha, beta=beta, gamma=gamma)
+                    assert (fit(ds, cell, prepared=prepared).to_json_dict()
+                            == fit(ds, cell).to_json_dict())
+
+    def test_rejects_mismatched_prepared(self):
+        rng = np.random.default_rng(9)
+        ds = make_dataset(rng, t=2, d=6, n=12, c=2, label_frac=1.0)
+        hp = Hyperparams(k=4)
+        prepared = prepare(ds, hp)
+        for bad in (replace(hp, alpha=2.0), replace(hp, beta=0.5),
+                    replace(hp, inf_surrogate=1e3), replace(hp, k=5),
+                    replace(hp, lam=2.0)):
+            with pytest.raises(ValidationError, match="caches prepared with"):
+                fit(ds, bad, prepared=prepared)
+        with pytest.raises(ValidationError, match="another labeled mask"):
+            fit(apply_label_fraction(ds, 0.5, 0), hp, prepared=prepared)
+        small = make_dataset(rng, t=2, d=6, n=10, c=2)
+        with pytest.raises(ValidationError, match="on 12 samples"):
+            fit(small, hp, prepared=prepared)
+        with pytest.raises(ValidationError, match="prepared for 2 tasks"):
+            fit(MultiTaskDataset(tasks=ds.tasks[:1]), hp, prepared=prepared)
 
     def test_single_class_task(self):
         rng = np.random.default_rng(13)
@@ -261,8 +296,9 @@ class TestGammaZeroDecoupling:
         W = [solve_W(R, T, np.ones(5), None, hp)]
         np.testing.assert_allclose(history[0], W[0], atol=1e-10)
         accel = Anderson()
+        system = JointSystem([R], [T])
         for r in range(1, hp.max_iter + 1):
-            plain, _, coupling, cg_iterations, split = reweighted_step(W, [R], [T], hp)
+            plain, _, coupling, cg_iterations, split = reweighted_step(W, system, hp)
             assert coupling is None and cg_iterations == 0 and split is None
             W, _ = accel.step(W, plain, lambda V: reduced_objective(V, [R], [T], hp))
             np.testing.assert_allclose(history[r], W[0], atol=1e-10)

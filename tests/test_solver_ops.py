@@ -6,10 +6,10 @@ import scipy.linalg
 
 from sfmc.dataset import TaskData, ValidationError
 from sfmc.graph import build_task_laplacian
-from sfmc.solver import (CG_RTOL, Hyperparams, NumericalError, _row_split, fit,
-                         norm_l21_smoothed, precompute_task, selection_diag,
-                         solve_F, solve_W, solve_W_coupled, solve_b,
-                         trace_norm_smoothed, update_Dl, update_Dtilde)
+from sfmc.solver import (CG_RTOL, Hyperparams, JointSystem, NumericalError,
+                         _row_split, fit, norm_l21_smoothed, precompute_task,
+                         selection_diag, solve_F, solve_W, solve_W_coupled,
+                         solve_b, trace_norm_smoothed, update_Dl, update_Dtilde)
 from helpers import (central_diff_grad, centering_oracle, make_dataset, make_task,
                      selection_diag_oracle, smoothed_l21_oracle,
                      smoothed_trace_norm_oracle, solve_Fb_oracle)
@@ -357,12 +357,32 @@ class TestSolveWCoupled:
         for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
             d = R[0].shape[0]
             expected = np.linalg.solve(big, rhs).reshape(-1, d).T
-            W, _, split = solve_W_coupled(R, T, Dl, Dt, hp, W0)
+            W, _, split = solve_W_coupled(JointSystem(R, T), Dl, Dt, hp, W0)
             assert split == _split_rule(R, T, Dt, hp)
             splits.append(split)
             np.testing.assert_allclose(np.hstack(W), expected, rtol=0,
                                        atol=1e-8 * np.abs(expected).max())
         assert splits == ["task"] * 5 + ["row"]
+
+    def test_one_system_serves_every_step(self):
+        # fit builds one JointSystem and reuses it at every step, with new
+        # D_l and Dtilde each time: no call may change it, so W, the CG
+        # iteration count and the split match a system built fresh per call
+        rng = np.random.default_rng(19)
+        for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
+            d, widths = R[0].shape[0], [T_l.shape[1] for T_l in T]
+            system = JointSystem(R, T)
+            weights = [(Dl, Dt), ([update_Dl(rng.standard_normal((d, c)), hp.delta)
+                                   for c in widths],
+                                  update_Dtilde(rng.standard_normal((d, sum(widths))).T,
+                                                hp.delta))]
+            for D_l, D_t in weights:
+                W, iterations, split = solve_W_coupled(system, D_l, D_t, hp, W0, rtol=1e-2)
+                W_fresh, it_fresh, split_fresh = solve_W_coupled(
+                    JointSystem(R, T), D_l, D_t, hp, W0, rtol=1e-2)
+                assert (iterations, split) == (it_fresh, split_fresh)
+                for W_l, W_fresh_l in zip(W, W_fresh):
+                    np.testing.assert_array_equal(W_l, W_fresh_l)
 
     def test_row_split_inverts_operator_with_diagonal_r(self):
         # the row split's preconditioner is the inverse of the joint operator
@@ -373,7 +393,7 @@ class TestSolveWCoupled:
             d, widths = R[0].shape[0], [T_l.shape[1] for T_l in T]
             diag_R = [np.diag(np.diag(R_l)) for R_l in R]
             expected_op = _joint_operator(diag_R, Dl, Dt, hp, widths)
-            precond = _row_split(R, [D_l / hp.beta for D_l in Dl], Dt, widths,
+            precond = _row_split(JointSystem(R, T), [D_l / hp.beta for D_l in Dl], Dt,
                                  hp.gamma / (hp.alpha * hp.beta))
             Res = rng.standard_normal((d, sum(widths)))
             expected = np.linalg.solve(expected_op, Res.T.ravel()).reshape(-1, d).T
@@ -392,7 +412,8 @@ class TestSolveWCoupled:
         Dt = update_Dtilde(rng.standard_normal((d, sum(widths))).T, hp.delta)
         assert _split_rule(R, T, Dt, hp) == "row"
         with pytest.raises(NumericalError, match="preconditioner factorization"):
-            solve_W_coupled(R, T, Dl, Dt, hp, [np.zeros((d, c)) for c in widths])
+            solve_W_coupled(JointSystem(R, T), Dl, Dt, hp,
+                            [np.zeros((d, c)) for c in widths])
 
     def test_forcing_term_contract(self):
         # a relative stop: the residual falls by the factor rtol from the one
@@ -415,7 +436,8 @@ class TestSolveWCoupled:
             near = exact + 1e-4 * np.abs(exact).max() * rng.standard_normal(exact.shape)
             for start in (W0, np.split(near, [T[0].shape[1]], axis=1)):
                 for rtol in (1e-1, 1e-2, 1e-4):
-                    W, _, _ = solve_W_coupled(R, T, Dl, Dt, hp, start, rtol=rtol)
+                    W, _, _ = solve_W_coupled(JointSystem(R, T), Dl, Dt, hp, start,
+                                              rtol=rtol)
                     assert resid(W) <= max(CG_RTOL * np.linalg.norm(rhs),
                                            rtol * resid(start))
                     assert majorizer(W) < majorizer(start)
