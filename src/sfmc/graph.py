@@ -7,16 +7,20 @@ Laplacian needs anyway: row blocks of the GEMM distances s_i + s_j - 2 X'X
 those candidates only, and no n x n distance matrix is formed.  The clique's
 local Laplacian is H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique
 submatrix and H_k the centering matrix; the task Laplacian is the sum of all
-local Laplacians scatter-added into global sample coordinates.  All n local
-Laplacians are computed in one batched pass from the clique Gram matrices,
-with H_k applied as a mean subtraction.  The result is exactly symmetric,
-positive semidefinite, and annihilates constant vectors.
+local Laplacians scatter-added into global sample coordinates.  The n local
+Laplacians are computed in batched chunks from the clique Gram matrices,
+with H_k applied as a mean subtraction.  L is stored sparse, as a canonical
+read-only CSR array: a row holds only the samples that share a clique with
+it (about 130 of 1500 at k=15, d=100), so X'X is the only n x n array a
+build holds.  The result is exactly symmetric, positive semidefinite, and
+annihilates constant vectors.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 # bytes of one row block of GEMM distances: bounds the k-NN scan's working
@@ -32,9 +36,13 @@ DENSE_MIN = 1 << 15
 
 @dataclass(frozen=True)
 class TaskLaplacian:
-    """Assembled n x n Laplacian (read-only) and the k and lambda that built it."""
+    """Assembled n x n Laplacian and the k and lambda that built it.
 
-    L: np.ndarray
+    L is a canonical (sorted indices, no duplicates), read-only
+    scipy.sparse.csr_array, exactly symmetric.
+    """
+
+    L: csr_array
     k: int
     lam: float
 
@@ -80,7 +88,8 @@ def knn_cliques(X, k, gram=None):
     exactly what an exhaustive sort would.  A block of at most DENSE_MIN
     entries (small n), or one where an eighth or more of the entries are
     candidates (heavy ties, or GEMM cancellation), gets exact distances for
-    every entry instead.  Badly scaled X is rescaled by a power of two
+    every entry instead; there, a row tied far past its k-th distance is
+    sorted whole, stably.  Badly scaled X is rescaled by a power of two
     (exact) for the GEMM only, and rows whose exact distances could overflow
     keep every sample as a candidate.
     """
@@ -136,21 +145,33 @@ def knn_cliques(X, k, gram=None):
             # candidates (ties, or GEMM cancellation): exact distances for the
             # whole block from cdist, which rounds as _pair_sq_dists does,
             # cost less than per-pair gathers; the candidates are then every
-            # entry at or under the row's k-th exact distance (self is 0)
+            # entry at or under the row's k-th exact distance
             exact = cdist(XT[lo:hi], XT, "sqeuclidean")
+            # distances are >= 0, so -1 puts each sample at the head of its own row
+            exact[np.arange(m), np.arange(lo, hi)] = -1.0
             ekth = np.partition(exact, k - 1, axis=1)[:, k - 1]
-            rows, cols = np.nonzero(exact <= ekth[:, None])
-            dist = exact[rows, cols]
-            rows += lo
-        else:
+            cand = exact <= ekth[:, None]
+            # a row tied well past its k-th distance (candidates for more than
+            # 2k and an eighth of the samples) costs less as a stable sort of
+            # the whole row, which keeps equal distances in index order, than
+            # in the lexsort below
+            counts = np.count_nonzero(cand, axis=1)
+            heavy = (8 * counts > n) & (counts > 2 * k)
+            if heavy.any():
+                indices[lo:hi][heavy] = np.argsort(exact[heavy], axis=1,
+                                                   kind="stable")[:, :k]
+                cand[heavy] = False
             rows, cols = np.nonzero(cand)
-            rows += lo
-            dist = _pair_sq_dists(X, rows, cols)
-        # distances are >= 0, so -1 puts each sample at the head of its own row
-        dist[rows == cols] = -1.0
+            dist = exact[rows, cols]
+        else:
+            heavy = np.zeros(m, dtype=bool)
+            rows, cols = np.nonzero(cand)
+            dist = _pair_sq_dists(X, rows + lo, cols)
+            dist[rows + lo == cols] = -1.0
         order = np.lexsort((cols, dist, rows))
-        heads = np.searchsorted(rows, np.arange(lo, hi))
-        indices[lo:hi] = cols[order[heads[:, None] + np.arange(k)]]
+        light = np.flatnonzero(~heavy)
+        heads = np.searchsorted(rows, light)
+        indices[lo + light] = cols[order[heads[:, None] + np.arange(k)]]
     indices.setflags(write=False)
     return indices
 
@@ -159,33 +180,91 @@ def build_task_laplacian(X, k, lam):
     """Sum of the n local Laplacians H_k (Xc' Xc + lam I)^-1 H_k of X's cliques.
 
     X is d x n.  X'X is formed once, by one GEMM; knn_cliques finds the
-    cliques from it, and the clique Gram matrices G are gathered from it, so
-    no (n, k, d) array is formed.  Each G is Cholesky-factored, G = C C', which
-    raises LinAlgError if any clique's G is not numerically positive
-    definite (badly scaled X with a tiny lam).  With N = C^-1 H_k, each local
-    Laplacian is N'N; they are scatter-added into L with one bincount.  L is
-    exactly symmetric and read-only.
+    cliques from it, and the clique Gram matrices G are gathered from it, in
+    chunks of at most KNN_BLOCK_BYTES, so no (n, k, d) array is formed.  Each
+    G is Cholesky-factored, G = C C', which raises LinAlgError if any
+    clique's G is not numerically positive definite (badly scaled X with a
+    tiny lam).  With N = C^-1 H_k, each local Laplacian is N'N; they are
+    scatter-added into L by _assemble_csr.  L is a canonical, read-only
+    scipy.sparse.csr_array, with at most k^2 entries per clique, so X'X is
+    the only n x n array a build holds.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("X has non-finite entries")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    n = X.shape[1]
     K = X.T @ X
     idx = knn_cliques(X, k, gram=K)
-    G = K[idx[:, :, None], idx[:, None, :]]
-    del K  # n x n, like L: free it before L is allocated
-    G += lam * np.eye(k)
-    C_inv = np.linalg.inv(np.linalg.cholesky(G))
-    N = C_inv - C_inv.mean(axis=2, keepdims=True)
-    M = N.transpose(0, 2, 1) @ N
-    # L must be exactly symmetric: precompute_task adds it to A without
-    # symmetrizing.  bincount adds in clique order, so L[a, b] and L[b, a]
-    # sum the same numbers in the same order once each clique is symmetric.
-    M = 0.5 * (M + M.transpose(0, 2, 1))
-    flat = idx[:, :, None] * n + idx[:, None, :]
-    L = np.bincount(flat.ravel(), weights=M.ravel(), minlength=n * n).reshape(n, n)
+    # L is assembled while X'X is alive, so L's arrays never take part of the
+    # block X'X frees; precompute_task's A, of the same size, reuses it
+    return TaskLaplacian(L=_assemble_csr(idx, _local_laplacians(K, idx, lam)),
+                         k=k, lam=lam)
+
+
+def _local_laplacians(K, idx, lam):
+    """(n, k, k) local Laplacians N'N of the cliques idx, from the Gram matrix K."""
+    n, k = idx.shape
+    M = np.empty((n, k, k))
+    step = max(1, KNN_BLOCK_BYTES // (8 * k * k))
+    for lo in range(0, n, step):
+        G = K[idx[lo:lo + step, :, None], idx[lo:lo + step, None, :]]
+        G += lam * np.eye(k)
+        C_inv = np.linalg.inv(np.linalg.cholesky(G))
+        N = C_inv - C_inv.mean(axis=2, keepdims=True)
+        local = N.transpose(0, 2, 1) @ N
+        # L must be exactly symmetric: precompute_task adds it to A without
+        # symmetrizing, and L[a, b] and L[b, a] sum the same numbers in the
+        # same order once each clique is symmetric
+        M[lo:lo + step] = 0.5 * (local + local.transpose(0, 2, 1))
+    return M
+
+
+def _assemble_csr(idx, M):
+    """Read-only canonical CSR of sum_i S_i M_i S_i', S_i clique i's selection.
+
+    Rows are summed in blocks of at most KNN_BLOCK_BYTES of dense row
+    entries.  A stable argsort of idx gathers each row's (clique, position)
+    pairs in clique order, and bincount adds them into the block, so every
+    entry is the same sum, in the same order, as one bincount over all n^2
+    entries in clique order would give.
+    """
+    n, k = idx.shape
+    flat_idx = idx.ravel()
+    # a stable argsort of flat_idx: the keys sample * n k + position are
+    # unique, and a quicksort of them costs a quarter of a stable sort
+    order = np.argsort(flat_idx * flat_idx.size + np.arange(flat_idx.size))
+    starts = np.searchsorted(flat_idx[order], np.arange(n + 1))
+    step = max(1, KNN_BLOCK_BYTES // (8 * n))
+    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def gather(lo, hi):
+        # rows lo..hi-1: their (clique, position) pairs in clique order, the
+        # keys (row - lo) n + column of those pairs' entries, and which keys
+        # are hit
+        pos = order[starts[lo]:starts[hi]]
+        keys = ((flat_idx[pos] - lo)[:, None] * n + idx[pos // k]).ravel()
+        hit = np.zeros((hi - lo) * n, dtype=bool)
+        hit[keys] = True
+        return pos, keys, hit
+
+    # L stores every pair of samples that share a clique: a first pass counts
+    # them per row, so L's arrays are allocated once, at their final size
+    counts = [np.count_nonzero(gather(lo, hi)[2].reshape(hi - lo, n), axis=1)
+              for lo, hi in blocks]
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    M = M.reshape(n * k, k)
+    for lo, hi in blocks:
+        pos, keys, hit = gather(lo, hi)
+        stored = np.flatnonzero(hit)
+        block = np.bincount(keys, weights=M[pos].ravel(), minlength=(hi - lo) * n)
+        indices[indptr[lo]:indptr[hi]] = stored % n
+        data[indptr[lo]:indptr[hi]] = block[stored]
+    L = csr_array((data, indices, indptr), shape=(n, n))
+    L.has_canonical_format = True
     # eval shares one graph across every fit and thread of a split
-    L.setflags(write=False)
-    return TaskLaplacian(L=L, k=k, lam=lam)
+    for a in (L.data, L.indices, L.indptr):
+        a.setflags(write=False)
+    return L

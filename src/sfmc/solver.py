@@ -287,36 +287,45 @@ def precompute_task(task, lap, hp):
     Hence g = (alpha beta/n) B'z - xbar, xbar the feature means, and
     h = Y'(u z)/n, both d-space.  Neither U nor the centering matrix H is
     formed: U acts as its diagonal u, and H as a subtraction of column
-    means.  A is factored in place, so its factor is the only n x n array
-    built here; the refinement residual applies A as
-    alpha beta (Z - colmean Z) + u Z + L Z.
+    means.  lap.L is the sparse CSR Laplacian of build_task_laplacian; it is
+    applied sparsely, in two products (L [B, Y] for the right-hand side and
+    const, and L Z), and densified only into A, which is factored in place,
+    so its factor is the only n x n array built here.  The refinement
+    residual applies A as alpha beta (Z - colmean Z) + u Z + L Z.
     """
     n = task.n_samples
     d = task.X.shape[0]
     ab = hp.alpha * hp.beta
+    L = lap.L
     u = selection_diag(task.labeled_mask, hp.inf_surrogate)
+    # alpha beta H + U + L in one n x n allocation, made first so that it
+    # reuses the block the graph build's X'X left, before smaller arrays
+    # split it: L densified, then the other terms added to each entry, which
+    # rounds as the sum of the dense terms.  L is exactly symmetric, so A is
+    # too, and A.T is A in Fortran order, which LAPACK overwrites with its
+    # factor
+    A = L.toarray()
+    A += -(ab * (1.0 / n))
+    A[np.diag_indices(n)] = L.diagonal() + (ab * (1.0 - 1.0 / n) + u)
     xbar = task.X.T.mean(axis=0)
     B = task.X.T - xbar
-    rhs = np.hstack([u[:, None] * B + lap.L @ B, u[:, None] * task.Y,
+    # L B and L Y in one sparse product; (alpha beta H + L) Y is kept for const
+    LBY = L @ np.hstack([B, task.Y])
+    HLY = ab * (task.Y - task.Y.mean(axis=0)) + LBY[:, d:]
+    rhs = np.hstack([u[:, None] * B + LBY[:, :d], u[:, None] * task.Y,
                      np.ones((n, 1))])
-    # alpha beta H + U + L in one n x n allocation, each entry rounded as in
-    # the sum of the dense terms; L is exactly symmetric, so A is too, and
-    # A.T is A in Fortran order, which LAPACK overwrites with its factor
-    A = np.full((n, n), -(ab * (1.0 / n)))
-    A[np.diag_indices(n)] = ab * (1.0 - 1.0 / n) + u
-    A += lap.L
+    del LBY
     try:
         factor = cho_factor(A.T, lower=True, overwrite_a=True)
     except (LinAlgError, ValueError) as exc:
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
     Z = _refined_solve(factor, rhs, lambda X: (ab * (X - X.mean(axis=0))
-                                               + u[:, None] * X + lap.L @ X))
+                                               + u[:, None] * X + L @ X))
     Z_T, z = Z[:, d:-1], Z[:, -1]
     R = B.T @ Z[:, :d]
     R = 0.5 * (R + R.T)
     T = B.T @ Z_T
-    const = float((Z_T * (ab * (task.Y - task.Y.mean(axis=0))
-                          + lap.L @ task.Y)).sum())
+    const = float((Z_T * HLY).sum())
     g = (ab / n) * (B.T @ z) - xbar
     h = task.Y.T @ (u * z) / n
     return factor, R, T, const, g, h
@@ -715,12 +724,12 @@ def prepare(dataset, hp, n_threads=1, graphs=None):
     factor of alpha beta H + U + L is dropped as soon as the task's
     precompute call returns.  When graphs is None, each task's Laplacian is
     built in that task's precompute call and dropped after it too, so a
-    single-thread call holds one task's L and A at most, and returns nothing
-    n-sized but the labeled masks.  A supplied graph must match hp.k, hp.lam
-    and its task's sample count, or ValidationError is raised.  gamma is not
-    read, and alpha and beta only through their product.  n_threads > 1
-    runs the tasks on a thread pool; results are identical to the
-    sequential path.
+    single-thread call holds one n x n array at a time (X'X in the graph
+    build, then A; L is sparse), and returns nothing n-sized but the labeled
+    masks.  A supplied graph must match hp.k, hp.lam and its task's sample
+    count, or ValidationError is raised.  gamma is not read, and alpha and
+    beta only through their product.  n_threads > 1 runs the tasks on a
+    thread pool; results are identical to the sequential path.
     """
     if dataset.n_tasks < 1:
         raise ValidationError("dataset has no tasks")
@@ -764,7 +773,7 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
 
     The per-task caches come from prepared, a PreparedTasks from prepare;
     when it is None, fit calls prepare(dataset, hp, n_threads) itself, so a
-    lone fit holds one task's L and A at most, and nothing n-sized once the
+    lone fit holds one n x n array at a time, and nothing n-sized once the
     precomputation is done.  A prepared set must have been built for this
     dataset's labeled masks and sample counts and for hp's alpha beta,
     inf_surrogate, k and lam (gamma is free), or ValidationError is raised.

@@ -262,13 +262,13 @@ def test_5_laplacian_structure():
         k = int(rng.integers(2, min(6, n) + 1))
         lam = float(rng.uniform(0.1, 5.0))
         X = rng.standard_normal((d, n))
-        lap = build_task_laplacian(X, k, lam)
-        worst_sym = max(worst_sym, np.abs(lap.L - lap.L.T).max())
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(lap.L).min()))
-        worst_one = max(worst_one, np.abs(lap.L @ np.ones(n)).max())
+        L = build_task_laplacian(X, k, lam).L.toarray()
+        worst_sym = max(worst_sym, np.abs(L - L.T).max())
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(L).min()))
+        worst_one = max(worst_one, np.abs(L @ np.ones(n)).max())
         if n <= 12:
             oracle = dense_laplacian_oracle(X, knn_cliques(X, k), lam)
-            worst_oracle = max(worst_oracle, np.abs(lap.L - oracle).max())
+            worst_oracle = max(worst_oracle, np.abs(L - oracle).max())
             oracle_checked += 1
     ok = (worst_sym <= 1e-10 and worst_eig >= -1e-8 and worst_one <= 1e-10
           and worst_oracle <= 1e-12 and oracle_checked > 0)

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 from sfmc import graph
 from sfmc.graph import build_task_laplacian, knn_cliques
-from helpers import brute_knn, centering_oracle, dense_laplacian_oracle
+from helpers import (brute_knn, centering_oracle, clique_scatter_oracle,
+                     dense_laplacian_oracle)
 
 
 class TestKnnCliques:
@@ -38,6 +40,16 @@ class TestKnnCliques:
         X[:, rng.integers(0, 24, size=8)] = X[:, rng.integers(0, 24, size=8)]
         for k in (2, 3, 5, 8, 13, 24):
             np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
+
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    def test_heavily_tied_rows_match_brute_force(self, k):
+        # 30 copies of one sample beside 20 distinct ones: the copies' rows
+        # are tied far past their k-th distance and take the stable per-row
+        # sort, while the other rows of the same block take the lexsort
+        X = np.hstack([np.zeros((3, 30)),
+                       np.random.default_rng(k).standard_normal((3, 20))])
+        X = X[:, np.random.default_rng(0).permutation(50)]
+        np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
 
     def test_k_out_of_range(self):
         X = np.zeros((2, 3))
@@ -133,7 +145,7 @@ class TestLocalLaplacian:
         # pair x, H (x x' + I)^-1 H = (1 - (x1 - x2)^2 / 2 / (1 + |x|^2)) H,
         # so the pair (0, 1) adds 0.375 [[1, -1], [-1, 1]] twice and the
         # pair (1, 2) adds 11/24 [[1, -1], [-1, 1]] once
-        L = build_task_laplacian(np.array([[0.0, 1.0, 2.0]]), k=2, lam=1.0).L
+        L = build_task_laplacian(np.array([[0.0, 1.0, 2.0]]), k=2, lam=1.0).L.toarray()
         c = 11.0 / 24.0
         np.testing.assert_allclose(
             L,
@@ -144,7 +156,7 @@ class TestLocalLaplacian:
     def test_zero_clique_reduces_to_centering(self):
         # every clique is all 4 samples and G = I, so L = 4 H_4
         X = np.zeros((3, 4))
-        L = build_task_laplacian(X, k=4, lam=1.0).L
+        L = build_task_laplacian(X, k=4, lam=1.0).L.toarray()
         np.testing.assert_allclose(
             L, dense_laplacian_oracle(X, knn_cliques(X, 4), 1.0), atol=1e-14
         )
@@ -156,7 +168,7 @@ class TestLocalLaplacian:
         for d, n, k in ((2, 12, 5), (6, 12, 3), (3, 7, 7)):
             X = rng.standard_normal((d, n))
             np.testing.assert_allclose(
-                build_task_laplacian(X, k, 0.5).L,
+                build_task_laplacian(X, k, 0.5).L.toarray(),
                 dense_laplacian_oracle(X, knn_cliques(X, k), 0.5),
                 atol=1e-12,
             )
@@ -174,17 +186,15 @@ class TestBuildTaskLaplacian:
         # H_2 (Xc'Xc + I)^-1 H_2 = 0.375 [[1, -1], [-1, 1]]
         lap = build_task_laplacian(np.array([[0.0, 1.0]]), k=2, lam=1.0)
         np.testing.assert_allclose(
-            lap.L, [[0.75, -0.75], [-0.75, 0.75]], atol=1e-14
+            lap.L.toarray(), [[0.75, -0.75], [-0.75, 0.75]], atol=1e-14
         )
-        # eval shares one graph across fits and threads
-        assert not lap.L.flags.writeable
 
     def test_matches_explicit_selection_oracle(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((4, 12))
         lap = build_task_laplacian(X, k=3, lam=1.0)
         oracle = dense_laplacian_oracle(X, knn_cliques(X, 3), 1.0)
-        np.testing.assert_allclose(lap.L, oracle, atol=1e-12)
+        np.testing.assert_allclose(lap.L.toarray(), oracle, atol=1e-12)
 
     def test_badly_scaled_input_raises(self):
         # X'X is of order 1e12 and lam = 1e-6 is below its round-off: the clique
@@ -201,7 +211,7 @@ class TestBuildTaskLaplacian:
         d = int(rng.integers(1, 8))
         k = int(rng.integers(2, min(6, n) + 1))
         lam = float(rng.uniform(0.1, 5.0))
-        L = build_task_laplacian(rng.standard_normal((d, n)), k, lam).L
+        L = build_task_laplacian(rng.standard_normal((d, n)), k, lam).L.toarray()
         # exactly symmetric: precompute_task adds L to A without symmetrizing
         np.testing.assert_array_equal(L, L.T)
         assert np.linalg.eigvalsh(L).min() >= -1e-8
@@ -209,7 +219,7 @@ class TestBuildTaskLaplacian:
 
     def test_quadratic_form_nonnegative(self):
         rng = np.random.default_rng(3)
-        L = build_task_laplacian(rng.standard_normal((3, 15)), k=4, lam=1.0).L
+        L = build_task_laplacian(rng.standard_normal((3, 15)), k=4, lam=1.0).L.toarray()
         for _ in range(100):
             x = rng.standard_normal(15)
             assert x @ L @ x >= -1e-10
@@ -218,7 +228,53 @@ class TestBuildTaskLaplacian:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((3, 11))
         perm = rng.permutation(11)
-        L = build_task_laplacian(X, k=3, lam=0.7).L
-        L_perm = build_task_laplacian(X[:, perm], k=3, lam=0.7).L
+        L = build_task_laplacian(X, k=3, lam=0.7).L.toarray()
+        L_perm = build_task_laplacian(X[:, perm], k=3, lam=0.7).L.toarray()
         np.testing.assert_allclose(L_perm, L[np.ix_(perm, perm)], atol=1e-12)
 
+
+class TestLaplacianStorage:
+    """L is a canonical, exactly symmetric, read-only CSR array, summed in clique order."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonical_symmetric_read_only(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        k = int(rng.integers(2, min(8, n) + 1))
+        L = build_task_laplacian(rng.standard_normal((3, n)), k, 1.0).L
+        assert isinstance(L, csr_array) and L.shape == (n, n)
+        # canonical: within each row, column indices strictly increase
+        rows = np.repeat(np.arange(n), np.diff(L.indptr))
+        assert np.all(np.diff(rows * n + L.indices) > 0)
+        assert L.has_canonical_format
+        # exactly symmetric: precompute_task adds L to A without symmetrizing
+        assert (L != L.T).nnz == 0
+        # eval shares one graph across every fit and thread of a split
+        for a in (L.data, L.indices, L.indptr):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            L.data[0] = 1.0
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
+    def test_bit_equal_to_dense_clique_scatter(self, block_rows, monkeypatch):
+        # every entry is the sum a dense scatter in clique order gives, bit
+        # for bit, whether the rows (and the clique chunks) are summed in one
+        # block or in blocks of 1 or 3 rows
+        rng = np.random.default_rng(11)
+        # d < k, d > k, and k = n (every clique is the whole task)
+        for d, n, k in ((2, 17, 6), (7, 23, 4), (3, 9, 9)):
+            if block_rows is not None:
+                monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n * block_rows)
+            X = rng.standard_normal((d, n))
+            L = build_task_laplacian(X, k, 0.3).L
+            cliques = knn_cliques(X, k)
+            expected = clique_scatter_oracle(X, cliques, 0.3)
+            np.testing.assert_array_equal(L.toarray(), expected)
+            # L stores each pair of samples that share a clique, once
+            shared = np.zeros((n, n), dtype=bool)
+            for g in cliques:
+                shared[np.ix_(g, g)] = True
+            assert L.nnz == np.count_nonzero(shared)
+            np.testing.assert_allclose(
+                L.toarray(), dense_laplacian_oracle(X, cliques, 0.3), atol=1e-12
+            )

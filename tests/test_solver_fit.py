@@ -7,7 +7,7 @@ import pytest
 
 from sfmc.dataset import (MultiTaskDataset, TaskData, ValidationError,
                           apply_label_fraction, load_manifest, write_manifest)
-from sfmc import solver
+from sfmc import graph, solver
 from sfmc.graph import build_task_laplacian
 from sfmc.solver import (Anderson, Hyperparams, JointSystem, build_graphs, fit,
                          load_selection_model, precompute_task, prepare,
@@ -200,6 +200,30 @@ class TestFitBasics:
         assert peak < 6 * n * n * 8
         shared = fit(ds, hp, prepared=prepare(ds, hp, graphs=build_graphs(ds, hp)))
         assert model.to_json_dict() == shared.to_json_dict()
+
+    def test_prepare_holds_one_n_by_n_array(self, monkeypatch):
+        # X'X lives only in the graph build and A only in the precompute, and
+        # L is sparse, so prepare peaks at one n x n array plus the k-NN
+        # scan's row blocks and O(n (d + c) + n k^2); a dense L held beside A
+        # peaks above two n x n arrays
+        monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 1 << 16)
+        n, d, c, k = 800, 20, 3, 10
+        task = make_task(np.random.default_rng(1), d, n, c, label_frac=0.2)
+        ds = MultiTaskDataset(tasks=(task,))
+        hp = Hyperparams(k=k)
+        tracemalloc.start()
+        try:
+            prepare(ds, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 4 * graph.KNN_BLOCK_BYTES + 3 * 8 * n * (d + c + k * k)
+        assert peak < 8 * n * n + slack
+        # a graph holds O(nnz) bytes, and a clique adds at most k^2 entries
+        L = build_task_laplacian(task.X, k, hp.lam).L
+        assert L.nnz <= n * k * k
+        assert (L.data.nbytes + L.indices.nbytes + L.indptr.nbytes
+                <= 16 * L.nnz + 8 * (n + 1))
 
     def test_rejects_mismatched_graphs(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_array
 
 from sfmc.dataset import TaskData, ValidationError
 from sfmc.graph import build_task_laplacian
@@ -89,7 +90,7 @@ class TestPrecomputeTask:
             labeled_mask = np.zeros(n, dtype=bool)
 
         class ZeroLap:
-            L = np.zeros((n, n))
+            L = csr_array((n, n))
 
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
         factor = precompute_task(Unlabeled(), ZeroLap(), hp)[0]
