@@ -29,20 +29,20 @@ KNN_BLOCK_BYTES = 1 << 20
 # X is rescaled by a power of two for the GEMM only when its largest entry
 # lies outside [2^-SCALE_EXP, 2^SCALE_EXP]; inside it X'X cannot overflow
 SCALE_EXP = 64
-# blocks of at most this many entries skip the GEMM candidates: an exhaustive
-# exact pass costs less there than the per-feature loop's fixed overhead
-DENSE_MIN = 1 << 15
 
 
 @dataclass(frozen=True)
 class TaskLaplacian:
-    """Assembled n x n Laplacian and the k and lambda that built it.
+    """Assembled n x n Laplacian and the features, k and lambda that built it.
 
     L is a canonical (sorted indices, no duplicates), read-only
-    scipy.sparse.csr_array, exactly symmetric.
+    scipy.sparse.csr_array, exactly symmetric.  X is the d x n feature
+    array it was built from (the caller's own array when that is float64),
+    so solver.prepare can match a supplied graph to its task by identity.
     """
 
     L: csr_array
+    X: np.ndarray
     k: int
     lam: float
 
@@ -85,11 +85,10 @@ def knn_cliques(X, k, gram=None):
     the exact distances' own error ((d + 3) u relative, plus underflow).  So
     every sample left out is strictly farther, by exact distance, than the
     k-th one kept, and the candidates' exact (distance, index) order gives
-    exactly what an exhaustive sort would.  A block of at most DENSE_MIN
-    entries (small n), or one where an eighth or more of the entries are
-    candidates (heavy ties, or GEMM cancellation), gets exact distances for
-    every entry instead; there, a row tied far past its k-th distance is
-    sorted whole, stably.  Badly scaled X is rescaled by a power of two
+    exactly what an exhaustive sort would.  A block where an eighth or more
+    of the entries are candidates (heavy ties, GEMM cancellation, or k close
+    to n) gets exact distances for every entry instead; there, a row tied
+    far past its k-th distance is sorted whole, stably.  Badly scaled X is rescaled by a power of two
     (exact) for the GEMM only, and rows whose exact distances could overflow
     keep every sample as a candidate.
     """
@@ -124,28 +123,24 @@ def knn_cliques(X, k, gram=None):
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         m = hi - lo
-        cand = None
-        if m * n > DENSE_MIN:
-            D = gram[lo:hi] * -2.0
-            D += s
-            D += s[lo:hi, None]
-            D[np.arange(m), np.arange(lo, hi)] = -np.inf
-            kth = np.partition(D, k - 1, axis=1)[:, k - 1]
-            pos = np.maximum(kth, 0.0)
-            thr = kth + 2.0 * (gemm_rel * (4.0 * s[lo:hi] + 2.0 * pos)
-                               + 2.0 * exact_rel * pos + 2.0 * exact_abs + 2.0 * gemm_abs)
-            thr *= 1.0 + 8.0 * gemm_rel
-            thr[thr >= overflow] = np.inf
-            cand = D <= thr[:, None]
-            del D
-            if 8 * np.count_nonzero(cand) > m * n:
-                cand = None
-        if cand is None:
-            # a small block, or one where an eighth or more of the entries are
-            # candidates (ties, or GEMM cancellation): exact distances for the
-            # whole block from cdist, which rounds as _pair_sq_dists does,
-            # cost less than per-pair gathers; the candidates are then every
-            # entry at or under the row's k-th exact distance
+        D = gram[lo:hi] * -2.0
+        D += s
+        D += s[lo:hi, None]
+        D[np.arange(m), np.arange(lo, hi)] = -np.inf
+        kth = np.partition(D, k - 1, axis=1)[:, k - 1]
+        pos = np.maximum(kth, 0.0)
+        thr = kth + 2.0 * (gemm_rel * (4.0 * s[lo:hi] + 2.0 * pos)
+                           + 2.0 * exact_rel * pos + 2.0 * exact_abs + 2.0 * gemm_abs)
+        thr *= 1.0 + 8.0 * gemm_rel
+        thr[thr >= overflow] = np.inf
+        cand = D <= thr[:, None]
+        del D
+        if 8 * np.count_nonzero(cand) > m * n:
+            # an eighth or more of the entries are candidates (ties, GEMM
+            # cancellation, or k close to n): exact distances for the whole
+            # block from cdist, which rounds as _pair_sq_dists does, cost
+            # less than per-pair gathers; the candidates are then every entry
+            # at or under the row's k-th exact distance
             exact = cdist(XT[lo:hi], XT, "sqeuclidean")
             # distances are >= 0, so -1 puts each sample at the head of its own row
             exact[np.arange(m), np.arange(lo, hi)] = -1.0
@@ -199,7 +194,7 @@ def build_task_laplacian(X, k, lam):
     # L is assembled while X'X is alive, so L's arrays never take part of the
     # block X'X frees; precompute_task's A, of the same size, reuses it
     return TaskLaplacian(L=_assemble_csr(idx, _local_laplacians(K, idx, lam)),
-                         k=k, lam=lam)
+                         X=X, k=k, lam=lam)
 
 
 def _local_laplacians(K, idx, lam):

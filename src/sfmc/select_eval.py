@@ -271,14 +271,15 @@ def _candidate_rankings(method, dataset, combos, hp, graphs, n_threads):
     model ranked as soon as it is fitted, and one for the baselines.
 
     A grid cell's caches depend on alpha and beta only through their
-    product, so consecutive cells with the same product, every gamma of an
-    (alpha, beta) among them, share one prepared set.  At most one is alive.
+    product, so consecutive cells that one prepared set serves
+    (PreparedTasks.serves), every gamma of an (alpha, beta) among them,
+    share it.  At most one is alive.
     """
     if method == "sfmc":
         prepared = None
         for combo in combos:
             cell = replace(hp, **combo)
-            if prepared is None or prepared.alpha_beta != cell.alpha * cell.beta:
+            if prepared is None or not prepared.serves(dataset, cell):
                 prepared = None  # drop the last set before building the next
                 prepared = prepare(dataset, cell, n_threads, graphs)
             model = fit(dataset, cell, prepared=prepared)

@@ -374,13 +374,14 @@ def solve_W(R, T, Dl, Dtilde, hp):
 
 
 class JointSystem:
-    """Every task's R and T, and what the W steps of one fit derive from them alone.
+    """Every task's R and T, and what the W steps of a fit derive from them alone.
 
-    fit builds one per fit, and each W step reads it: blocks and widths are
-    the tasks' column slices of the stacked W and their sizes, B the stacked
-    T, floor = CG_RTOL ||B|| the joint solve's absolute residual floor,
-    diag_R each R_l's diagonal for the row split, and row_drop the Frobenius
-    norm of the part of the operator the row split drops,
+    prepare builds one per prepared set, and each W step of every fit that
+    uses the set reads it: blocks and widths are the tasks' column slices of
+    the stacked W and their sizes, B the stacked T, floor = CG_RTOL ||B||
+    the joint solve's absolute residual floor, diag_R each R_l's diagonal
+    for the row split, and row_drop the Frobenius norm of the part of the
+    operator the row split drops,
     sqrt(sum_l c_l ||R_l - diag R_l||_F^2).
     """
 
@@ -587,14 +588,13 @@ class Anderson:
 
     step(x, gx, score) takes the current iterate x and the plain step
     gx = g(x), both lists of arrays, and returns the next iterate and its
-    score, or None in place of the score when it scored nothing (a history
-    shorter than 2, or a non-finite direction).  From the last
-    ANDERSON_MEMORY steps it extrapolates the point whose residual g(x) - x
-    the secant model predicts smallest (Zhang, O'Donoghue & Boyd, SIAM J.
-    Optim. 2020).  It takes that point, or failing that the point 1/2 or
-    1/4 of the way to it from gx, if score rates it strictly below gx;
-    otherwise it takes gx and the history restarts.  So the next iterate
-    never scores above the plain step.
+    score; gx is scored once, and each extrapolated point it tries once.
+    From the last ANDERSON_MEMORY steps it extrapolates the point whose
+    residual g(x) - x the secant model predicts smallest (Zhang, O'Donoghue
+    & Boyd, SIAM J. Optim. 2020).  It takes that point, or failing that the
+    point 1/2 or 1/4 of the way to it from gx, if score rates it strictly
+    below gx; otherwise it takes gx and the history restarts.  So the next
+    iterate never scores above the plain step.
     """
 
     def __init__(self):
@@ -606,15 +606,14 @@ class Anderson:
         self._g.append(np.concatenate([a.ravel() for a in gx]))
         del self._x[:-ANDERSON_MEMORY - 1], self._g[:-ANDERSON_MEMORY - 1]
         if len(self._g) < 2:
-            return gx, None
+            return gx, score(gx)
         G = np.array(self._g).T
         F = G - np.array(self._x).T
         coeffs = np.linalg.lstsq(np.diff(F, axis=1), F[:, -1], rcond=None)[0]
         direction = -(np.diff(G, axis=1) @ coeffs)
-        plain = None
+        plain = score(gx)
         if np.all(np.isfinite(direction)):
             bounds = np.cumsum([0] + [a.size for a in gx])
-            plain = score(gx)
             for t in ANDERSON_STEPS:
                 flat = G[:, -1] + t * direction
                 cand = [flat[a:b].reshape(g.shape)
@@ -659,60 +658,48 @@ def _map_tasks(fn, items, n_threads):
 def build_graphs(dataset, hp, n_threads=1):
     """Every task's Laplacian at hp.k and hp.lam, in task order, for prepare(graphs=).
 
-    A Laplacian depends only on its task's X, k and lam, so fits that differ
-    only in alpha, beta, gamma or the label mask can share one list.
+    A Laplacian depends only on its task's X, k and lam, and each one keeps
+    the X array it was built from, so the list serves any dataset whose
+    tasks hold these same X objects: fits that differ only in alpha, beta,
+    gamma or the label mask (apply_label_fraction passes X through) can
+    share it.
     """
     return _map_tasks(lambda task: build_task_laplacian(task.X, hp.k, hp.lam),
                       dataset.tasks, n_threads)
 
 
+def _cache_key(hp):
+    """What precompute_task reads of hp: alpha beta, inf_surrogate, k and lam."""
+    return (hp.alpha * hp.beta, hp.inf_surrogate, hp.k, hp.lam)
+
+
 @dataclass(frozen=True)
 class PreparedTasks:
-    """Every task's caches from precompute_task, and what they were built for.
+    """Every task's caches from precompute_task, bound to the inputs they came from.
 
-    R, T, const, g and h hold one entry per task, in task order.  Beyond a
-    task's X and Y they depend only on its labeled mask, on alpha and beta
-    through their product alpha_beta, on inf_surrogate, and on the graph's
-    k and lam.  So fits that differ only in gamma, or in alpha and beta with
-    the same product, can share one set; fit checks each of these against
-    its own dataset and hyperparameters.
+    system is the JointSystem of the tasks' R and T; const, g and h hold one
+    entry per task, in task order.  R, T, g and h are read-only, because
+    fits at other gammas share them.  dataset and hp are the objects prepare
+    was called with.  Beyond the dataset, the caches depend on hp only
+    through _cache_key, so fits of the same dataset that differ only in
+    gamma, or in alpha and beta with the same product, can share one set.
     """
 
-    R: tuple
-    T: tuple
+    system: JointSystem
     const: tuple
     g: tuple
     h: tuple
-    alpha_beta: float
-    inf_surrogate: float
-    k: int
-    lam: float
-    masks: tuple
+    dataset: object
+    hp: Hyperparams
 
-    def check(self, dataset, hp):
-        """Raise ValidationError unless the set was built for this dataset and hp."""
-        built = (self.alpha_beta, self.inf_surrogate, self.k, self.lam)
-        wanted = (hp.alpha * hp.beta, hp.inf_surrogate, hp.k, hp.lam)
-        if built != wanted:
-            raise ValidationError(
-                "caches prepared with (alpha*beta, inf_surrogate, k, lam) = "
-                f"{built}, but the fit has {wanted}"
-            )
-        if len(self.masks) != dataset.n_tasks:
-            raise ValidationError(
-                f"caches prepared for {len(self.masks)} tasks, but the dataset "
-                f"has {dataset.n_tasks}"
-            )
-        for task, mask in zip(dataset.tasks, self.masks):
-            if mask.size != task.n_samples:
-                raise ValidationError(
-                    f"task {task.name!r}: caches prepared on {mask.size} samples, "
-                    f"but the task has {task.n_samples}"
-                )
-            if not np.array_equal(mask, task.labeled_mask):
-                raise ValidationError(
-                    f"task {task.name!r}: caches prepared for another labeled mask"
-                )
+    def serves(self, dataset, hp):
+        """True when a fit of dataset at hp can use this set.
+
+        dataset must be the very object the set was built from: datasets and
+        their tasks are frozen, with read-only arrays, so identity pins X, Y
+        and the labeled masks exactly.
+        """
+        return dataset is self.dataset and _cache_key(hp) == _cache_key(self.hp)
 
 
 def prepare(dataset, hp, n_threads=1, graphs=None):
@@ -725,17 +712,15 @@ def prepare(dataset, hp, n_threads=1, graphs=None):
     precompute call returns.  When graphs is None, each task's Laplacian is
     built in that task's precompute call and dropped after it too, so a
     single-thread call holds one n x n array at a time (X'X in the graph
-    build, then A; L is sparse), and returns nothing n-sized but the labeled
-    masks.  A supplied graph must match hp.k, hp.lam and its task's sample
-    count, or ValidationError is raised.  gamma is not read, and alpha and
-    beta only through their product.  n_threads > 1 runs the tasks on a
-    thread pool; results are identical to the sequential path.
+    build, then A; L is sparse), and allocates nothing n-sized that it
+    returns.  A supplied graph must have been built from its task's own X
+    array (lap.X is task.X) at hp.k and hp.lam, or ValidationError is
+    raised.  The fits' JointSystem is built here, once, from R and T.  gamma
+    is not read, and alpha and beta only through their product.  n_threads
+    > 1 runs the tasks on a thread pool; results are identical to the
+    sequential path.
     """
-    if dataset.n_tasks < 1:
-        raise ValidationError("dataset has no tasks")
     for task in dataset.tasks:
-        if task.n_labeled < 1:
-            raise ValidationError(f"task {task.name!r} has no labeled samples")
         if hp.k > task.n_samples:
             raise ValidationError(
                 f"task {task.name!r}: k={hp.k} exceeds its {task.n_samples} samples"
@@ -746,11 +731,10 @@ def prepare(dataset, hp, n_threads=1, graphs=None):
                 f"got {len(graphs)} graphs for {dataset.n_tasks} tasks"
             )
         for task, lap in zip(dataset.tasks, graphs):
-            if (lap.k, lap.lam, lap.L.shape) != (hp.k, hp.lam, (task.n_samples,) * 2):
+            if lap.X is not task.X or (lap.k, lap.lam) != (hp.k, hp.lam):
                 raise ValidationError(
-                    f"task {task.name!r}: graph built with k={lap.k}, lam={lap.lam} "
-                    f"on {lap.L.shape[0]} samples, but the fit has k={hp.k}, "
-                    f"lam={hp.lam} and {task.n_samples} samples"
+                    f"task {task.name!r}: graph (k={lap.k}, lam={lap.lam}) not "
+                    f"built from this task's X with k={hp.k}, lam={hp.lam}"
                 )
 
     def caches(l):
@@ -761,11 +745,10 @@ def prepare(dataset, hp, n_threads=1, graphs=None):
         return precompute_task(task, lap, hp)[1:]
 
     R, T, const, g, h = zip(*_map_tasks(caches, range(dataset.n_tasks), n_threads))
-    return PreparedTasks(
-        R=R, T=T, const=const, g=g, h=h, alpha_beta=hp.alpha * hp.beta,
-        inf_surrogate=hp.inf_surrogate, k=hp.k, lam=hp.lam,
-        masks=tuple(task.labeled_mask for task in dataset.tasks),
-    )
+    for a in R + T + g + h:
+        a.setflags(write=False)
+    return PreparedTasks(system=JointSystem(R, T), const=const, g=g, h=h,
+                         dataset=dataset, hp=hp)
 
 
 def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
@@ -774,12 +757,12 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
     The per-task caches come from prepared, a PreparedTasks from prepare;
     when it is None, fit calls prepare(dataset, hp, n_threads) itself, so a
     lone fit holds one n x n array at a time, and nothing n-sized once the
-    precomputation is done.  A prepared set must have been built for this
-    dataset's labeled masks and sample counts and for hp's alpha beta,
-    inf_surrogate, k and lam (gamma is free), or ValidationError is raised.
-    What the W steps derive from R and T alone (JointSystem) is built once
-    per fit.  The initial W_l solve uses unit row weights and an identity
-    coupling.  Each reweighting iteration then:
+    precomputation is done.  A prepared set must serve the fit
+    (PreparedTasks.serves): built from this very dataset object, at hp's
+    alpha beta, inf_surrogate, k and lam (gamma is free), or ValidationError
+    is raised.  The W steps read the set's JointSystem, so fits that share a
+    set share it too.  The initial W_l solve uses unit row weights and an
+    identity coupling.  Each reweighting iteration then:
 
     1. takes the plain step of reweighted_step, which rebuilds D_l and
        (unless gamma is 0) Dtilde at the current W.  A joint CG W solve
@@ -794,8 +777,8 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
 
     Every recorded objective is reduced_objective plus the tasks' constants:
     the full objective at W with F and b at their optimum, computed in
-    d-space.  Each iterate is scored once: by Anderson when it scored the
-    point it took, else here (with gamma 0, per task, summed in task order).
+    d-space.  Each iterate is scored once, by Anderson (with gamma 0, per
+    task, summed in task order).
     Stops when its relative change drops below hp.rel_tol or after
     hp.max_iter reweighting iterations, each one plain step whether or not
     the extrapolated W is taken.  The recorded trace is non-increasing.
@@ -810,9 +793,14 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
     """
     if prepared is None:
         prepared = prepare(dataset, hp, n_threads)
-    prepared.check(dataset, hp)
+    elif not prepared.serves(dataset, hp):
+        raise ValidationError(
+            "caches prepared for another dataset object, or at (alpha*beta, "
+            f"inf_surrogate, k, lam) = {_cache_key(prepared.hp)} where the fit "
+            f"has {_cache_key(hp)}"
+        )
     const = sum(prepared.const)
-    system = JointSystem(prepared.R, prepared.T)
+    system = prepared.system
 
     d = dataset.n_features
     state = SolverState(
@@ -849,7 +837,7 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
                                       lambda V: reduced_objective(V, R_g, T_g, hp))
             for l, W_l in zip(group, taken):
                 state.W[l] = W_l
-            obj += score if score is not None else reduced_objective(taken, R_g, T_g, hp)
+            obj += score
         if not np.isfinite(obj):
             raise NumericalError(f"objective is non-finite at iteration {r}")
         prev = state.objective_trace[-1]

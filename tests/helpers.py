@@ -1,11 +1,13 @@
 """Shared instance builders and independent oracles for the test suite.
 
 Every oracle here recomputes its target quantity from first principles
-(explicit loops, naive matrix assembly, numpy-only solves) so the production
-code path is never used to produce its own expected values.
+(explicit loops, naive matrix assembly, numpy-only solves, generic
+minimizers) so the production code path is never used to produce its own
+expected values.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
 from sfmc.dataset import MultiTaskDataset, TaskData
 
@@ -233,6 +235,14 @@ def descent_minimize(fun, grad, x0, max_iter=2000, tol=1e-12):
             break
         x, f = x_new, f_new
     return x, f
+
+
+def lbfgs_minimize(fun, grad, x0):
+    """scipy's L-BFGS-B from x0, run to its round-off floor; returns (x, fun(x))."""
+    res = minimize(lambda v: fun(v.reshape(x0.shape)), x0.ravel(),
+                   jac=lambda v: grad(v.reshape(x0.shape)).ravel(), method="L-BFGS-B",
+                   options=dict(maxiter=5000, ftol=0.0, gtol=1e-12, maxcor=20))
+    return res.x.reshape(x0.shape), float(res.fun)
 
 
 def central_diff_grad(fun, x, h=1e-6):

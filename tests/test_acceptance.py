@@ -16,8 +16,8 @@ from sfmc.select_eval import average_precision, run_experiment
 from sfmc.solver import (Hyperparams, fit, precompute_task, solve_F, solve_W,
                          solve_b, update_Dl, update_Dtilde)
 from helpers import (average_precision_oracle, central_diff_grad,
-                     dense_laplacian_oracle, descent_minimize,
-                     full_objective_oracle, make_dataset, make_random_instance,
+                     dense_laplacian_oracle, full_objective_oracle,
+                     lbfgs_minimize, make_dataset, make_random_instance,
                      make_task, reduced_gradient_oracle,
                      reduced_objective_oracle, selection_diag_oracle,
                      smoothed_l21_oracle, smoothed_trace_norm_oracle,
@@ -100,8 +100,7 @@ def test_3_oracle_equivalence():
 
         best, best_W = np.inf, None
         for _restart in range(20):
-            W_opt, f_opt = descent_minimize(f, g, rng.standard_normal((3, 4)),
-                                            max_iter=1200)
+            W_opt, f_opt = lbfgs_minimize(f, g, rng.standard_normal((3, 4)))
             if f_opt < best:
                 best, best_W = f_opt, W_opt
 

@@ -63,13 +63,8 @@ class TestKnnCliques:
             with pytest.raises(ValueError, match="non-finite"):
                 knn_cliques(np.array([[bad, 0.0, 1.0, 2.0]]), 2)
 
-    @pytest.fixture
-    def gemm_path(self, monkeypatch):
-        # small inputs skip the GEMM candidate scan; these tests need it
-        monkeypatch.setattr(graph, "DENSE_MIN", 0)
-
     @pytest.mark.parametrize("seed", range(4))
-    def test_gemm_candidates_match_brute_force(self, seed, gemm_path):
+    def test_gemm_candidates_match_brute_force(self, seed):
         # ties at the k-th distance (integer grids, duplicated columns) must
         # be found among the GEMM candidates and broken by index
         rng = np.random.default_rng(seed)
@@ -83,7 +78,7 @@ class TestKnnCliques:
         (1e-200, 0.0), (1e-160, 0.0), (1e150, 0.0), (1e160, 0.0),
         (1.0, 1e8), (1.0, 1e12),
     ])
-    def test_badly_scaled_input_matches_brute_force(self, scale, offset, gemm_path):
+    def test_badly_scaled_input_matches_brute_force(self, scale, offset):
         # tiny and huge X under- or overflow X'X and the exact distances
         # (brute force then ties them at 0 or inf); a common offset makes the
         # GEMM distances cancel to their round-off.  Positive entries make
@@ -97,7 +92,7 @@ class TestKnnCliques:
             np.testing.assert_array_equal(knn_cliques(X, k, gram=gram), cl)
 
     @pytest.mark.parametrize("n", [9, 10, 11])
-    def test_block_edges(self, n, monkeypatch, gemm_path):
+    def test_block_edges(self, n, monkeypatch):
         # five rows per block: n one below, at, and one past a block boundary
         monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n * 5)
         rng = np.random.default_rng(n)

@@ -14,8 +14,8 @@ from sfmc.solver import (Anderson, Hyperparams, JointSystem, build_graphs, fit,
                          reduced_objective, reweighted_step, solve_W,
                          update_Dl, update_Dtilde)
 from helpers import (analytic_full_gradient, central_diff_grad, descent_minimize,
-                     full_objective_oracle, make_dataset, make_random_instance,
-                     make_task, reduced_gradient_oracle,
+                     full_objective_oracle, lbfgs_minimize, make_dataset,
+                     make_random_instance, make_task, reduced_gradient_oracle,
                      reduced_objective_oracle, selection_diag_oracle,
                      solve_Fb_oracle)
 
@@ -231,13 +231,17 @@ class TestFitBasics:
         hp = Hyperparams(k=4)
         graphs = build_graphs(ds, hp)
         for bad in (replace(hp, k=5), replace(hp, lam=2.0)):
-            with pytest.raises(ValidationError, match="graph built with"):
+            with pytest.raises(ValidationError, match="not built from this task's X"):
                 prepare(ds, bad, graphs=graphs)
         small = make_dataset(rng, t=2, d=6, n=10, c=2)
-        with pytest.raises(ValidationError, match="on 12 samples"):
+        with pytest.raises(ValidationError, match="not built from this task's X"):
             prepare(small, hp, graphs=graphs)
         with pytest.raises(ValidationError, match="1 graphs for 2 tasks"):
             prepare(ds, hp, graphs=graphs[:1])
+        # same sample counts, k and lam, but other features
+        other = make_dataset(rng, t=2, d=6, n=12, c=2)
+        with pytest.raises(ValidationError, match="not built from this task's X"):
+            prepare(other, hp, graphs=graphs)
 
     def test_prepared_caches_shared_across_gamma(self):
         # the caches depend on alpha and beta only through their product, so
@@ -263,15 +267,31 @@ class TestFitBasics:
         for bad in (replace(hp, alpha=2.0), replace(hp, beta=0.5),
                     replace(hp, inf_surrogate=1e3), replace(hp, k=5),
                     replace(hp, lam=2.0)):
-            with pytest.raises(ValidationError, match="caches prepared with"):
+            with pytest.raises(ValidationError, match="caches prepared for another"):
                 fit(ds, bad, prepared=prepared)
-        with pytest.raises(ValidationError, match="another labeled mask"):
-            fit(apply_label_fraction(ds, 0.5, 0), hp, prepared=prepared)
         small = make_dataset(rng, t=2, d=6, n=10, c=2)
-        with pytest.raises(ValidationError, match="on 12 samples"):
-            fit(small, hp, prepared=prepared)
-        with pytest.raises(ValidationError, match="prepared for 2 tasks"):
-            fit(MultiTaskDataset(tasks=ds.tasks[:1]), hp, prepared=prepared)
+        for other in (apply_label_fraction(ds, 0.5, 0), small,
+                      MultiTaskDataset(tasks=ds.tasks[:1])):
+            with pytest.raises(ValidationError, match="caches prepared for another"):
+                fit(other, hp, prepared=prepared)
+        # same masks and sample counts, but other features
+        other = make_dataset(rng, t=2, d=6, n=12, c=2, label_frac=1.0)
+        assert all(np.array_equal(a.labeled_mask, b.labeled_mask)
+                   for a, b in zip(ds.tasks, other.tasks))
+        with pytest.raises(ValidationError, match="caches prepared for another"):
+            fit(other, hp, prepared=prepared)
+
+    def test_prepared_caches_read_only(self):
+        # fits at other gammas share the caches, so none can be written
+        ds = make_dataset(np.random.default_rng(9), t=2, d=6, n=12, c=2)
+        prepared = prepare(ds, Hyperparams(k=4))
+        arrays = (prepared.system.R + prepared.system.T
+                  + list(prepared.g) + list(prepared.h))
+        assert len(arrays) == 4 * ds.n_tasks
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     def test_single_class_task(self):
         rng = np.random.default_rng(13)
@@ -444,9 +464,10 @@ class TestFeatureScaleCovariance:
 
 class TestTinyInstanceOracle:
     @staticmethod
-    def _check_against_descent(ds, hp, rng, restarts, descent_iters):
+    def _check_against_oracle(ds, hp, rng, restarts, minimize):
         # the solver's final objective must not exceed 1.0001x the best value
-        # a generic first-order method finds on the same smoothed objective
+        # a generic method, minimize(f, g, W0) -> (W, f(W)), finds on the
+        # same smoothed objective
         model = fit(ds, hp)
 
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
@@ -467,7 +488,7 @@ class TestTinyInstanceOracle:
         best_W = None
         for restart in range(restarts):
             W0 = rng.standard_normal(shape)
-            W_opt, f_opt = descent_minimize(f, g, W0, max_iter=descent_iters)
+            W_opt, f_opt = minimize(f, g, W0)
             if f_opt < best:
                 best, best_W = f_opt, W_opt
 
@@ -491,7 +512,7 @@ class TestTinyInstanceOracle:
             ds = make_dataset(rng, t=2, d=3, n=5, c=2)
             hp = Hyperparams(alpha=1.0, beta=1.0, gamma=0.1, k=3,
                              max_iter=20000, rel_tol=1e-13)
-            self._check_against_descent(ds, hp, rng, restarts=20, descent_iters=1200)
+            self._check_against_oracle(ds, hp, rng, restarts=20, minimize=lbfgs_minimize)
 
     def test_more_features_than_classes_at_coupling_corner(self):
         # d = 8 > sum(c) = 4: the d x d form of the trace-norm weights would
@@ -503,7 +524,11 @@ class TestTinyInstanceOracle:
             ds = make_dataset(rng, t=2, d=8, n=10, c=2)
             hp = Hyperparams(alpha=100.0, beta=1.0, gamma=100.0, k=3,
                              max_iter=300, rel_tol=1e-13)
-            self._check_against_descent(ds, hp, rng, restarts=2, descent_iters=600)
+            # plain descent, not L-BFGS-B: at max_iter=300 fit stops here
+            # unconverged, up to 7e-4 above L-BFGS-B's value
+            self._check_against_oracle(
+                ds, hp, rng, restarts=2,
+                minimize=lambda f, g, W0: descent_minimize(f, g, W0, max_iter=600))
 
 
 class TestModelSerialization:
