@@ -9,7 +9,11 @@ non-smooth norms are handled by iteratively reweighted least squares: each
 iteration rebuilds the diagonal row weights D_l and the coupling matrix
 Dtilde at the current W, minimizes the resulting quadratic majorizer, and
 lets a safeguarded Anderson extrapolation take a longer step when that
-lowers the objective further.  Every quantity is delta-smoothed so the
+lowers the objective further.  The loop carries W as one d x sum(c) array,
+task l its column slice, and the weights cost no extra decomposition:
+scoring an iterate takes its row norms and a thin SVD W = U S V', which
+give both the objective's l2,1 and trace terms and the next step's D_l and
+Dtilde.  Every quantity is delta-smoothed so the
 updates are defined for zero rows, and the recorded objective decreases
 monotonically.
 
@@ -47,10 +51,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgesdd, dpotrf, dpotrs
 
 from .dataset import ValidationError
 from .graph import build_task_laplacian
@@ -136,12 +141,16 @@ class Hyperparams:
 
 @dataclass
 class SolverState:
-    """Working state of one fit: per-task d-space blocks plus the shared coupling."""
+    """Working state of one fit: per-task d-space blocks plus the shared coupling.
+
+    W holds each task's columns of the current stacked iterate (set before
+    each callback), and Dl the row weights of the last step, one row per task.
+    """
 
     W: list
     R: list
     T: list
-    Dl: list
+    Dl: np.ndarray
     Dtilde: np.ndarray
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
@@ -221,26 +230,6 @@ def load_selection_model(path):
         raise ValidationError(f"model file {path} has unexpected structure: {exc}") from exc
 
 
-def norm_l21_smoothed(M, delta):
-    """Sum over rows of sqrt(||row||^2 + delta)."""
-    M = np.asarray(M, dtype=np.float64)
-    return float(np.sqrt((M * M).sum(axis=1) + delta).sum())
-
-
-def trace_norm_smoothed(M, delta):
-    """Tr((M M' + delta I)^(1/2)), from an SVD of M.
-
-    M M' has rows - cols zero eigenvalues beyond the squared singular values
-    when M has more rows than columns, each adding sqrt(delta).  Gram-matrix
-    eigenvalues would square the singular values and lose those near sqrt(delta).
-    """
-    M = np.asarray(M, dtype=np.float64)
-    rows, cols = M.shape
-    sv = np.linalg.svd(M, compute_uv=False)
-    extra = max(rows - cols, 0) * np.sqrt(delta)
-    return float(np.sqrt(sv * sv + delta).sum() + extra)
-
-
 def selection_diag(mask, inf_surrogate):
     """Diagonal of U, the label weights: inf_surrogate where labeled, 1 otherwise."""
     mask = np.asarray(mask, dtype=bool)
@@ -253,11 +242,11 @@ def _refined_solve(factor, B, matmul):
     The refinement keeps the residual near machine precision even when the
     hyperparameter grid makes A badly scaled.
     """
-    X = cho_solve(factor, B)
+    X = cho_solve(factor, B, check_finite=False)
     resid = B - matmul(X)
     norm_b = np.linalg.norm(B)
     if norm_b > 0 and np.linalg.norm(resid) > 1e-13 * norm_b:
-        X = X + cho_solve(factor, resid)
+        X = X + cho_solve(factor, resid, check_finite=False)
     return X
 
 
@@ -296,6 +285,14 @@ def precompute_task(task, lap, hp):
     n = task.n_samples
     d = task.X.shape[0]
     ab = hp.alpha * hp.beta
+    # LAPACK is called without scipy's finiteness scans of A and its factor,
+    # so the one way A can hold a non-finite entry, alpha beta overflowing,
+    # is checked here, and the factor's diagonal below: Cholesky carries any
+    # non-finite entry of A there, or fails.  alpha beta underflowing to 0
+    # would drop the fitting term, and the W step divides by it
+    if not 0 < ab < math.inf:
+        raise NumericalError(f"alpha * beta = {hp.alpha!r} * {hp.beta!r} "
+                             f"over- or underflows to {ab}")
     L = lap.L
     u = selection_diag(task.labeled_mask, hp.inf_surrogate)
     # alpha beta H + U + L in one n x n allocation, made first so that it
@@ -316,9 +313,11 @@ def precompute_task(task, lap, hp):
                      np.ones((n, 1))])
     del LBY
     try:
-        factor = cho_factor(A.T, lower=True, overwrite_a=True)
+        factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
     except (LinAlgError, ValueError) as exc:
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
+    if not np.isfinite(np.diagonal(factor[0])).all():
+        raise NumericalError("SPD factorization failed: non-finite factor")
     Z = _refined_solve(factor, rhs, lambda X: (ab * (X - X.mean(axis=0))
                                                + u[:, None] * X + L @ X))
     Z_T, z = Z[:, d:-1], Z[:, -1]
@@ -332,7 +331,10 @@ def precompute_task(task, lap, hp):
 
 
 def update_Dl(W, delta):
-    """Row-reweighting diagonal: entry j is 1 / (2 sqrt(||w_j||^2 + delta))."""
+    """Row-reweighting diagonal: entry j is 1 / (2 sqrt(||w_j||^2 + delta)).
+
+    The definitional form; fit reads the same weights off its Score (reweight).
+    """
     W = np.asarray(W, dtype=np.float64)
     return 0.5 / np.sqrt((W * W).sum(axis=1) + delta)
 
@@ -341,11 +343,12 @@ def update_Dtilde(W, delta):
     """Coupling matrix (1/2)(W W' + delta I)^(-1/2), by symmetric eigendecomposition.
 
     Directions outside W's column span get the weight 1/(2 sqrt(delta)).
-    With W = [W_1, ..., W_t] this is the d x d row form, which
-    reweighted_step uses only when d <= sum(c); for d > sum(c) it passes W'
-    instead and gets the sum(c) x sum(c) column form
-    (1/2)(W'W + delta I)^(-1/2), whose null directions are not directions W
-    can move in (see the module docstring).
+    With W = [W_1, ..., W_t] this is the d x d row form, which the W step
+    uses only when d <= sum(c); for d > sum(c), W' gives the
+    sum(c) x sum(c) column form (1/2)(W'W + delta I)^(-1/2), whose null
+    directions are not directions W can move in (see the module docstring).
+    This is the definitional form: fit builds the same matrix from its
+    scorer's SVD (reweight), with no Gram matrix.
     """
     W = np.asarray(W, dtype=np.float64)
     try:
@@ -378,7 +381,8 @@ class JointSystem:
 
     prepare builds one per prepared set, and each W step of every fit that
     uses the set reads it: blocks and widths are the tasks' column slices of
-    the stacked W and their sizes, B the stacked T, floor = CG_RTOL ||B||
+    the stacked W and their sizes, starts the slices' first columns, B the
+    stacked T, floor = CG_RTOL ||B||
     the joint solve's absolute residual floor, diag_R each R_l's diagonal
     for the row split, and row_drop the Frobenius norm of the part of the
     operator the row split drops,
@@ -391,6 +395,7 @@ class JointSystem:
         self.widths = [T_l.shape[1] for T_l in self.T]
         bounds = np.cumsum([0] + self.widths)
         self.blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.starts = bounds[:-1]
         self.B = np.hstack(self.T)
         self.floor = CG_RTOL * np.linalg.norm(self.B)
         self.diag_R = [np.diag(R_l) for R_l in self.R]
@@ -468,16 +473,18 @@ def solve_W_coupled(system, Dl, Dtilde, hp, W0, rtol=0.0):
     where (W Dtilde)_l are task l's columns of the stacked W times Dtilde:
     the minimizer of the reweighted quadratic, an SPD system of size
     d sum(c).  system is the fit's JointSystem, which holds R and T and
-    what the solve derives from them alone; Dl and W0 are per-task lists.
-    Preconditioned conjugate gradients start at W0, the point the weights
-    were built at, and every iterate lowers the quadratic from there, so the
-    step keeps descent however early it stops.  It stops once the residual
-    norm is at most max(CG_RTOL ||T||, rtol ||Res_0||), Res_0 the residual
-    at W0, or at its iteration cap.  With rtol = 0 it solves to the
-    CG_RTOL floor; fit passes a forcing term tied to the objective's
-    progress, so steps far from the fixed point are cheap.  The test is
-    relative to Res_0, so any rtol < 1 takes at least one step unless W0
-    already meets the floor.
+    what the solve derives from them alone; W0 is the stacked d x sum(c)
+    start, and Dl holds one row-weight vector per task (a t x d array, or a
+    list of t vectors).  Preconditioned conjugate gradients start at W0, the
+    point the weights were built at, and every iterate lowers the quadratic
+    from there, so the step keeps descent however early it stops.  It stops
+    once the residual norm is at most max(CG_RTOL ||T||, rtol ||Res_0||),
+    Res_0 the residual at W0, or at its iteration cap.  With rtol = 0 it
+    solves to the CG_RTOL floor; fit passes a forcing term tied to the
+    objective's progress, so steps far from the fixed point are cheap.  The
+    test is relative to Res_0, so any rtol < 1 takes at least one step
+    unless W0 already meets the floor.  The preconditioner is applied once
+    per iteration taken, and never to a residual that meets the stop.
 
     The preconditioner is block Jacobi over one of two partitions of the
     unknowns (Saad, Iterative Methods for Sparse Linear Systems, 2003,
@@ -490,17 +497,22 @@ def solve_W_coupled(system, Dl, Dtilde, hp, W0, rtol=0.0):
     split serves strongly coupled fits, and the task split weakly coupled
     ones and single tasks, where it is exact.
 
-    Returns (W list, CG iterations taken, "task" or "row").
+    Returns (stacked W, CG iterations taken, "task" or "row").
     """
     coef = 1.0 / hp.beta
     cpl = hp.gamma / (hp.alpha * hp.beta)
     blocks = system.blocks
-    diags = [coef * np.asarray(D_l, dtype=np.float64) for D_l in Dl]
+    diags = coef * np.asarray(Dl, dtype=np.float64)
+    # D_l / beta spread over task l's columns, so the diagonal term is one
+    # product over the stacked W
+    diag_cols = np.repeat(diags, system.widths, axis=0).T
 
     def apply(X):
+        RX = np.empty_like(X)
+        for s, R_l in zip(blocks, system.R):
+            np.matmul(R_l, X[:, s], out=RX[:, s])
         out = cpl * (X @ Dtilde)
-        for s, R_l, D_l in zip(blocks, system.R, diags):
-            out[:, s] += R_l @ X[:, s] + D_l[:, None] * X[:, s]
+        out += RX + diag_cols * X
         return out
 
     off_task = Dtilde.copy()
@@ -513,15 +525,20 @@ def solve_W_coupled(system, Dl, Dtilde, hp, W0, rtol=0.0):
         split, solve_precond = "task", _task_split(system, diags, Dtilde, cpl)
 
     B = system.B
-    X = np.hstack(W0)
+    X = W0
     Res = B - apply(X)
     stop = max(system.floor, rtol * np.linalg.norm(Res))
-    Z = solve_precond(Res)
-    P = Z
-    rz = float((Res * Z).sum())
+    P = None
     iterations = 0
     while (iterations < CG_MAX_ITER_PER_COLUMN * B.shape[1]
            and np.linalg.norm(Res) > stop):
+        Z = solve_precond(Res)
+        if P is None:
+            rz = float((Res * Z).sum())
+            P = Z
+        else:
+            rz, rz_old = float((Res * Z).sum()), rz
+            P = Z + (rz / rz_old) * P
         AP = apply(P)
         curv = float((P * AP).sum())
         if not curv > 0:
@@ -529,66 +546,105 @@ def solve_W_coupled(system, Dl, Dtilde, hp, W0, rtol=0.0):
         step = rz / curv
         X = X + step * P
         Res = Res - step * AP
-        Z = solve_precond(Res)
-        rz, rz_old = float((Res * Z).sum()), rz
-        P = Z + (rz / rz_old) * P
         iterations += 1
     if not np.all(np.isfinite(X)):
         raise NumericalError("joint W solve produced non-finite values")
-    return [X[:, s].copy() for s in blocks], iterations, split
+    return X, iterations, split
 
 
-def reweighted_step(W, system, hp, rtol=0.0):
-    """One plain step of the W-map: reweight at W, then minimize the majorizer.
+class Score(NamedTuple):
+    """A scored iterate: its reduced objective, and what weights at it are made of.
 
-    W is a per-task list, and system the fit's JointSystem, which holds R
-    and T.  Returns (new W list, D_l list, Dtilde, CG iterations, split):
-    the last two are solve_W_coupled's, or 0 and None on the direct path.
-    Dtilde is None when gamma is 0.  Otherwise it comes
-    from the smaller Gram matrix of the stacked W: the d x d row form when
-    d <= sum(c), where tasks solve separately with solve_W, else the
-    sum(c) x sum(c) column form, solved jointly by solve_W_coupled
-    warm-started at W, which stops once its residual falls by the factor
-    rtol (see solve_W_coupled).  The direct solve_W path is exact whatever
-    rtol is.
+    rows[l, j] = sqrt(||row j of W_l||^2 + delta), one row per task.  With
+    gamma > 0, sv = sqrt(sigma^2 + delta) over the stacked W's singular
+    values and basis the matching singular vectors: V (sum(c) x sum(c)) when
+    d > sum(c), U (d x d) otherwise; both are None when gamma is 0.
     """
-    Dl = [update_Dl(W_l, hp.delta) for W_l in W]
-    Dtilde = None
-    if hp.gamma != 0:
-        stacked = np.hstack(W)
-        if stacked.shape[0] > stacked.shape[1]:
-            Dtilde = update_Dtilde(stacked.T, hp.delta)
-            W_new, iterations, split = solve_W_coupled(system, Dl, Dtilde, hp, W, rtol)
-            return W_new, Dl, Dtilde, iterations, split
-        Dtilde = update_Dtilde(stacked, hp.delta)
-    return [solve_W(R_l, T_l, D_l, Dtilde, hp)
-            for R_l, T_l, D_l in zip(system.R, system.T, Dl)], Dl, Dtilde, 0, None
+
+    value: float
+    rows: np.ndarray
+    sv: np.ndarray
+    basis: np.ndarray
 
 
-def reduced_objective(W, R, T, hp):
+def reduced_objective(W, system, hp):
     """The objective with F and b at their optimum for W, less a W-free constant.
 
-    Sum over tasks of alpha beta (Tr(W_l'R_lW_l) - 2 Tr(W_l'T_l)) +
-    alpha ||W_l||_{2,1,delta}, plus gamma Tr((WW' + delta I)^(1/2)) over the
-    stacked W.  fit records it, plus the constants from precompute_task, as
-    the objective, and ranks candidate W by it, without any n-sized work.
+    W stacks the columns of the tasks whose caches R and T system (a
+    JointSystem) holds.  The value is the sum over those tasks of
+    alpha beta (Tr(W_l'R_lW_l) - 2 Tr(W_l'T_l)) + alpha ||W_l||_{2,1,delta},
+    plus gamma Tr((WW' + delta I)^(1/2)) over W.  fit records it, plus the
+    constants from precompute_task, as the objective, and ranks candidate W
+    by it, without any n-sized work.  Returns a Score: the l2,1 term is the
+    sum of its row terms, and the trace term is read off a thin SVD of W, so
+    the Score also holds what reweight turns into the next step's weights.
     """
-    ab = hp.alpha * hp.beta
-    total = 0.0
-    for W_l, R_l, T_l in zip(W, R, T):
-        total += ab * float((W_l * (R_l @ W_l - 2.0 * T_l)).sum())
-        total += hp.alpha * norm_l21_smoothed(W_l, hp.delta)
-    if hp.gamma != 0:
-        total += hp.gamma * trace_norm_smoothed(np.hstack(W), hp.delta)
-    return total
+    RW = np.empty_like(W)
+    for s, R_l in zip(system.blocks, system.R):
+        np.matmul(R_l, W[:, s], out=RW[:, s])
+    rows = np.sqrt(np.add.reduceat(W * W, system.starts, axis=1).T + hp.delta)
+    value = (hp.alpha * hp.beta * float((W * (RW - 2.0 * system.B)).sum())
+             + hp.alpha * float(rows.sum()))
+    if hp.gamma == 0:
+        return Score(value, rows, None, None)
+    # LAPACK's divide-and-conquer SVD, which np.linalg.svd also calls,
+    # without numpy's per-call wrapper; info is negative for a NaN in W and
+    # positive when the iteration does not converge
+    U, sigma, Vt, info = dgesdd(W, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise NumericalError(f"singular value decomposition failed (info {info})")
+    sv = np.sqrt(sigma * sigma + hp.delta)
+    # WW' has d - cols zero eigenvalues beyond sigma^2 when d > cols, each
+    # adding sqrt(delta); eigenvalues of a Gram matrix would square sigma
+    # and lose the singular values near sqrt(delta)
+    d, cols = W.shape
+    value += hp.gamma * (float(sv.sum()) + max(d - cols, 0) * math.sqrt(hp.delta))
+    return Score(value, rows, sv, Vt.T if d > cols else U)
+
+
+def reweight(scores):
+    """The weights at a scored iterate: (D_l as a t x d array, Dtilde).
+
+    scores are Scores of consecutive task groups, in task order, which
+    together cover every task.  D_l = 1/(2 rows), as update_Dl gives, and
+    Dtilde = (1/2) basis diag(1/sv) basis', as update_Dtilde gives: the
+    sum(c) x sum(c) column form when d > sum(c), else the d x d row form.
+    Dtilde is None when gamma is 0, and then each group may be one task.
+    """
+    Dl = 0.5 / np.concatenate([sc.rows for sc in scores])
+    basis = scores[0].basis
+    if basis is None:
+        return Dl, None
+    M = (basis * (0.5 / scores[0].sv)) @ basis.T
+    return Dl, 0.5 * (M + M.T)
+
+
+def reweighted_step(W, Dl, Dtilde, system, hp, rtol=0.0):
+    """One plain step of the W-map: minimize the majorizer with weights Dl, Dtilde.
+
+    W is the stacked d x sum(c) iterate the weights were built at (by
+    reweight, or by update_Dl and update_Dtilde), and system the fit's
+    JointSystem, which holds R and T.  Returns (stacked W, CG iterations,
+    split): the last two are solve_W_coupled's, or 0 and None on the direct
+    path.  Dtilde is None when gamma is 0.  A sum(c) x sum(c) Dtilde
+    (d > sum(c)) couples the tasks' columns, so the step is solve_W_coupled
+    warm-started at W, which stops once its residual falls by the factor
+    rtol (see solve_W_coupled).  Otherwise tasks solve separately with
+    solve_W, exactly, whatever rtol is.
+    """
+    if Dtilde is not None and W.shape[0] > W.shape[1]:
+        return solve_W_coupled(system, Dl, Dtilde, hp, W, rtol)
+    return np.hstack([solve_W(R_l, T_l, D_l, Dtilde, hp)
+                      for R_l, T_l, D_l in zip(system.R, system.T, Dl)]), 0, None
 
 
 class Anderson:
     """Safeguarded type-II Anderson acceleration of a fixed-point map.
 
     step(x, gx, score) takes the current iterate x and the plain step
-    gx = g(x), both lists of arrays, and returns the next iterate and its
-    score; gx is scored once, and each extrapolated point it tries once.
+    gx = g(x), both arrays of one shape, and returns the next iterate and
+    its score; score(v) returns a tuple whose first entry is v's objective,
+    and gx is scored once, and each extrapolated point it tries once.
     From the last ANDERSON_MEMORY steps it extrapolates the point whose
     residual g(x) - x the secant model predicts smallest (Zhang, O'Donoghue
     & Boyd, SIAM J. Optim. 2020).  It takes that point, or failing that the
@@ -602,8 +658,9 @@ class Anderson:
         self._g = []
 
     def step(self, x, gx, score):
-        self._x.append(np.concatenate([a.ravel() for a in x]))
-        self._g.append(np.concatenate([a.ravel() for a in gx]))
+        # flatten copies, so no history entry aliases an iterate
+        self._x.append(x.flatten())
+        self._g.append(gx.flatten())
         del self._x[:-ANDERSON_MEMORY - 1], self._g[:-ANDERSON_MEMORY - 1]
         if len(self._g) < 2:
             return gx, score(gx)
@@ -613,13 +670,10 @@ class Anderson:
         direction = -(np.diff(G, axis=1) @ coeffs)
         plain = score(gx)
         if np.all(np.isfinite(direction)):
-            bounds = np.cumsum([0] + [a.size for a in gx])
             for t in ANDERSON_STEPS:
-                flat = G[:, -1] + t * direction
-                cand = [flat[a:b].reshape(g.shape)
-                        for a, b, g in zip(bounds[:-1], bounds[1:], gx)]
+                cand = (G[:, -1] + t * direction).reshape(gx.shape)
                 cand_score = score(cand)
-                if cand_score < plain:
+                if cand_score[0] < plain[0]:
                     return cand, cand_score
         self._x.clear()
         self._g.clear()
@@ -761,24 +815,27 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
     (PreparedTasks.serves): built from this very dataset object, at hp's
     alpha beta, inf_surrogate, k and lam (gamma is free), or ValidationError
     is raised.  The W steps read the set's JointSystem, so fits that share a
-    set share it too.  The initial W_l solve uses unit row weights and an
+    set share it too.  The loop carries W as one d x sum(c) array, task l
+    its column slice.  The initial W_l solve uses unit row weights and an
     identity coupling.  Each reweighting iteration then:
 
-    1. takes the plain step of reweighted_step, which rebuilds D_l and
-       (unless gamma is 0) Dtilde at the current W.  A joint CG W solve
+    1. takes the plain step of reweighted_step, with D_l and (unless gamma
+       is 0) Dtilde from reweight, read off the current W's Score: its row
+       terms and the singular vectors of its thin SVD.  A joint CG W solve
        stops once its residual falls by the forcing term
        min(CG_FORCING_CAP, the last iteration's relative objective change),
        CG_FORCING_CAP at the first iteration: loose far from the fixed
        point, tightening toward rel_tol as the fit converges;
     2. lets Anderson extrapolate from the recent steps, keeping the
        extrapolated W only where reduced_objective rates it below the plain
-       step.  With gamma 0 each task has its own history, so tasks stay
-       decoupled; otherwise all tasks share one.
+       step.  With gamma 0 each task has its own history, over its own
+       columns, so tasks stay decoupled; otherwise all tasks share one.
 
     Every recorded objective is reduced_objective plus the tasks' constants:
     the full objective at W with F and b at their optimum, computed in
     d-space.  Each iterate is scored once, by Anderson (with gamma 0, per
-    task, summed in task order).
+    task, summed in task order), and that Score also gives the weights of
+    the step from it, so no iterate is decomposed twice.
     Stops when its relative change drops below hp.rel_tol or after
     hp.max_iter reweighting iterations, each one plain step whether or not
     the extrapolated W is taken.  The recorded trace is non-increasing.
@@ -787,9 +844,10 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
     solve_b(solve_F(...)) computes in n-space.
 
     callback(iteration, state) is invoked after the initial solve (iteration
-    0) and after each reweighting iteration; state.cg_iterations and
-    state.cg_split then give that iteration's joint CG solve (0 and None on
-    the direct solve_W path).  n_threads goes to prepare.
+    0) and after each reweighting iteration, with state.W the per-task
+    column slices of the current W; state.cg_iterations and state.cg_split
+    then give that iteration's joint CG solve (0 and None on the direct
+    solve_W path).  n_threads goes to prepare.
     """
     if prepared is None:
         prepared = prepare(dataset, hp, n_threads)
@@ -801,64 +859,73 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
         )
     const = sum(prepared.const)
     system = prepared.system
+    blocks = system.blocks
 
     d = dataset.n_features
     state = SolverState(
         W=[],
         R=system.R,
         T=system.T,
-        Dl=[np.ones(d) for _ in dataset.tasks],
+        Dl=np.ones((dataset.n_tasks, d)),
         Dtilde=np.eye(d) if hp.gamma != 0 else None,
     )
+    # (columns, JointSystem) of each group of tasks that is scored, and
+    # accelerated, as one: every task at once, or each task alone when gamma
+    # is 0
+    groups = ([(slice(None), system)] if hp.gamma != 0
+              else [(s, JointSystem([R_l], [T_l]))
+                    for s, R_l, T_l in zip(blocks, system.R, system.T)])
 
-    state.W = [solve_W(R_l, T_l, D_l, state.Dtilde, hp)
-               for R_l, T_l, D_l in zip(state.R, state.T, state.Dl)]
-    obj = reduced_objective(state.W, state.R, state.T, hp) + const
+    def publish(r, W):
+        if callback is not None:
+            state.W = [W[:, s] for s in blocks]
+            callback(r, state)
+
+    W = np.hstack([solve_W(R_l, T_l, D_l, state.Dtilde, hp)
+                   for R_l, T_l, D_l in zip(state.R, state.T, state.Dl)])
+    scores = [reduced_objective(W[:, s], sys_g, hp) for s, sys_g in groups]
+    obj = sum((score.value for score in scores), const)
     if not np.isfinite(obj):
         raise NumericalError("objective is non-finite after initialization")
     state.objective_trace.append(obj)
-    if callback is not None:
-        callback(0, state)
+    publish(0, W)
 
-    groups = ([range(dataset.n_tasks)] if hp.gamma != 0
-              else [[l] for l in range(dataset.n_tasks)])
     accelerators = [Anderson() for _ in groups]
     converged = False
     forcing = CG_FORCING_CAP
     for r in range(1, hp.max_iter + 1):
-        (plain, state.Dl, state.Dtilde, state.cg_iterations,
-         state.cg_split) = reweighted_step(state.W, system, hp, forcing)
-        obj = const
-        for group, accel in zip(groups, accelerators):
-            R_g = [state.R[l] for l in group]
-            T_g = [state.T[l] for l in group]
-            taken, score = accel.step([state.W[l] for l in group],
-                                      [plain[l] for l in group],
-                                      lambda V: reduced_objective(V, R_g, T_g, hp))
-            for l, W_l in zip(group, taken):
-                state.W[l] = W_l
-            obj += score
+        state.Dl, state.Dtilde = reweight(scores)
+        plain, state.cg_iterations, state.cg_split = reweighted_step(
+            W, state.Dl, state.Dtilde, system, hp, forcing)
+        taken, scores = [], []
+        for (s, sys_g), accel in zip(groups, accelerators):
+            W_g, score = accel.step(W[:, s], plain[:, s],
+                                    lambda V: reduced_objective(V, sys_g, hp))
+            taken.append(W_g)
+            scores.append(score)
+        W = np.hstack(taken)
+        obj = sum((score.value for score in scores), const)
         if not np.isfinite(obj):
             raise NumericalError(f"objective is non-finite at iteration {r}")
         prev = state.objective_trace[-1]
         state.objective_trace.append(obj)
         state.iterations = r
-        if callback is not None:
-            callback(r, state)
+        publish(r, W)
         scale = max(abs(prev), np.finfo(float).tiny)
         if abs(prev - obj) < hp.rel_tol * scale:
             converged = True
             break
         forcing = min(CG_FORCING_CAP, abs(prev - obj) / scale)
 
+    W_tasks = tuple(W[:, s].copy() for s in blocks)
     b = [W_l.T @ g_l + h_l
-         for W_l, g_l, h_l in zip(state.W, prepared.g, prepared.h)]
-    scores = tuple(np.sqrt((W * W).sum(axis=1)) for W in state.W)
+         for W_l, g_l, h_l in zip(W_tasks, prepared.g, prepared.h)]
+    feature_scores = tuple(np.sqrt((W_l * W_l).sum(axis=1)) for W_l in W_tasks)
     return SelectionModel(
         task_names=tuple(task.name for task in dataset.tasks),
-        W=tuple(state.W),
+        W=W_tasks,
         b=tuple(b),
-        feature_scores=scores,
+        feature_scores=feature_scores,
         hyperparams=hp,
         objective_trace=tuple(state.objective_trace),
         converged=converged,

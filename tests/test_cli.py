@@ -297,6 +297,19 @@ class TestErrorPaths:
                    str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["1e200", "1e-200"])
+    def test_overflowing_alpha_beta_exit_2(self, synth_dir, tmp_path, capsys, value):
+        # each value is finite and positive, but alpha beta overflows to inf
+        # or underflows to 0; the precompute checks that itself, with no
+        # finiteness scan of A
+        out = tmp_path / "m.json"
+        rc = main(["fit", str(synth_dir / "manifest.json"), "--out", str(out),
+                   "--alpha", value, "--beta", value])
+        assert rc == 2
+        assert "over- or underflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_graphs_exit_1(self, synth_dir, tmp_path, monkeypatch):
         from dataclasses import replace
         from sfmc.solver import build_graphs, fit, prepare

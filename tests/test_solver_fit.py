@@ -11,7 +11,7 @@ from sfmc import graph, solver
 from sfmc.graph import build_task_laplacian
 from sfmc.solver import (Anderson, Hyperparams, JointSystem, build_graphs, fit,
                          load_selection_model, precompute_task, prepare,
-                         reduced_objective, reweighted_step, solve_W,
+                         reduced_objective, reweight, reweighted_step, solve_W,
                          update_Dl, update_Dtilde)
 from helpers import (analytic_full_gradient, central_diff_grad, descent_minimize,
                      full_objective_oracle, lbfgs_minimize, make_dataset,
@@ -159,23 +159,96 @@ class TestFitBasics:
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_each_iterate_scored_once(self, monkeypatch, gamma):
-        # Anderson hands fit the score of the point it takes, so no point is
-        # passed to reduced_objective twice
+        # Anderson hands fit the Score of the point it takes, and the next
+        # step's weights come from it, so no point is passed to
+        # reduced_objective twice.  Scored points are stacked column groups:
+        # every task at once, or one task at a time when gamma is 0
         ds = make_dataset(np.random.default_rng(2), t=2, d=10, n=15, c=2)
         hp = Hyperparams(gamma=gamma, k=5)
         expected = fit(ds, hp)
         scored = []
         inner = solver.reduced_objective
 
-        def recording(W, R, T, hp):
-            scored.append(b"".join(W_l.tobytes() for W_l in W))
-            return inner(W, R, T, hp)
+        def recording(W, system, hp):
+            assert W.shape == (10, 2 * len(system.R))
+            scored.append((len(system.R), W.tobytes()))
+            return inner(W, system, hp)
 
         monkeypatch.setattr(solver, "reduced_objective", recording)
         model = fit(ds, hp)
         assert model.iterations >= 3
         assert len(set(scored)) == len(scored)
+        assert {n for n, _ in scored} == ({2} if gamma else {1})
         assert model.to_json_dict() == expected.to_json_dict()
+
+    @pytest.mark.parametrize("gamma, d, c", [(0.5, 8, 2), (0.5, 3, 2), (0.0, 6, 2)],
+                             ids=["d>sum(c)", "d<=sum(c)", "gamma0"])
+    def test_weights_are_those_of_the_iterate_taken(self, gamma, d, c):
+        # each step's D_l and Dtilde come from the Score of the iterate the
+        # last step took; they match update_Dl and update_Dtilde at that
+        # iterate: the sum(c) x sum(c) column form when d > sum(c), else the
+        # d x d row form, and no Dtilde at gamma 0
+        ds = make_dataset(np.random.default_rng(12), t=2, d=d, n=12, c=c)
+        hp = Hyperparams(gamma=gamma, k=4, max_iter=12, rel_tol=0.0)
+        seen = []
+
+        def record(r, state):
+            Dt = None if state.Dtilde is None else state.Dtilde.copy()
+            seen.append(([W.copy() for W in state.W], np.array(state.Dl), Dt))
+
+        fit(ds, hp, callback=record)
+        assert len(seen) == hp.max_iter + 1
+        for (W, _, _), (_, Dl, Dt) in zip(seen, seen[1:]):
+            for W_l, D_l in zip(W, Dl):
+                expected = update_Dl(W_l, hp.delta)
+                assert np.linalg.norm(D_l - expected) <= 1e-12 * np.linalg.norm(expected)
+            if gamma == 0:
+                assert Dt is None
+                continue
+            stacked = np.hstack(W)
+            expected = update_Dtilde(stacked.T if d > 2 * c else stacked, hp.delta)
+            assert Dt.shape == expected.shape == ((2 * c,) * 2 if d > 2 * c else (d, d))
+            assert np.linalg.norm(Dt - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_svd_failure_is_numerical_error(self, monkeypatch):
+        # LAPACK reports an SVD that does not converge by a positive info
+        inner = solver.dgesdd
+
+        def fails(*args, **kwargs):
+            return inner(*args, **kwargs)[:3] + (1,)
+
+        monkeypatch.setattr(solver, "dgesdd", fails)
+        ds = make_dataset(np.random.default_rng(2), t=2, d=6, n=12, c=2)
+        with pytest.raises(solver.NumericalError, match="singular value decomposition"):
+            fit(ds, Hyperparams(k=4))
+
+    @pytest.mark.parametrize("d", [8, 3])
+    def test_no_gram_eigh_after_initial_solve(self, monkeypatch, d):
+        # the loop reweights from its scorer's SVD: fit calls neither
+        # update_Dl nor update_Dtilde, and after iteration 0 the only
+        # eigendecompositions are the task split's, of Dtilde's c_l x c_l
+        # diagonal blocks, never of a Gram matrix of W
+        def forbidden(*args):
+            raise AssertionError("fit rebuilt the weights by eigendecomposition")
+
+        monkeypatch.setattr(solver, "update_Dl", forbidden)
+        monkeypatch.setattr(solver, "update_Dtilde", forbidden)
+        shapes = []
+        inner = np.linalg.eigh
+
+        def recording(M, *args, **kwargs):
+            if shapes and shapes[0] == "loop":
+                shapes.append(M.shape)
+            return inner(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        ds = make_dataset(np.random.default_rng(2), t=3, d=d, n=15, c=2)
+        model = fit(ds, Hyperparams(k=5, max_iter=8),
+                    callback=lambda r, s: shapes.append("loop") if r == 0 else None)
+        assert model.iterations >= 3 and shapes[0] == "loop"
+        assert set(shapes[1:]) <= {(2, 2)}
+        if d > 6:
+            assert len(shapes) > 1
 
     def test_supplied_graphs_match_built_ones(self):
         rng = np.random.default_rng(8)
@@ -321,12 +394,14 @@ class TestFitBasics:
 class TestGammaZeroDecoupling:
     def test_matches_manual_loop_without_coupling(self, monkeypatch):
         # gamma = 0 must reproduce a reweighting loop that never builds the
-        # shared coupling matrix at all: building it here raises, and the
-        # reference loop takes fit's public steps, which return no coupling
-        def no_coupling(*args):
+        # shared coupling matrix at all: building it, or taking the SVD it
+        # is made from, raises here, and the reference loop takes fit's
+        # public steps, which return no coupling
+        def no_coupling(*args, **kwargs):
             raise AssertionError("the gamma = 0 path built the coupling matrix")
 
         monkeypatch.setattr(solver, "update_Dtilde", no_coupling)
+        monkeypatch.setattr(solver, "dgesdd", no_coupling)
         rng = np.random.default_rng(4)
         ds = make_dataset(rng, t=1, d=5, n=9, c=2)
         hp = Hyperparams(gamma=0.0, k=4, max_iter=20, rel_tol=0.0)
@@ -337,15 +412,19 @@ class TestGammaZeroDecoupling:
         task = ds.tasks[0]
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
         _, R, T, *_ = precompute_task(task, lap, hp)
-        W = [solve_W(R, T, np.ones(5), None, hp)]
-        np.testing.assert_allclose(history[0], W[0], atol=1e-10)
-        accel = Anderson()
+        W = solve_W(R, T, np.ones(5), None, hp)
+        np.testing.assert_allclose(history[0], W, atol=1e-10)
         system = JointSystem([R], [T])
+        score = reduced_objective(W, system, hp)
+        assert score.sv is None and score.basis is None
+        accel = Anderson()
         for r in range(1, hp.max_iter + 1):
-            plain, _, coupling, cg_iterations, split = reweighted_step(W, system, hp)
-            assert coupling is None and cg_iterations == 0 and split is None
-            W, _ = accel.step(W, plain, lambda V: reduced_objective(V, [R], [T], hp))
-            np.testing.assert_allclose(history[r], W[0], atol=1e-10)
+            Dl, coupling = reweight([score])
+            assert coupling is None
+            plain, cg_iterations, split = reweighted_step(W, Dl, coupling, system, hp)
+            assert cg_iterations == 0 and split is None
+            W, score = accel.step(W, plain, lambda V: reduced_objective(V, system, hp))
+            np.testing.assert_allclose(history[r], W, atol=1e-10)
         np.testing.assert_array_equal(model.W[0], history[-1])
 
     def test_joint_fit_equals_separate_single_task_fits(self):

@@ -5,30 +5,35 @@ import pytest
 import scipy.linalg
 from scipy.sparse import csr_array
 
+from sfmc import solver
 from sfmc.dataset import TaskData, ValidationError
 from sfmc.graph import build_task_laplacian
 from sfmc.solver import (CG_RTOL, Hyperparams, JointSystem, NumericalError,
-                         _row_split, fit, norm_l21_smoothed, precompute_task,
+                         _row_split, fit, precompute_task, reduced_objective,
                          selection_diag, solve_F, solve_W, solve_W_coupled,
-                         solve_b, trace_norm_smoothed, update_Dl, update_Dtilde)
+                         solve_b, update_Dl, update_Dtilde)
 from helpers import (central_diff_grad, centering_oracle, make_dataset, make_task,
                      selection_diag_oracle, smoothed_l21_oracle,
                      smoothed_trace_norm_oracle, solve_Fb_oracle)
+
+
+def _penalty_terms(M, delta):
+    """(l2,1 term, trace term) of M as reduced_objective scores them."""
+    d, c = M.shape
+    hp = Hyperparams(alpha=1.0, beta=1.0, gamma=1.0, delta=delta)
+    score = reduced_objective(M, JointSystem([np.zeros((d, d))], [np.zeros((d, c))]), hp)
+    l21 = float(score.rows.sum())
+    return l21, score.value - l21
 
 
 class TestNorms:
     def test_smoothed_variants_match_oracles(self):
         rng = np.random.default_rng(1)
         M = rng.standard_normal((5, 3))
-        assert norm_l21_smoothed(M, 1e-6) == pytest.approx(
-            smoothed_l21_oracle(M, 1e-6), rel=1e-12
-        )
-        assert trace_norm_smoothed(M, 1e-6) == pytest.approx(
-            smoothed_trace_norm_oracle(M, 1e-6), rel=1e-10
-        )
-        assert trace_norm_smoothed(M.T, 1e-6) == pytest.approx(
-            smoothed_trace_norm_oracle(M.T, 1e-6), rel=1e-10
-        )
+        for A in (M, M.T):
+            l21, trace = _penalty_terms(A, 1e-6)
+            assert l21 == pytest.approx(smoothed_l21_oracle(A, 1e-6), rel=1e-12)
+            assert trace == pytest.approx(smoothed_trace_norm_oracle(A, 1e-6), rel=1e-10)
 
     def test_trace_norm_accurate_near_delta_floor(self):
         # singular values at and below sqrt(delta), as in a fit whose stacked
@@ -41,9 +46,9 @@ class TestNorms:
         V = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
         W = (Q * sv) @ V.T
         core = np.sqrt(sv**2 + delta).sum()
-        assert abs(trace_norm_smoothed(W, delta)
+        assert abs(_penalty_terms(W, delta)[1]
                    - (core + (d - cols) * np.sqrt(delta))) <= 1e-14
-        assert abs(trace_norm_smoothed(W.T, delta) - core) <= 1e-14
+        assert abs(_penalty_terms(W.T, delta)[1] - core) <= 1e-14
 
 
 class TestSelectionDiag:
@@ -97,6 +102,26 @@ class TestPrecomputeTask:
         X = scipy.linalg.cho_solve(factor, np.eye(n))
         H = centering_oracle(n)
         np.testing.assert_allclose((H + np.eye(n)) @ X, np.eye(n), atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_system_raises(self):
+        # precompute_task skips scipy's finiteness scans of A and its
+        # factor, so a non-finite A must still fail as a numerical error:
+        # alpha beta overflowing to inf, or an entry LAPACK carries into the
+        # factor's diagonal
+        task = make_task(np.random.default_rng(3), 4, 6, 2)
+
+        class Lap:
+            L = csr_array((6, 6))
+
+        with pytest.raises(NumericalError, match="over- or underflows"):
+            precompute_task(task, Lap(), Hyperparams(alpha=1e200, beta=1e200, k=3))
+
+        class InfLap:
+            L = csr_array(np.diag([np.inf] + [0.0] * 5))
+
+        with pytest.raises(NumericalError, match="non-finite factor"):
+            precompute_task(task, InfLap(), Hyperparams(k=3))
 
     def test_r_symmetric_psd(self):
         rng = np.random.default_rng(4)
@@ -336,7 +361,7 @@ def _joint_instances():
         W_now = rng.standard_normal((d, sum(widths)))
         Dt = update_Dtilde(W_now.T, hp.delta)
         big = _joint_operator(R, Dl, Dt, hp, widths)
-        W0 = np.split(rng.standard_normal((d, sum(widths))), [widths[0]], axis=1)
+        W0 = rng.standard_normal((d, sum(widths)))
         yield hp, R, T, Dl, Dt, W0, big, np.hstack(T).T.ravel()
 
 
@@ -361,7 +386,7 @@ class TestSolveWCoupled:
             W, _, split = solve_W_coupled(JointSystem(R, T), Dl, Dt, hp, W0)
             assert split == _split_rule(R, T, Dt, hp)
             splits.append(split)
-            np.testing.assert_allclose(np.hstack(W), expected, rtol=0,
+            np.testing.assert_allclose(W, expected, rtol=0,
                                        atol=1e-8 * np.abs(expected).max())
         assert splits == ["task"] * 5 + ["row"]
 
@@ -382,8 +407,7 @@ class TestSolveWCoupled:
                 W_fresh, it_fresh, split_fresh = solve_W_coupled(
                     JointSystem(R, T), D_l, D_t, hp, W0, rtol=1e-2)
                 assert (iterations, split) == (it_fresh, split_fresh)
-                for W_l, W_fresh_l in zip(W, W_fresh):
-                    np.testing.assert_array_equal(W_l, W_fresh_l)
+                np.testing.assert_array_equal(W, W_fresh)
 
     def test_row_split_inverts_operator_with_diagonal_r(self):
         # the row split's preconditioner is the inverse of the joint operator
@@ -414,7 +438,41 @@ class TestSolveWCoupled:
         assert _split_rule(R, T, Dt, hp) == "row"
         with pytest.raises(NumericalError, match="preconditioner factorization"):
             solve_W_coupled(JointSystem(R, T), Dl, Dt, hp,
-                            [np.zeros((d, c)) for c in widths])
+                            np.zeros((d, sum(widths))))
+
+    def test_preconditioner_applied_once_per_iteration(self, monkeypatch):
+        # each CG iteration applies the preconditioner once, to the residual
+        # it steps from; a residual that meets the stop is never
+        # preconditioned.  Counted by wrapping each split's solve
+        applied = []
+
+        def counting(make_split):
+            def wrapper(*args):
+                solve = make_split(*args)
+
+                def counted(Res):
+                    applied[-1] += 1
+                    return solve(Res)
+
+                return counted
+
+            return wrapper
+
+        monkeypatch.setattr(solver, "_task_split", counting(solver._task_split))
+        monkeypatch.setattr(solver, "_row_split", counting(solver._row_split))
+        splits = set()
+        for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
+            d = R[0].shape[0]
+            exact = np.linalg.solve(big, rhs).reshape(-1, d).T
+            for start in (W0, exact):
+                for rtol in (0.0, 1e-2):
+                    applied.append(0)
+                    _, iterations, split = solve_W_coupled(JointSystem(R, T), Dl, Dt, hp,
+                                                           start, rtol=rtol)
+                    assert applied[-1] == iterations
+                    splits.add(split)
+        assert splits == {"task", "row"}
+        assert 0 in applied and max(applied) > 1
 
     def test_forcing_term_contract(self):
         # a relative stop: the residual falls by the factor rtol from the one
@@ -425,17 +483,17 @@ class TestSolveWCoupled:
         rng = np.random.default_rng(16)
 
         def resid(W):
-            return np.linalg.norm(rhs - big @ np.hstack(W).T.ravel())
+            return np.linalg.norm(rhs - big @ W.T.ravel())
 
         def majorizer(W):
-            w = np.hstack(W).T.ravel()
+            w = W.T.ravel()
             return 0.5 * w @ big @ w - w @ rhs
 
         for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
             d = R[0].shape[0]
             exact = np.linalg.solve(big, rhs).reshape(-1, d).T
             near = exact + 1e-4 * np.abs(exact).max() * rng.standard_normal(exact.shape)
-            for start in (W0, np.split(near, [T[0].shape[1]], axis=1)):
+            for start in (W0, near):
                 for rtol in (1e-1, 1e-2, 1e-4):
                     W, _, _ = solve_W_coupled(JointSystem(R, T), Dl, Dt, hp, start,
                                               rtol=rtol)
