@@ -13,9 +13,8 @@ lowers the objective further.  The loop carries W as one d x sum(c) array,
 task l its column slice, and the weights cost no extra decomposition:
 scoring an iterate takes its row norms and a thin SVD W = U S V', which
 give both the objective's l2,1 and trace terms and the next step's D_l and
-Dtilde.  Every quantity is delta-smoothed so the
-updates are defined for zero rows, and the recorded objective decreases
-monotonically.
+Dtilde.  Every quantity is delta-smoothed so the updates are defined for
+zero rows, and the recorded objective decreases monotonically.
 
 The propagated labels F and biases b have a closed form for any W, and the
 W step reads only the per-task d x d and d x c caches R and T, so the loop
@@ -25,7 +24,7 @@ computed once by precompute_task.  The optimal b is affine in W, b = W'g + h,
 with g and h read off A^-1 1 in the same precomputation, so no task keeps
 an n-sized array past it and F is never formed.
 
-Dtilde is built from the smaller of the two Gram matrices of W.  The d x d
+Dtilde takes the smaller of its two forms, row and column.  The d x d
 form (1/2)(WW' + delta I)^(-1/2) puts the weight 1/(2 sqrt(delta)) on every
 direction outside W's column span; when d > sum(c) there are d - sum(c) such
 directions, which the objective does not charge (W has at most sum(c)
@@ -141,15 +140,13 @@ class Hyperparams:
 
 @dataclass
 class SolverState:
-    """Working state of one fit: per-task d-space blocks plus the shared coupling.
+    """Working state of one fit: the current W, the last step's weights, the trace.
 
     W holds each task's columns of the current stacked iterate (set before
     each callback), and Dl the row weights of the last step, one row per task.
     """
 
     W: list
-    R: list
-    T: list
     Dl: np.ndarray
     Dtilde: np.ndarray
     objective_trace: list = field(default_factory=list)
@@ -260,10 +257,9 @@ def _spd_solve(A, B):
 
 
 def precompute_task(task, lap, hp):
-    """Per-task caches for the alternating updates: (factor, R, T, const, g, h).
+    """Per-task caches for the alternating updates: (R, T, const, g, h).
 
-    factor is the Cholesky factor of A = alpha beta H + U + L, in the form
-    scipy.linalg.cho_solve takes, for solve_F.  With B = H X',
+    With A = alpha beta H + U + L and B = H X',
     R = X H (I - alpha beta A^-1) H X' and T = X H A^-1 U Y.  The inverse of
     A is never formed: one solve A Z = [(U + L) B, U Y, 1] with d + c + 1
     right-hand sides gives R = B'Z_R, the cancellation-free form of R that
@@ -278,9 +274,10 @@ def precompute_task(task, lap, hp):
     formed: U acts as its diagonal u, and H as a subtraction of column
     means.  lap.L is the sparse CSR Laplacian of build_task_laplacian; it is
     applied sparsely, in two products (L [B, Y] for the right-hand side and
-    const, and L Z), and densified only into A, which is factored in place,
-    so its factor is the only n x n array built here.  The refinement
-    residual applies A as alpha beta (Z - colmean Z) + u Z + L Z.
+    const, and L Z), and densified only into A, which is Cholesky-factored
+    in place, so its factor is the only n x n array built here, and it dies
+    when the call returns.  The refinement residual applies A as
+    alpha beta (Z - colmean Z) + u Z + L Z.
     """
     n = task.n_samples
     d = task.X.shape[0]
@@ -327,37 +324,7 @@ def precompute_task(task, lap, hp):
     const = float((Z_T * HLY).sum())
     g = (ab / n) * (B.T @ z) - xbar
     h = task.Y.T @ (u * z) / n
-    return factor, R, T, const, g, h
-
-
-def update_Dl(W, delta):
-    """Row-reweighting diagonal: entry j is 1 / (2 sqrt(||w_j||^2 + delta)).
-
-    The definitional form; fit reads the same weights off its Score (reweight).
-    """
-    W = np.asarray(W, dtype=np.float64)
-    return 0.5 / np.sqrt((W * W).sum(axis=1) + delta)
-
-
-def update_Dtilde(W, delta):
-    """Coupling matrix (1/2)(W W' + delta I)^(-1/2), by symmetric eigendecomposition.
-
-    Directions outside W's column span get the weight 1/(2 sqrt(delta)).
-    With W = [W_1, ..., W_t] this is the d x d row form, which the W step
-    uses only when d <= sum(c); for d > sum(c), W' gives the
-    sum(c) x sum(c) column form (1/2)(W'W + delta I)^(-1/2), whose null
-    directions are not directions W can move in (see the module docstring).
-    This is the definitional form: fit builds the same matrix from its
-    scorer's SVD (reweight), with no Gram matrix.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    try:
-        evals, evecs = np.linalg.eigh(W @ W.T)
-    except LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    evals = np.clip(evals, 0.0, None) + delta
-    M = (evecs * (0.5 / np.sqrt(evals))) @ evecs.T
-    return 0.5 * (M + M.T)
+    return R, T, const, g, h
 
 
 def solve_W(R, T, Dl, Dtilde, hp):
@@ -606,10 +573,12 @@ def reweight(scores):
     """The weights at a scored iterate: (D_l as a t x d array, Dtilde).
 
     scores are Scores of consecutive task groups, in task order, which
-    together cover every task.  D_l = 1/(2 rows), as update_Dl gives, and
-    Dtilde = (1/2) basis diag(1/sv) basis', as update_Dtilde gives: the
-    sum(c) x sum(c) column form when d > sum(c), else the d x d row form.
-    Dtilde is None when gamma is 0, and then each group may be one task.
+    together cover every task.  D_l = 1/(2 rows): entry j is
+    1 / (2 sqrt(||w_j||^2 + delta)).  Dtilde = (1/2) basis diag(1/sv) basis',
+    read off the SVD with no Gram matrix formed: the sum(c) x sum(c) column
+    form (1/2)(W'W + delta I)^(-1/2) when d > sum(c), else the d x d row form
+    (1/2)(WW' + delta I)^(-1/2).  Dtilde is None when gamma is 0, and then
+    each group may be one task.
     """
     Dl = 0.5 / np.concatenate([sc.rows for sc in scores])
     basis = scores[0].basis
@@ -623,14 +592,14 @@ def reweighted_step(W, Dl, Dtilde, system, hp, rtol=0.0):
     """One plain step of the W-map: minimize the majorizer with weights Dl, Dtilde.
 
     W is the stacked d x sum(c) iterate the weights were built at (by
-    reweight, or by update_Dl and update_Dtilde), and system the fit's
-    JointSystem, which holds R and T.  Returns (stacked W, CG iterations,
-    split): the last two are solve_W_coupled's, or 0 and None on the direct
-    path.  Dtilde is None when gamma is 0.  A sum(c) x sum(c) Dtilde
-    (d > sum(c)) couples the tasks' columns, so the step is solve_W_coupled
-    warm-started at W, which stops once its residual falls by the factor
-    rtol (see solve_W_coupled).  Otherwise tasks solve separately with
-    solve_W, exactly, whatever rtol is.
+    reweight), and system the fit's JointSystem, which holds R and T.
+    Returns (stacked W, CG iterations, split): the last two are
+    solve_W_coupled's, or 0 and None on the direct path.  Dtilde is None
+    when gamma is 0.  A sum(c) x sum(c) Dtilde (d > sum(c)) couples the
+    tasks' columns, so the step is solve_W_coupled warm-started at W, which
+    stops once its residual falls by the factor rtol (see solve_W_coupled).
+    Otherwise tasks solve separately with solve_W, exactly, whatever rtol
+    is.
     """
     if Dtilde is not None and W.shape[0] > W.shape[1]:
         return solve_W_coupled(system, Dl, Dtilde, hp, W, rtol)
@@ -680,26 +649,10 @@ class Anderson:
         return gx, plain
 
 
-def solve_F(task, W, hp, factor):
-    """Propagated labels: F = (alpha beta H + U + L)^-1 (alpha beta H X'W + U Y).
-
-    factor is precompute_task's Cholesky factor of alpha beta H + U + L.
-    fit never forms F: solve_b(solve_F(...)) is the n-space closed form of
-    the bias that precompute_task's g and h give as W'g + h.
-    """
-    XW = task.X.T @ W
-    u = selection_diag(task.labeled_mask, hp.inf_surrogate)
-    Q = hp.alpha * hp.beta * (XW - XW.mean(axis=0)) + u[:, None] * task.Y
-    return cho_solve(factor, Q)
-
-
-def solve_b(F, X, W):
-    """Bias: the mean over samples of F - X'W."""
-    return np.asarray(F - X.T @ W).mean(axis=0)
-
-
 def _map_tasks(fn, items, n_threads):
     """[fn(item) for item in items]; n_threads > 1 runs them on a thread pool."""
+    if n_threads < 1:
+        raise ValidationError(f"thread count must be at least 1, got {n_threads}")
     items = list(items)
     if n_threads > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -761,13 +714,11 @@ def prepare(dataset, hp, n_threads=1, graphs=None):
 
     Per task it takes the graph Laplacian from graphs (as build_graphs
     returns them) and keeps, from precompute_task, the caches R and T, the
-    W-free objective constant and the bias caches g and h; the Cholesky
-    factor of alpha beta H + U + L is dropped as soon as the task's
-    precompute call returns.  When graphs is None, each task's Laplacian is
-    built in that task's precompute call and dropped after it too, so a
-    single-thread call holds one n x n array at a time (X'X in the graph
-    build, then A; L is sparse), and allocates nothing n-sized that it
-    returns.  A supplied graph must have been built from its task's own X
+    W-free objective constant and the bias caches g and h.  When graphs is
+    None, each task's Laplacian is built in that task's precompute call and
+    dropped after it, so a single-thread call holds one n x n array at a
+    time (X'X in the graph build, then A; L is sparse), and allocates
+    nothing n-sized that it returns.  A supplied graph must have been built from its task's own X
     array (lap.X is task.X) at hp.k and hp.lam, or ValidationError is
     raised.  The fits' JointSystem is built here, once, from R and T.  gamma
     is not read, and alpha and beta only through their product.  n_threads
@@ -795,8 +746,7 @@ def prepare(dataset, hp, n_threads=1, graphs=None):
         task = dataset.tasks[l]
         lap = (graphs[l] if graphs is not None
                else build_task_laplacian(task.X, hp.k, hp.lam))
-        # the factor is dropped here: b comes from the d-space caches g and h
-        return precompute_task(task, lap, hp)[1:]
+        return precompute_task(task, lap, hp)
 
     R, T, const, g, h = zip(*_map_tasks(caches, range(dataset.n_tasks), n_threads))
     for a in R + T + g + h:
@@ -840,8 +790,7 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
     hp.max_iter reweighting iterations, each one plain step whether or not
     the extrapolated W is taken.  The recorded trace is non-increasing.
     state.Dtilde and state.Dl hold the weights the last step used.  The
-    bias of the final W is b_l = W_l'g_l + h_l, the closed form that
-    solve_b(solve_F(...)) computes in n-space.
+    bias of the final W is b_l = W_l'g_l + h_l.
 
     callback(iteration, state) is invoked after the initial solve (iteration
     0) and after each reweighting iteration, with state.W the per-task
@@ -864,8 +813,6 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
     d = dataset.n_features
     state = SolverState(
         W=[],
-        R=system.R,
-        T=system.T,
         Dl=np.ones((dataset.n_tasks, d)),
         Dtilde=np.eye(d) if hp.gamma != 0 else None,
     )
@@ -882,7 +829,7 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
             callback(r, state)
 
     W = np.hstack([solve_W(R_l, T_l, D_l, state.Dtilde, hp)
-                   for R_l, T_l, D_l in zip(state.R, state.T, state.Dl)])
+                   for R_l, T_l, D_l in zip(system.R, system.T, state.Dl)])
     scores = [reduced_objective(W[:, s], sys_g, hp) for s, sys_g in groups]
     obj = sum((score.value for score in scores), const)
     if not np.isfinite(obj):

@@ -148,6 +148,25 @@ def smoothed_trace_norm_oracle(W, delta):
     return float(np.sqrt(padded**2 + delta).sum())
 
 
+def update_Dl_oracle(W, delta):
+    """Row-reweighting diagonal: entry j is 1 / (2 sqrt(||w_j||^2 + delta))."""
+    W = np.asarray(W, dtype=float)
+    return 0.5 / np.sqrt((W * W).sum(axis=1) + delta)
+
+
+def update_Dtilde_oracle(W, delta):
+    """Coupling matrix (1/2)(WW' + delta I)^(-1/2), by eigendecomposition of WW'.
+
+    Directions outside W's column span get the weight 1/(2 sqrt(delta)).
+    For a stacked W this is the d x d row form; W' gives the
+    sum(c) x sum(c) column form (1/2)(W'W + delta I)^(-1/2).
+    """
+    W = np.asarray(W, dtype=float)
+    evals, evecs = np.linalg.eigh(W @ W.T)
+    M = (evecs * (0.5 / np.sqrt(np.clip(evals, 0.0, None) + delta))) @ evecs.T
+    return 0.5 * (M + M.T)
+
+
 def selection_diag_oracle(mask, surrogate):
     vals = [surrogate if m else 1.0 for m in mask]
     return np.diag(np.asarray(vals, dtype=float))
@@ -205,8 +224,8 @@ def reduced_gradient_oracle(W_stack, R_list, T_list, col_splits, hp):
         grads.append(g)
     g_stack = np.hstack(grads)
     if hp.gamma != 0:
-        evals, evecs = np.linalg.eigh(W_stack @ W_stack.T)
-        inv_sqrt = (evecs / np.sqrt(np.clip(evals, 0.0, None) + hp.delta)) @ evecs.T
+        # (WW' + delta I)^(-1/2) W, the gradient of the smoothed trace norm
+        inv_sqrt = 2.0 * update_Dtilde_oracle(W_stack, hp.delta)
         g_stack = g_stack + hp.gamma * inv_sqrt @ W_stack
     return g_stack
 
@@ -267,8 +286,7 @@ def analytic_full_gradient(tasks, Ls, Us, hp, W_list, F_list, b_list):
     """Gradient of the full smoothed objective w.r.t. every W_l, F_l, b_l."""
     W_stack = np.hstack(W_list)
     if hp.gamma != 0:
-        evals, evecs = np.linalg.eigh(W_stack @ W_stack.T)
-        inv_sqrt = (evecs / np.sqrt(np.clip(evals, 0.0, None) + hp.delta)) @ evecs.T
+        trace_grad = 2.0 * update_Dtilde_oracle(W_stack, hp.delta) @ W_stack
     gW, gF, gb = [], [], []
     col = 0
     for task, L, U, W, F, b in zip(tasks, Ls, Us, W_list, F_list, b_list):
@@ -278,7 +296,7 @@ def analytic_full_gradient(tasks, Ls, Us, hp, W_list, F_list, b_list):
         rown = np.sqrt((W * W).sum(axis=1) + hp.delta)
         g += hp.alpha * W / rown[:, None]
         if hp.gamma != 0:
-            g += hp.gamma * (inv_sqrt @ W_stack)[:, col : col + W.shape[1]]
+            g += hp.gamma * trace_grad[:, col : col + W.shape[1]]
         gW.append(g)
         gF.append(
             2.0 * U @ (F - task.Y) + 2.0 * L @ F - 2.0 * hp.alpha * hp.beta * resid

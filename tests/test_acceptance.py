@@ -13,15 +13,15 @@ from sfmc.cli import main
 from sfmc.dataset import SynthConfig, generate_synthetic
 from sfmc.graph import build_task_laplacian, knn_cliques
 from sfmc.select_eval import average_precision, run_experiment
-from sfmc.solver import (Hyperparams, fit, precompute_task, solve_F, solve_W,
-                         solve_b, update_Dl, update_Dtilde)
+from sfmc.solver import (Hyperparams, JointSystem, fit, precompute_task,
+                         reduced_objective, solve_W)
 from helpers import (average_precision_oracle, central_diff_grad,
                      dense_laplacian_oracle, full_objective_oracle,
                      lbfgs_minimize, make_dataset, make_random_instance,
                      make_task, reduced_gradient_oracle,
                      reduced_objective_oracle, selection_diag_oracle,
                      smoothed_l21_oracle, smoothed_trace_norm_oracle,
-                     solve_Fb_oracle)
+                     solve_Fb_oracle, update_Dl_oracle, update_Dtilde_oracle)
 
 SUITE_SEED = 0
 SUITE_SIZE = 100
@@ -88,8 +88,8 @@ def test_3_oracle_equivalence():
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
         Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
         caches = [precompute_task(t, lap, hp) for t, lap in zip(ds.tasks, laps)]
-        R_list = [c[1] for c in caches]
-        T_list = [c[2] for c in caches]
+        R_list = [c[0] for c in caches]
+        T_list = [c[1] for c in caches]
         cols = np.cumsum([t.n_classes for t in ds.tasks])[:-1]
 
         def f(Wx):
@@ -122,7 +122,7 @@ def test_3_oracle_equivalence():
 
 def test_4_closed_form_correctness():
     rng = np.random.default_rng(40)
-    worst = {"W_resid": 0.0, "W_grad": 0.0, "F_resid": 0.0, "F_grad": 0.0,
+    worst = {"W_resid": 0.0, "W_grad": 0.0, "F_obj": 0.0, "F_grad": 0.0,
              "b_grad": 0.0}
 
     # solve_W residuals under grid-wide scaling
@@ -136,8 +136,8 @@ def test_4_closed_form_correctness():
         hp_wide = Hyperparams(alpha=float(rng.choice(grid)),
                               beta=float(rng.choice(grid)),
                               gamma=float(rng.choice(grid)))
-        Dl = update_Dl(rng.standard_normal((d, c)), hp_wide.delta)
-        Dt = update_Dtilde(rng.standard_normal((d, c)), hp_wide.delta)
+        Dl = update_Dl_oracle(rng.standard_normal((d, c)), hp_wide.delta)
+        Dt = update_Dtilde_oracle(rng.standard_normal((d, c)), hp_wide.delta)
         W = solve_W(R, T, Dl, Dt, hp_wide)
         S = R + np.diag(Dl / hp_wide.beta)
         S = S + hp_wide.gamma / (hp_wide.alpha * hp_wide.beta) * Dt
@@ -163,8 +163,8 @@ def test_4_closed_form_correctness():
         W = solve_W(R, T, np.ones(d), np.eye(d), hp)
         converged = False
         for _it in range(3000):
-            W_new = solve_W(R, T, update_Dl(W, hp.delta),
-                            update_Dtilde(W, hp.delta), hp)
+            W_new = solve_W(R, T, update_Dl_oracle(W, hp.delta),
+                            update_Dtilde_oracle(W, hp.delta), hp)
             if np.linalg.norm(W_new - W) <= 1e-10 * (1 + np.linalg.norm(W)):
                 W = W_new
                 converged = True
@@ -188,7 +188,10 @@ def test_4_closed_form_correctness():
         worst["W_grad"] = max(worst["W_grad"], rel)
     assert accepted == 50
 
-    # solve_F: residual and quadratic-block stationarity
+    # F and b eliminated as fit eliminates them: the reduced objective plus
+    # the precomputed constant equals the full objective at the oracle's
+    # closed-form F and b, which is stationary in F; and the bias fit
+    # reports, b = W'g + h, is stationary in the fit term at that F
     for _ in range(50):
         d = int(rng.integers(3, 7))
         n = int(rng.integers(6, 13))
@@ -201,12 +204,12 @@ def test_4_closed_form_correctness():
         U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
         H = np.eye(n) - np.ones((n, n)) / n
         W = rng.standard_normal((d, c))
-        F = solve_F(task, W, hp, precompute_task(task, lap, hp)[0])
+        R, T, const, g_b, h_b = precompute_task(task, lap, hp)
+        F, b_oracle = solve_Fb_oracle(task, lap.L, U, hp, W)
+        full = full_objective_oracle([task], [lap.L], [U], hp, [W], [F], [b_oracle])
+        reduced = reduced_objective(W, JointSystem([R], [T]), hp).value + const
+        worst["F_obj"] = max(worst["F_obj"], abs(reduced - full) / abs(full))
         ab = hp.alpha * hp.beta
-        A_sys = ab * H + U + lap.L
-        Q = ab * H @ task.X.T @ W + U @ task.Y
-        resid = np.linalg.norm(A_sys @ F - Q) / np.linalg.norm(Q)
-        worst["F_resid"] = max(worst["F_resid"], resid)
 
         def quad_F(Fx, task=task, U=U, lap=lap, H=H, W=W, ab=ab):
             E = Fx - task.Y
@@ -219,32 +222,24 @@ def test_4_closed_form_correctness():
         rel = np.linalg.norm(g) / (1 + np.linalg.norm(g0))
         worst["F_grad"] = max(worst["F_grad"], rel)
 
-    # solve_b: absolute finite-difference stationarity of the fit term
-    for _ in range(50):
-        d = int(rng.integers(2, 6))
-        n = int(rng.integers(4, 12))
-        c = int(rng.integers(1, 4))
-        X = rng.standard_normal((d, n))
-        W = rng.standard_normal((d, c))
-        F = rng.standard_normal((n, c))
-        b = solve_b(F, X, W)
+        b = W.T @ g_b + h_b
 
-        def fit_term(bx, X=X, W=W, F=F, n=n):
+        def fit_term(bx, X=task.X, W=W, F=F, n=n):
             r = X.T @ W + np.outer(np.ones(n), bx) - F
             return (r * r).sum()
 
         g = central_diff_grad(fit_term, b, h=1e-3)
         worst["b_grad"] = max(worst["b_grad"], np.abs(g).max())
 
-    ok = (worst["W_resid"] <= 1e-8 and worst["F_resid"] <= 1e-8
+    ok = (worst["W_resid"] <= 1e-8 and worst["F_obj"] <= 1e-8
           and worst["W_grad"] <= 1e-5 and worst["F_grad"] <= 1e-5
           and worst["b_grad"] <= 1e-8)
     _report(4, "closed-form correctness", ok,
             "worst: W resid {W_resid:.2e}, W grad {W_grad:.2e}, "
-            "F resid {F_resid:.2e}, F grad {F_grad:.2e}, "
+            "F objective identity {F_obj:.2e}, F grad {F_grad:.2e}, "
             "b grad {b_grad:.2e}".format(**worst))
     assert worst["W_resid"] <= 1e-8
-    assert worst["F_resid"] <= 1e-8
+    assert worst["F_obj"] <= 1e-8
     assert worst["W_grad"] <= 1e-5
     assert worst["F_grad"] <= 1e-5
     assert worst["b_grad"] <= 1e-8

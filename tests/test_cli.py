@@ -391,6 +391,18 @@ class TestErrorPaths:
                    "--k", "5", "--seed", "-4"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_threads_below_one_exit_1(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        args = [command, str(synth_dir / "manifest.json"), "--out", str(out),
+                "--k", "5", "--threads", "-3"]
+        if command == "eval":
+            args += ["--methods", "sfmc", "--fractions", "0.5", "--counts", "3",
+                     "--repeats", "1"]
+        assert main(args) == 1
+        assert "thread count must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_commands_do_not_mutate_inputs(self, synth_dir, tmp_path):
         before = {f.name: f.read_bytes() for f in sorted(synth_dir.iterdir())}
         assert main(["fit", str(synth_dir / "manifest.json"), "--out",

@@ -5,19 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfmc.dataset import (MultiTaskDataset, TaskData, ValidationError,
-                          apply_label_fraction, load_manifest, write_manifest)
+from sfmc.dataset import (MultiTaskDataset, SynthConfig, TaskData, ValidationError,
+                          apply_label_fraction, generate_synthetic, load_manifest,
+                          write_manifest)
 from sfmc import graph, solver
 from sfmc.graph import build_task_laplacian
 from sfmc.solver import (Anderson, Hyperparams, JointSystem, build_graphs, fit,
                          load_selection_model, precompute_task, prepare,
-                         reduced_objective, reweight, reweighted_step, solve_W,
-                         update_Dl, update_Dtilde)
+                         reduced_objective, reweight, reweighted_step, solve_W)
 from helpers import (analytic_full_gradient, central_diff_grad, descent_minimize,
                      full_objective_oracle, lbfgs_minimize, make_dataset,
                      make_random_instance, make_task, reduced_gradient_oracle,
                      reduced_objective_oracle, selection_diag_oracle,
-                     solve_Fb_oracle)
+                     solve_Fb_oracle, update_Dl_oracle, update_Dtilde_oracle)
 
 
 class TestFitBasics:
@@ -39,6 +39,28 @@ class TestFitBasics:
             model = fit(ds, Hyperparams(**hp_kwargs))
             tr = np.array(model.objective_trace)
             assert np.all(np.diff(tr) <= 1e-9 * np.abs(tr[:-1]))
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-9, 1e-12])
+    def test_tiny_lambda_with_fewer_features_than_clique(self, lam, d):
+        # d < k with a tiny lambda leaves each k x k clique Gram matrix X_c'X_c
+        # + lam I near singular, and L's entries grow like 1/lam.  These fits
+        # converge, with finite, non-increasing traces; a numerical path that
+        # cannot serve them must fail with an input or numerical error (exit
+        # 1 or 2), never return NaNs
+        ds = apply_label_fraction(
+            generate_synthetic(SynthConfig(d=d, s=2, n_per_task=40, t=2, seed=1)),
+            0.25, 0)
+        hp = Hyperparams(lam=lam, k=10)
+        try:
+            model = fit(ds, hp)
+        except (ValidationError, solver.NumericalError):
+            return
+        tr = np.array(model.objective_trace)
+        assert model.converged and model.iterations <= hp.max_iter
+        assert np.all(np.isfinite(tr))
+        assert np.all(np.diff(tr) <= 1e-9 * np.abs(tr[:-1]))
+        assert all(np.all(np.isfinite(W)) for W in model.W + model.b)
 
     def test_requires_labeled_samples_and_valid_k(self):
         rng = np.random.default_rng(1)
@@ -62,6 +84,14 @@ class TestFitBasics:
         m2 = fit(ds, Hyperparams(k=4), n_threads=3)
         for a, b in zip(m1.W, m2.W):
             np.testing.assert_array_equal(a, b)
+
+    def test_thread_count_below_one_rejected(self):
+        ds = make_dataset(np.random.default_rng(3), t=2, d=6, n=12, c=2)
+        hp = Hyperparams(k=4)
+        for call in (fit, prepare, build_graphs):
+            for n_threads in (0, -3):
+                with pytest.raises(ValidationError, match="thread count"):
+                    call(ds, hp, n_threads=n_threads)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_independent_of_memory_layout(self, seed, tmp_path):
@@ -185,7 +215,7 @@ class TestFitBasics:
                              ids=["d>sum(c)", "d<=sum(c)", "gamma0"])
     def test_weights_are_those_of_the_iterate_taken(self, gamma, d, c):
         # each step's D_l and Dtilde come from the Score of the iterate the
-        # last step took; they match update_Dl and update_Dtilde at that
+        # last step took; they match the eigh-based oracles at that
         # iterate: the sum(c) x sum(c) column form when d > sum(c), else the
         # d x d row form, and no Dtilde at gamma 0
         ds = make_dataset(np.random.default_rng(12), t=2, d=d, n=12, c=c)
@@ -200,13 +230,14 @@ class TestFitBasics:
         assert len(seen) == hp.max_iter + 1
         for (W, _, _), (_, Dl, Dt) in zip(seen, seen[1:]):
             for W_l, D_l in zip(W, Dl):
-                expected = update_Dl(W_l, hp.delta)
+                expected = update_Dl_oracle(W_l, hp.delta)
                 assert np.linalg.norm(D_l - expected) <= 1e-12 * np.linalg.norm(expected)
             if gamma == 0:
                 assert Dt is None
                 continue
             stacked = np.hstack(W)
-            expected = update_Dtilde(stacked.T if d > 2 * c else stacked, hp.delta)
+            expected = update_Dtilde_oracle(stacked.T if d > 2 * c else stacked,
+                                            hp.delta)
             assert Dt.shape == expected.shape == ((2 * c,) * 2 if d > 2 * c else (d, d))
             assert np.linalg.norm(Dt - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -224,15 +255,9 @@ class TestFitBasics:
 
     @pytest.mark.parametrize("d", [8, 3])
     def test_no_gram_eigh_after_initial_solve(self, monkeypatch, d):
-        # the loop reweights from its scorer's SVD: fit calls neither
-        # update_Dl nor update_Dtilde, and after iteration 0 the only
-        # eigendecompositions are the task split's, of Dtilde's c_l x c_l
-        # diagonal blocks, never of a Gram matrix of W
-        def forbidden(*args):
-            raise AssertionError("fit rebuilt the weights by eigendecomposition")
-
-        monkeypatch.setattr(solver, "update_Dl", forbidden)
-        monkeypatch.setattr(solver, "update_Dtilde", forbidden)
+        # the loop reweights from its scorer's SVD: after iteration 0 the
+        # only eigendecompositions are the task split's, of Dtilde's
+        # c_l x c_l diagonal blocks, never of a Gram matrix of W
         shapes = []
         inner = np.linalg.eigh
 
@@ -379,28 +404,29 @@ class TestFitBasics:
     def test_caches_stay_symmetric_through_iterations(self):
         rng = np.random.default_rng(42)
         ds = make_dataset(rng, t=2, d=5, n=11, c=2)
+        hp = Hyperparams(k=4, max_iter=15)
+        prepared = prepare(ds, hp)
         worst = []
 
         def check(r, state):
             m = 0.0
-            for M in list(state.R) + [state.Dtilde]:
+            for M in list(prepared.system.R) + [state.Dtilde]:
                 m = max(m, float(np.abs(M - M.T).max()))
             worst.append(m)
 
-        fit(ds, Hyperparams(k=4, max_iter=15), callback=check)
+        fit(ds, hp, callback=check, prepared=prepared)
         assert max(worst) <= 1e-10
 
 
 class TestGammaZeroDecoupling:
     def test_matches_manual_loop_without_coupling(self, monkeypatch):
         # gamma = 0 must reproduce a reweighting loop that never builds the
-        # shared coupling matrix at all: building it, or taking the SVD it
-        # is made from, raises here, and the reference loop takes fit's
-        # public steps, which return no coupling
+        # shared coupling matrix at all: taking the SVD it is made from
+        # raises here, and the reference loop takes fit's public steps,
+        # which return no coupling
         def no_coupling(*args, **kwargs):
             raise AssertionError("the gamma = 0 path built the coupling matrix")
 
-        monkeypatch.setattr(solver, "update_Dtilde", no_coupling)
         monkeypatch.setattr(solver, "dgesdd", no_coupling)
         rng = np.random.default_rng(4)
         ds = make_dataset(rng, t=1, d=5, n=9, c=2)
@@ -411,7 +437,7 @@ class TestGammaZeroDecoupling:
 
         task = ds.tasks[0]
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        _, R, T, *_ = precompute_task(task, lap, hp)
+        R, T, *_ = precompute_task(task, lap, hp)
         W = solve_W(R, T, np.ones(5), None, hp)
         np.testing.assert_allclose(history[0], W, atol=1e-10)
         system = JointSystem([R], [T])
@@ -448,11 +474,11 @@ class TestStationarityAtConvergence:
         hp = Hyperparams(gamma=0.1, k=3, max_iter=20000, rel_tol=1e-13)
         model = fit(ds, hp)
         assert model.converged
-        Dt = update_Dtilde(np.hstack(model.W), hp.delta)
+        Dt = update_Dtilde_oracle(np.hstack(model.W), hp.delta)
         for l in range(ds.n_tasks):
             lap = build_task_laplacian(ds.tasks[l].X, hp.k, hp.lam)
-            _, R, T, *_ = precompute_task(ds.tasks[l], lap, hp)
-            W_again = solve_W(R, T, update_Dl(model.W[l], hp.delta), Dt, hp)
+            R, T, *_ = precompute_task(ds.tasks[l], lap, hp)
+            W_again = solve_W(R, T, update_Dl_oracle(model.W[l], hp.delta), Dt, hp)
             rel = np.linalg.norm(W_again - model.W[l]) / np.linalg.norm(model.W[l])
             assert rel <= 1e-6
 
@@ -520,12 +546,12 @@ class TestFeatureScaleCovariance:
         task = make_task(rng, d, n, c_classes)
         hp = Hyperparams(alpha=1.0, beta=1e4, gamma=0.0, k=4, delta=1e-9)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        _, R, T, *_ = precompute_task(task, lap, hp)
+        R, T, *_ = precompute_task(task, lap, hp)
 
         def fixed_point(Rx, Tx):
             W = solve_W(Rx, Tx, np.ones(d), None, hp)
             for _ in range(200):
-                W_new = solve_W(Rx, Tx, update_Dl(W, hp.delta), None, hp)
+                W_new = solve_W(Rx, Tx, update_Dl_oracle(W, hp.delta), None, hp)
                 if np.linalg.norm(W_new - W) <= 1e-13:
                     return W_new
                 W = W_new
@@ -552,8 +578,8 @@ class TestTinyInstanceOracle:
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
         Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
         caches = [precompute_task(t, lap, hp) for t, lap in zip(ds.tasks, laps)]
-        R_list = [c[1] for c in caches]
-        T_list = [c[2] for c in caches]
+        R_list = [c[0] for c in caches]
+        T_list = [c[1] for c in caches]
         cols = np.cumsum([t.n_classes for t in ds.tasks])[:-1]
 
         def f(Wx):

@@ -6,24 +6,35 @@ import scipy.linalg
 from scipy.sparse import csr_array
 
 from sfmc import solver
-from sfmc.dataset import TaskData, ValidationError
+from sfmc.dataset import ValidationError
 from sfmc.graph import build_task_laplacian
 from sfmc.solver import (CG_RTOL, Hyperparams, JointSystem, NumericalError,
                          _row_split, fit, precompute_task, reduced_objective,
-                         selection_diag, solve_F, solve_W, solve_W_coupled,
-                         solve_b, update_Dl, update_Dtilde)
+                         reweight, selection_diag, solve_W, solve_W_coupled)
 from helpers import (central_diff_grad, centering_oracle, make_dataset, make_task,
                      selection_diag_oracle, smoothed_l21_oracle,
-                     smoothed_trace_norm_oracle, solve_Fb_oracle)
+                     smoothed_trace_norm_oracle, update_Dl_oracle,
+                     update_Dtilde_oracle)
+
+
+def _score(M, delta):
+    """reduced_objective's Score of M as one task with R = 0 and T = 0."""
+    d, c = M.shape
+    hp = Hyperparams(alpha=1.0, beta=1.0, gamma=1.0, delta=delta)
+    return reduced_objective(M, JointSystem([np.zeros((d, d))], [np.zeros((d, c))]), hp)
 
 
 def _penalty_terms(M, delta):
     """(l2,1 term, trace term) of M as reduced_objective scores them."""
-    d, c = M.shape
-    hp = Hyperparams(alpha=1.0, beta=1.0, gamma=1.0, delta=delta)
-    score = reduced_objective(M, JointSystem([np.zeros((d, d))], [np.zeros((d, c))]), hp)
+    score = _score(M, delta)
     l21 = float(score.rows.sum())
     return l21, score.value - l21
+
+
+def _weights(M, delta):
+    """The weights fit would build at M: (D_l of the one task, Dtilde)."""
+    Dl, Dtilde = reweight([_score(M, delta)])
+    return Dl[0], Dtilde
 
 
 class TestNorms:
@@ -77,13 +88,16 @@ def _task_with_caches(rng, d=5, n=8, c=2, **hp_kwargs):
     hp = Hyperparams(k=min(4, n), **hp_kwargs)
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
     U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
-    factor, R, T, *_ = precompute_task(task, lap, hp)
-    return task, lap, U, factor, R, T, centering_oracle(n), hp
+    R, T, *_ = precompute_task(task, lap, hp)
+    return task, lap, U, R, T, centering_oracle(n), hp
 
 
 class TestPrecomputeTask:
     def test_definitional_residual(self):
-        # U = I, L = 0, alpha*beta = 1: the factor must solve (H + I) X = I.
+        # U = I, L = 0, alpha*beta = 1: A = H + I maps 1 to 1 and acts as 2 on
+        # centered vectors, so A^-1 = H/2 + 11'/n, z = A^-1 1 = 1, and the
+        # literal forms reduce to R = B'B/2, T = B'Y/2,
+        # const = Tr(Y'Y) - Tr(Y'HY)/2 - ||Y'1||^2/n, g = -xbar, h = Y'1/n.
         # make_task always labels c samples, so an unlabeled stand-in gives U = I
         n = 6
         base = make_task(np.random.default_rng(3), 4, n, 2)
@@ -98,10 +112,16 @@ class TestPrecomputeTask:
             L = csr_array((n, n))
 
         hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
-        factor = precompute_task(Unlabeled(), ZeroLap(), hp)[0]
-        X = scipy.linalg.cho_solve(factor, np.eye(n))
-        H = centering_oracle(n)
-        np.testing.assert_allclose((H + np.eye(n)) @ X, np.eye(n), atol=1e-12)
+        R, T, const, g, h = precompute_task(Unlabeled(), ZeroLap(), hp)
+        Y, xbar, H = base.Y, base.X.mean(axis=1), centering_oracle(n)
+        B = H @ base.X.T
+        np.testing.assert_allclose(R, B.T @ B / 2, atol=1e-12)
+        np.testing.assert_allclose(T, B.T @ Y / 2, atol=1e-12)
+        col_sums = Y.sum(axis=0)
+        expected = (Y * Y).sum() - (Y * (H @ Y)).sum() / 2 - col_sums @ col_sums / n
+        assert const == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_allclose(g, -xbar, atol=1e-12)
+        np.testing.assert_allclose(h, col_sums / n, atol=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_system_raises(self):
@@ -125,7 +145,7 @@ class TestPrecomputeTask:
 
     def test_r_symmetric_psd(self):
         rng = np.random.default_rng(4)
-        _, _, _, _, R, _, _, _ = _task_with_caches(rng, d=5, n=8)
+        _, _, _, R, _, _, _ = _task_with_caches(rng, d=5, n=8)
         assert np.abs(R - R.T).max() <= 1e-10
         assert np.linalg.eigvalsh(R).min() >= -1e-8
 
@@ -142,13 +162,13 @@ class TestPrecomputeTask:
             n_samples = base.n_samples
             labeled_mask = base.labeled_mask
 
-        T = precompute_task(Zeroed(), lap, hp)[2]
+        T = precompute_task(Zeroed(), lap, hp)[1]
         np.testing.assert_allclose(T, 0.0, atol=1e-15)
 
     def test_matches_printed_form_at_moderate_scale(self):
         # the cancellation-free R must agree with the literal formula
         rng = np.random.default_rng(6)
-        task, lap, U, _, R, T, H, hp = _task_with_caches(rng, d=4, n=9)
+        task, lap, U, R, T, H, hp = _task_with_caches(rng, d=4, n=9)
         ab = hp.alpha * hp.beta
         P = np.linalg.inv(ab * H + U + lap.L)
         R_literal = task.X @ H @ (np.eye(9) - ab * P) @ H @ task.X.T
@@ -159,15 +179,16 @@ class TestPrecomputeTask:
     def test_factors_in_place(self):
         # U and H act as a vector and a mean subtraction, A is factored in
         # place, and the refinement residual is formed from L, u and a mean
-        # subtraction, so A's factor is the one n x n array precompute_task
-        # allocates; keeping A beside a factored copy peaks near 2.2 blocks
+        # subtraction, so A, factored into itself, is the one n x n array
+        # precompute_task allocates; keeping A beside a factored copy peaks
+        # near 2.2 blocks
         n, d = 600, 20
         task = make_task(np.random.default_rng(7), d, n, 3)
         hp = Hyperparams(k=10)
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
         tracemalloc.start()
         try:
-            factor, R, T, *_ = precompute_task(task, lap, hp)
+            R, T, *_ = precompute_task(task, lap, hp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -184,8 +205,6 @@ class TestPrecomputeTask:
                                    atol=1e-9 * np.abs(R_literal).max())
         np.testing.assert_allclose(T, T_literal, rtol=0,
                                    atol=1e-9 * np.abs(T_literal).max())
-        np.testing.assert_allclose(A @ scipy.linalg.cho_solve(factor, np.eye(n)),
-                                   np.eye(n), atol=1e-9)
 
     def test_fit_holds_no_factor(self):
         # fit keeps only each task's d-space caches, so a single-thread fit
@@ -205,23 +224,24 @@ class TestPrecomputeTask:
 
 
 class TestUpdateDl:
+    # the row weights fit builds, reweight of reduced_objective's Score
     def test_direct_formula(self):
         W = np.array([[3.0, 4.0], [0.0, 0.0]])
-        out = update_Dl(W, 1e-12)
+        out = _weights(W, 1e-12)[0]
         assert out[0] == pytest.approx(0.1, rel=1e-10)
         assert out[1] == pytest.approx(0.5 / 1e-6, rel=1e-10)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(7)
         W = rng.standard_normal((5, 3))
-        ratio = update_Dl(2 * W, 1e-15) / update_Dl(W, 1e-15)
+        ratio = _weights(2 * W, 1e-15)[0] / _weights(W, 1e-15)[0]
         np.testing.assert_allclose(ratio, 0.5, rtol=1e-6)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(8)
         W = rng.standard_normal((6, 2))
         delta = 1e-9
-        D = np.diag(update_Dl(W, delta))
+        D = np.diag(_weights(W, delta)[0])
         lhs = np.trace(W.T @ D @ W)
         rows = (W**2).sum(axis=1)
         rhs = 0.5 * (rows / np.sqrt(rows + delta)).sum()
@@ -229,20 +249,23 @@ class TestUpdateDl:
 
 
 class TestUpdateDtilde:
+    # the coupling fit builds, reweight of reduced_objective's Score: the
+    # d x d row form when d <= sum(c), else the sum(c) x sum(c) column form
     def test_scaled_identity(self):
-        out = update_Dtilde(2 * np.eye(2), 1e-15)
+        out = _weights(2 * np.eye(2), 1e-15)[1]
         np.testing.assert_allclose(out, 0.25 * np.eye(2), atol=1e-8)
 
     def test_zero_matrix_limit(self):
+        # d = 3 > sum(c) = 2, so the 2 x 2 column form
         delta = 1e-12
-        out = update_Dtilde(np.zeros((3, 2)), delta)
-        np.testing.assert_allclose(out, 0.5 / np.sqrt(delta) * np.eye(3), rtol=1e-9)
+        out = _weights(np.zeros((3, 2)), delta)[1]
+        np.testing.assert_allclose(out, 0.5 / np.sqrt(delta) * np.eye(2), rtol=1e-9)
 
     def test_square_root_residual(self):
         rng = np.random.default_rng(9)
         W = rng.standard_normal((4, 6))
         delta = 1e-10
-        Dt = update_Dtilde(W, delta)
+        Dt = _weights(W, delta)[1]
         root = scipy.linalg.sqrtm(W @ W.T + delta * np.eye(4)).real
         np.testing.assert_allclose(2.0 * Dt @ root, np.eye(4), atol=1e-8)
 
@@ -277,8 +300,8 @@ class TestSolveW:
                 beta=10.0 ** rng.uniform(-3, 3),
                 gamma=10.0 ** rng.uniform(-3, 3),
             )
-            Dl = update_Dl(rng.standard_normal((d, c)), hp.delta)
-            Dt = update_Dtilde(rng.standard_normal((d, c)), hp.delta)
+            Dl = update_Dl_oracle(rng.standard_normal((d, c)), hp.delta)
+            Dt = update_Dtilde_oracle(rng.standard_normal((d, c)), hp.delta)
             W = solve_W(R, T, Dl, Dt, hp)
             S = R + np.diag(Dl / hp.beta) + hp.gamma / (hp.alpha * hp.beta) * Dt
             resid = np.linalg.norm(S @ W - T) / np.linalg.norm(T)
@@ -295,8 +318,8 @@ class TestSolveW:
         hp = Hyperparams(alpha=0.7, beta=1.3, gamma=0.9, delta=1e-12)
         W = solve_W(R, T, np.ones(d), np.eye(d), hp)
         for _ in range(300):
-            W_new = solve_W(R, T, update_Dl(W, hp.delta),
-                            update_Dtilde(W, hp.delta), hp)
+            W_new = solve_W(R, T, update_Dl_oracle(W, hp.delta),
+                            update_Dtilde_oracle(W, hp.delta), hp)
             if np.linalg.norm(W_new - W) <= 1e-14 * (1 + np.linalg.norm(W)):
                 W = W_new
                 break
@@ -357,9 +380,9 @@ def _joint_instances():
             A = rng.standard_normal((d, d + 2))
             R.append(A @ A.T)
             T.append(rng.standard_normal((d, c)))
-            Dl.append(update_Dl(rng.standard_normal((d, c)), hp.delta))
+            Dl.append(update_Dl_oracle(rng.standard_normal((d, c)), hp.delta))
         W_now = rng.standard_normal((d, sum(widths)))
-        Dt = update_Dtilde(W_now.T, hp.delta)
+        Dt = update_Dtilde_oracle(W_now.T, hp.delta)
         big = _joint_operator(R, Dl, Dt, hp, widths)
         W0 = rng.standard_normal((d, sum(widths)))
         yield hp, R, T, Dl, Dt, W0, big, np.hstack(T).T.ravel()
@@ -398,9 +421,9 @@ class TestSolveWCoupled:
         for hp, R, T, Dl, Dt, W0, big, rhs in _joint_instances():
             d, widths = R[0].shape[0], [T_l.shape[1] for T_l in T]
             system = JointSystem(R, T)
-            weights = [(Dl, Dt), ([update_Dl(rng.standard_normal((d, c)), hp.delta)
+            weights = [(Dl, Dt), ([update_Dl_oracle(rng.standard_normal((d, c)), hp.delta)
                                    for c in widths],
-                                  update_Dtilde(rng.standard_normal((d, sum(widths))).T,
+                                  update_Dtilde_oracle(rng.standard_normal((d, sum(widths))).T,
                                                 hp.delta))]
             for D_l, D_t in weights:
                 W, iterations, split = solve_W_coupled(system, D_l, D_t, hp, W0, rtol=1e-2)
@@ -434,7 +457,7 @@ class TestSolveWCoupled:
         R = [-1e3 * np.eye(d) for _ in widths]
         T = [rng.standard_normal((d, c)) for c in widths]
         Dl = [np.ones(d) for _ in widths]
-        Dt = update_Dtilde(rng.standard_normal((d, sum(widths))).T, hp.delta)
+        Dt = update_Dtilde_oracle(rng.standard_normal((d, sum(widths))).T, hp.delta)
         assert _split_rule(R, T, Dt, hp) == "row"
         with pytest.raises(NumericalError, match="preconditioner factorization"):
             solve_W_coupled(JointSystem(R, T), Dl, Dt, hp,
@@ -500,100 +523,6 @@ class TestSolveWCoupled:
                     assert resid(W) <= max(CG_RTOL * np.linalg.norm(rhs),
                                            rtol * resid(start))
                     assert majorizer(W) < majorizer(start)
-
-
-class TestSolveF:
-    def test_zero_rhs(self):
-        # W = 0, L = 0, U = I, Y = 0: the right-hand side vanishes, so F = 0.
-        # TaskData requires a labeled sample, so pass the raw pieces directly.
-        rng = np.random.default_rng(15)
-        n, d, c = 6, 3, 2
-
-        class Raw:
-            X = rng.standard_normal((d, n))
-            Y = np.zeros((n, c))
-            n_samples = n
-            labeled_mask = np.zeros(n, dtype=bool)
-
-        factor = scipy.linalg.cho_factor(centering_oracle(n) + np.eye(n))
-        F = solve_F(Raw(), np.zeros((d, c)), Hyperparams(), factor)
-        np.testing.assert_allclose(F, 0.0, atol=1e-15)
-
-    def test_labels_dominate_when_all_labeled(self):
-        rng = np.random.default_rng(16)
-        d, n, c = 3, 8, 2
-        task = make_task(rng, d, n, c, label_frac=1.0)
-        hp = Hyperparams(alpha=1.0, beta=1.0, k=3)
-        L = 1e-3 * build_task_laplacian(task.X, 3, 1.0).L
-        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
-        factor = scipy.linalg.cho_factor(centering_oracle(n) + U + L)
-        W = rng.standard_normal((d, c))
-        F = solve_F(task, W, hp, factor)
-        assert np.linalg.norm(F - task.Y) / np.linalg.norm(task.Y) <= 1e-4
-
-    def test_perturbation_never_decreases_quadratic(self):
-        rng = np.random.default_rng(17)
-        task = make_task(rng, 4, 7, 2)
-        hp = Hyperparams(k=3)
-        lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
-        H = centering_oracle(7)
-        W = rng.standard_normal((4, 2))
-        F = solve_F(task, W, hp, precompute_task(task, lap, hp)[0])
-
-        def quad(Fx):
-            E = Fx - task.Y
-            r = H @ (task.X.T @ W) - H @ Fx
-            return (
-                np.trace(E.T @ U @ E) + np.trace(Fx.T @ lap.L @ Fx)
-                + hp.alpha * hp.beta * (r**2).sum()
-            )
-
-        base = quad(F)
-        for _ in range(30):
-            assert quad(F + 1e-3 * rng.standard_normal(F.shape)) >= base
-
-    def test_residual_matches_oracle(self):
-        rng = np.random.default_rng(18)
-        task = make_task(rng, 5, 9, 3)
-        hp = Hyperparams(alpha=3.0, beta=0.2, k=4)
-        lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
-        W = rng.standard_normal((5, 3))
-        F = solve_F(task, W, hp, precompute_task(task, lap, hp)[0])
-        F_oracle, _ = solve_Fb_oracle(task, lap.L, U, hp, W)
-        np.testing.assert_allclose(F, F_oracle, atol=1e-8)
-
-
-class TestSolveB:
-    def test_zero_residual(self):
-        rng = np.random.default_rng(19)
-        X = rng.standard_normal((3, 6))
-        W = rng.standard_normal((3, 2))
-        b = solve_b(X.T @ W, X, W)
-        np.testing.assert_allclose(b, 0.0, atol=1e-12)
-
-    def test_mean_of_identical_rows(self):
-        v = np.array([2.0, -1.0])
-        F = np.tile(v, (5, 1))
-        b = solve_b(F, np.zeros((3, 5)), np.zeros((3, 2)))
-        np.testing.assert_allclose(b, v, atol=1e-14)
-
-    def test_finite_difference_stationarity(self):
-        rng = np.random.default_rng(20)
-        X = rng.standard_normal((4, 7))
-        W = rng.standard_normal((4, 2))
-        F = rng.standard_normal((7, 2))
-        b = solve_b(F, X, W)
-
-        def fit_term(bx):
-            r = X.T @ W + np.outer(np.ones(7), bx) - F
-            return (r**2).sum()
-
-        # the fit term is quadratic in b, so central differences are exact for
-        # any step; a larger step just suppresses cancellation noise
-        g = central_diff_grad(fit_term, b, h=1e-4)
-        assert np.abs(g).max() <= 1e-8
 
 
 class TestHyperparams:
