@@ -11,10 +11,10 @@ from sfmc.graph import build_task_laplacian
 from sfmc.solver import (CG_RTOL, Hyperparams, JointSystem, NumericalError,
                          _row_split, fit, precompute_task, reduced_objective,
                          reweight, selection_diag, solve_W, solve_W_coupled)
-from helpers import (central_diff_grad, centering_oracle, make_dataset, make_task,
-                     selection_diag_oracle, smoothed_l21_oracle,
-                     smoothed_trace_norm_oracle, update_Dl_oracle,
-                     update_Dtilde_oracle)
+from helpers import (central_diff_grad, centering_oracle, full_objective_oracle,
+                     make_dataset, make_task, selection_diag_oracle,
+                     smoothed_l21_oracle, smoothed_trace_norm_oracle,
+                     solve_Fb_oracle, update_Dl_oracle, update_Dtilde_oracle)
 
 
 def _score(M, delta):
@@ -523,6 +523,68 @@ class TestSolveWCoupled:
                     assert resid(W) <= max(CG_RTOL * np.linalg.norm(rhs),
                                            rtol * resid(start))
                     assert majorizer(W) < majorizer(start)
+
+
+def _eliminated(task, hp):
+    """(lap, U, reduced objective + const at W, fit's bias at W) for one task."""
+    lap = build_task_laplacian(task.X, hp.k, hp.lam)
+    U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
+    R, T, const, g, h = precompute_task(task, lap, hp)
+
+    def value(W):
+        return reduced_objective(W, JointSystem([R], [T]), hp).value + const
+
+    return lap, U, value, lambda W: W.T @ g + h
+
+
+class TestSolveF:
+    # fit eliminates F: Score.value + const is the minimum over F and b of the
+    # full objective, attained at the closed-form F and b = W'g + h
+    def test_perturbation_never_decreases_quadratic(self):
+        rng = np.random.default_rng(17)
+        task = make_task(rng, 4, 7, 2)
+        hp = Hyperparams(k=3)
+        lap, U, value, bias = _eliminated(task, hp)
+        W = rng.standard_normal((4, 2))
+        F, _ = solve_Fb_oracle(task, lap.L, U, hp, W)
+        b = bias(W)
+        base = value(W)
+        for _ in range(30):
+            Fx = F + 1e-3 * rng.standard_normal(F.shape)
+            bx = b + 1e-3 * rng.standard_normal(b.shape)
+            assert full_objective_oracle([task], [lap.L], [U], hp, [W], [Fx], [bx]) >= base
+
+    def test_residual_matches_oracle(self):
+        rng = np.random.default_rng(18)
+        task = make_task(rng, 5, 9, 3)
+        hp = Hyperparams(alpha=3.0, beta=0.2, k=4)
+        lap, U, value, bias = _eliminated(task, hp)
+        W = rng.standard_normal((5, 3))
+        F, b = solve_Fb_oracle(task, lap.L, U, hp, W)
+        full = full_objective_oracle([task], [lap.L], [U], hp, [W], [F], [b])
+        assert value(W) == pytest.approx(full, rel=1e-8)
+        np.testing.assert_allclose(bias(W), b, atol=1e-8)
+
+
+class TestSolveB:
+    def test_finite_difference_stationarity(self):
+        # fit's b = W'g + h at the optimal F is stationary in the fit term
+        rng = np.random.default_rng(20)
+        task = make_task(rng, 4, 7, 2)
+        hp = Hyperparams(k=3)
+        lap, U, _, bias = _eliminated(task, hp)
+        W = rng.standard_normal((4, 2))
+        F, _ = solve_Fb_oracle(task, lap.L, U, hp, W)
+        b = bias(W)
+
+        def fit_term(bx):
+            r = task.X.T @ W + np.outer(np.ones(7), bx) - F
+            return (r**2).sum()
+
+        # the fit term is quadratic in b, so central differences are exact for
+        # any step; a larger step just suppresses cancellation noise
+        g = central_diff_grad(fit_term, b, h=1e-4)
+        assert np.abs(g).max() <= 1e-8
 
 
 class TestHyperparams:
