@@ -26,9 +26,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _thread_count(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be at least 1, got {n}")
+    return n
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker cap")
+    p.add_argument("--threads", type=_thread_count, default=1, help="worker cap")
     p.add_argument("--verbose", action="store_true", help="per-iteration output")
 
 
@@ -181,7 +191,10 @@ def _cmd_eval(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already reported
+        return exc.code
     handlers = {
         "synth": _cmd_synth,
         "fit": _cmd_fit,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import MultiTaskDataset, TaskData, ValidationError, apply_label_fraction
-from .solver import Hyperparams, build_graphs, fit, prepare, _spd_solve
+from .solver import Hyperparams, NumericalError, build_graphs, fit, prepare
 
 METHODS = ("sfmc", "fisher", "all_features")
 
@@ -76,17 +76,25 @@ def fisher_score(task, var_floor=1e-12):
 
 @dataclass(frozen=True)
 class LSClassifier:
-    """One-vs-rest regularized least squares, bias unpenalized."""
+    """One-vs-rest regularized least squares, bias unpenalized.
+
+    W is features x classes and b has one entry per class, or both carry the
+    leading shape of a stack of classifiers (see train_ls_classifier).
+    """
 
     W: np.ndarray
     b: np.ndarray
 
     def decision(self, X):
-        """Per-class scores for samples given column-wise (features x n)."""
-        return X.T @ self.W + self.b
+        """Per-class scores for samples given column-wise (features x n).
+
+        For a stack of classifiers X is a matching stack (..., features, n),
+        and the scores are (..., n, classes).
+        """
+        return X.swapaxes(-1, -2) @ self.W + self.b[..., None, :]
 
     def predict(self, X):
-        return np.argmax(self.decision(X), axis=1)
+        return np.argmax(self.decision(X), axis=-1)
 
 
 def _check_ridge(ridge):
@@ -95,22 +103,49 @@ def _check_ridge(ridge):
         raise ValidationError(f"ridge must be positive and finite, got {ridge}")
 
 
+def _spd_solve_stack(A, B):
+    """Solve each SPD system A X = B of a stack (..., p, p), (..., p, c).
+
+    A batched Cholesky factorization is the positive-definiteness check; a
+    non-finite A is rejected first, since the factorization passes NaN.
+    Each system whose residual after the solve exceeds 1e-13 ||B|| gets one
+    refinement pass, which keeps the residual near machine precision at
+    extreme ridges.
+    """
+    if not np.isfinite(A).all():
+        raise NumericalError("SPD factorization failed: non-finite matrix")
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SPD factorization failed: {exc}") from exc
+    X = np.linalg.solve(A, B)
+    resid = B - A @ X
+    norm_b = np.linalg.norm(B, axis=(-2, -1))
+    refine = (norm_b > 0) & (np.linalg.norm(resid, axis=(-2, -1)) > 1e-13 * norm_b)
+    if refine.any():
+        X[refine] += np.linalg.solve(A[refine], resid[refine])
+    return X
+
+
 def train_ls_classifier(X, Y, ridge):
     """Fit min_W,b ||X'W + 1b' - Y||_F^2 + ridge ||W||_F^2 in closed form.
 
-    X is features x samples, Y is the n x c one-hot target matrix.
+    X is features x samples, Y is the n x c one-hot target matrix.  X may
+    also be a stack (..., features, samples) of feature matrices for the
+    same Y: each is fitted on its own, and W and b gain the stack's leading
+    shape.
     """
     _check_ridge(ridge)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    if X.shape[1] == 0:
+    if X.shape[-1] == 0:
         raise ValidationError("no training samples")
-    mu_x = X.mean(axis=1)
-    Xc = X - mu_x[:, None]
+    mu_x = X.mean(axis=-1)
+    Xc = X - mu_x[..., None]
     mu_y = Y.mean(axis=0)
-    G = Xc @ Xc.T + ridge * np.eye(X.shape[0])
-    W = _spd_solve(G, Xc @ (Y - mu_y))
-    b = mu_y - W.T @ mu_x
+    G = Xc @ Xc.swapaxes(-1, -2) + ridge * np.eye(X.shape[-2])
+    W = _spd_solve_stack(G, Xc @ (Y - mu_y))
+    b = mu_y - (mu_x[..., None, :] @ W)[..., 0, :]
     return LSClassifier(W=W, b=b)
 
 
@@ -118,29 +153,40 @@ def average_precision(scores, relevant):
     """Mean of precision-at-rank over the relevant items.
 
     Items are ranked by descending score, ties broken by lower index.
+    scores may also be a stack (..., n) of score vectors with the same
+    relevant items, each ranked on its own into an array of the stack's
+    leading shape.
     """
     scores = np.asarray(scores, dtype=np.float64)
     relevant = np.asarray(relevant, dtype=bool)
     if relevant.sum() == 0:
         raise ValidationError("average precision needs at least one relevant item")
-    order = np.lexsort((np.arange(scores.size), -scores))
+    order = np.argsort(-scores, axis=-1, kind="stable")  # ties to the lower index
     rel = relevant[order]
-    hits = np.cumsum(rel)
-    ranks = np.arange(1, rel.size + 1)
-    return float((hits[rel] / ranks[rel]).mean())
+    precisions = np.cumsum(rel, axis=-1) / np.arange(1, rel.shape[-1] + 1)
+    # every vector has the same number of relevant items, so their
+    # precisions form a (..., n_relevant) array
+    aps = precisions[rel].reshape(rel.shape[:-1] + (-1,)).mean(axis=-1)
+    return float(aps) if aps.ndim == 0 else aps
 
 
 def mean_average_precision(scores, Y):
-    """Mean AP over the classes that have at least one relevant sample."""
-    Y = np.asarray(Y, dtype=np.float64)
+    """Mean AP over the classes that have at least one relevant sample.
+
+    scores is n x c, or a stack (..., n, c) of score matrices for the same Y,
+    each scored on its own into an array of the stack's leading shape.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    relevant = np.asarray(Y, dtype=np.float64) > 0
     aps = [
-        average_precision(scores[:, c], Y[:, c] > 0)
-        for c in range(Y.shape[1])
-        if (Y[:, c] > 0).any()
+        average_precision(scores[..., c], relevant[:, c])
+        for c in range(relevant.shape[1])
+        if relevant[:, c].any()
     ]
     if not aps:
         raise ValidationError("no class has a relevant sample")
-    return float(np.mean(aps))
+    maps = np.stack(aps, axis=-1).mean(axis=-1)
+    return float(maps) if maps.ndim == 0 else maps
 
 
 @dataclass(frozen=True)
@@ -245,24 +291,39 @@ def _stratified_split(task, rng, test_fraction):
 
 
 def _recovery(selections, support, count):
-    sup = set(support)
-    vals = [len(sup & set(sel.tolist())) / min(count, len(sup)) for sel in selections]
-    return float(np.mean(vals))
+    """Per candidate, the share of min(count, |support|) support features
+    selected, averaged over tasks; selections is (candidates, tasks, count)."""
+    support = np.unique(support)
+    hits = np.isin(selections, support).sum(axis=-1)
+    return (hits / min(count, support.size)).mean(axis=-1)
 
 
-def _evaluate_rankings(rankings, train_tasks, test_sets, counts, ridge, support):
-    """Mean test MAP over tasks (and recovery, when a support is known) at
-    every feature count, from classifiers trained on the selected features."""
+def _score_candidates(candidates, train_tasks, test_sets, counts, ridge, support):
+    """Every candidate's mean test MAP over tasks (and recovery, when a
+    support is known) at every feature count, from classifiers trained on
+    the selected features of the labeled samples.
+
+    candidates holds each candidate's per-task rankings.  At each task and
+    count the selected feature rows of all m candidates form one
+    (m, count, n) stack, trained and scored in one batched call each.
+    Returns {count: (MAP, recovery)}, both (m,) arrays, recovery None
+    without a support.
+    """
+    labeled = [np.flatnonzero(task.labeled_mask) for task in train_tasks]
+    X_train = [task.X[:, idx] for task, idx in zip(train_tasks, labeled)]
+    Y_train = [task.Y[idx] for task, idx in zip(train_tasks, labeled)]
     res = {}
     for count in counts:
-        selections = [select_top(r, count) for r in rankings]
+        # (candidate, task, feature) indices of the selected features
+        selections = np.array([[select_top(r, count) for r in rankings]
+                               for rankings in candidates])
         maps = []
-        for task, (X_test, Y_test), sel in zip(train_tasks, test_sets, selections):
-            labeled = np.flatnonzero(task.labeled_mask)
-            clf = train_ls_classifier(task.X[np.ix_(sel, labeled)], task.Y[labeled], ridge)
+        for l, (X, Y, (X_test, Y_test)) in enumerate(zip(X_train, Y_train, test_sets)):
+            sel = selections[:, l]
+            clf = train_ls_classifier(X[sel], Y, ridge)
             maps.append(mean_average_precision(clf.decision(X_test[sel]), Y_test))
         rec = None if support is None else _recovery(selections, support, count)
-        res[count] = (float(np.mean(maps)), rec)
+        res[count] = (np.stack(maps, axis=-1).mean(axis=-1), rec)
     return res
 
 
@@ -313,8 +374,10 @@ def run_experiment(
     mean MAP over repeats) is reported; each split's task graphs are built
     once and shared by all its fits, and each label mask's per-task caches
     (solver.prepare) are built once per run of grid cells with the same
-    alpha beta and shared by their fits, one fit call per cell.  When the
-    dataset carries a planted support,
+    alpha beta and shared by their fits, one fit call per cell.  Every
+    candidate of a (repeat, fraction, method), each grid cell or the one
+    baseline ranking, is scored together: one batched classifier and MAP
+    call per task and count.  When the dataset carries a planted support,
     support-recovery precision at each count is reported as well.
     Repeats run in order; n_threads goes to the per-task work of the graph
     builds and cache preparations.  Deterministic for a fixed seed.
@@ -375,13 +438,11 @@ def run_experiment(
             masked = apply_label_fraction(train_ds, fraction, _child_seed(seed, rep, fi))
             for method in methods:
                 t0 = time.perf_counter()
-                tables = [
-                    _evaluate_rankings(rankings, masked.tasks, test_sets,
-                                       counts[method], ridge, dataset.support)
-                    for rankings in _candidate_rankings(
-                        method, masked, combos, hp, graphs, n_threads)
-                ]
-                scores[method, fraction] = (tables, time.perf_counter() - t0)
+                candidates = list(_candidate_rankings(
+                    method, masked, combos, hp, graphs, n_threads))
+                table = _score_candidates(candidates, masked.tasks, test_sets,
+                                          counts[method], ridge, dataset.support)
+                scores[method, fraction] = (table, time.perf_counter() - t0)
         repeat_results.append(scores)
 
     cells = []
@@ -389,18 +450,20 @@ def run_experiment(
         for fraction in fractions:
             runs = [r[method, fraction] for r in repeat_results]
             for count in counts[method]:
-                # per candidate, its (MAP, recovery) in every repeat
-                scored = [[tables[ci][count] for tables, _ in runs]
-                          for ci in range(len(runs[0][0]))]
-                means = [float(np.mean([m for m, _ in s])) for s in scored]
-                ci = max(range(len(means)), key=means.__getitem__)  # first wins ties
-                maps, recs = zip(*scored[ci])
-                recovery = {} if recs[0] is None else dict(
-                    recovery_mean=float(np.mean(recs)), recovery_std=float(np.std(recs)),
-                    recovery_per_repeat=recs)
+                # one row per candidate, one column per repeat
+                maps = np.stack([table[count][0] for table, _ in runs], axis=-1)
+                means = maps.mean(axis=-1)
+                ci = int(np.argmax(means))  # first wins ties
+                recovery = {}
+                if dataset.support is not None:
+                    recs = np.array([table[count][1][ci] for table, _ in runs])
+                    recovery = dict(
+                        recovery_mean=float(np.mean(recs)), recovery_std=float(np.std(recs)),
+                        recovery_per_repeat=tuple(recs.tolist()))
                 cells.append(CellResult(
                     method=method, fraction=float(fraction), count=int(count),
-                    map_mean=means[ci], map_std=float(np.std(maps)), map_per_repeat=maps,
+                    map_mean=float(means[ci]), map_std=float(np.std(maps[ci])),
+                    map_per_repeat=tuple(maps[ci].tolist()),
                     best_params=combos[ci] if method == "sfmc" else None,
                     runtime_s=float(np.mean([t for _, t in runs])), **recovery))
     return ExperimentReport(

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from sfmc.dataset import MultiTaskDataset, TaskData
+from sfmc.select_eval import mean_average_precision, select_top, train_ls_classifier
 
 GRID = [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6]
 
@@ -316,6 +317,39 @@ def average_precision_oracle(scores, relevant):
             hits += 1
             precisions.append(hits / rank)
     return sum(precisions) / len(precisions)
+
+
+def score_candidates_oracle(candidates, train_tasks, test_sets, counts, ridge,
+                            support):
+    """select_eval._score_candidates one candidate at a time: a classifier
+    and a MAP per candidate, task and count, each from 2-D inputs, and
+    recovery counted with sets.
+
+    Unlike the other oracles it calls the production kernels, on 2-D
+    inputs: it pins the batching across candidates, while the 2-D kernels
+    are pinned on their own (average_precision_oracle, the classifier's
+    optimality tests).
+    """
+    maps = {count: [] for count in counts}
+    recs = {count: [] for count in counts}
+    for rankings in candidates:
+        for count in counts:
+            selections = [select_top(r, count) for r in rankings]
+            per_task = []
+            for task, (X_test, Y_test), sel in zip(train_tasks, test_sets, selections):
+                labeled = np.flatnonzero(task.labeled_mask)
+                clf = train_ls_classifier(task.X[np.ix_(sel, labeled)],
+                                          task.Y[labeled], ridge)
+                per_task.append(mean_average_precision(clf.decision(X_test[sel]), Y_test))
+            maps[count].append(float(np.mean(per_task)))
+            if support is not None:
+                sup = set(support)
+                recs[count].append(float(np.mean(
+                    [len(sup & set(sel.tolist())) / min(count, len(sup))
+                     for sel in selections])))
+    return {count: (np.array(maps[count]),
+                    None if support is None else np.array(recs[count]))
+            for count in counts}
 
 
 def fisher_oracle(X, labels, floor=1e-12):

@@ -403,6 +403,30 @@ class TestErrorPaths:
         assert "thread count must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case,threads", [
+        ("synth", "0"), ("select", "-2"), ("eval_fisher", "0"),
+        ("eval_all_features", "-5")])
+    def test_threads_below_one_exit_1_without_thread_pool(self, synth_dir, tmp_path,
+                                                          capsys, case, threads):
+        # these commands start no per-task pool, so the count is checked
+        # when the command line is parsed
+        out = tmp_path / "out"
+        if case == "synth":
+            args = ["synth", "--out-dir", str(out)]
+        elif case == "select":
+            model = tmp_path / "model.json"
+            assert main(["fit", str(synth_dir / "manifest.json"), "--out", str(model),
+                         "--k", "5"]) == 0
+            args = ["select", str(model), "--top", "3", "--out", str(out)]
+        else:
+            args = ["eval", str(synth_dir / "manifest.json"), "--out", str(out),
+                    "--methods", case[len("eval_"):], "--fractions", "0.5",
+                    "--counts", "3", "--repeats", "1", "--k", "5"]
+        capsys.readouterr()
+        assert main(args + ["--threads", threads]) == 1
+        assert f"thread count must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_commands_do_not_mutate_inputs(self, synth_dir, tmp_path):
         before = {f.name: f.read_bytes() for f in sorted(synth_dir.iterdir())}
         assert main(["fit", str(synth_dir / "manifest.json"), "--out",

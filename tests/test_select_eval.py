@@ -7,9 +7,9 @@ from sfmc.select_eval import (average_precision, fisher_score,
                               mean_average_precision, rank_features,
                               run_experiment, select_top, train_ls_classifier,
                               write_cells_csv, _rank_from_scores)
-from sfmc.solver import Hyperparams, fit
+from sfmc.solver import Hyperparams, NumericalError, fit
 from helpers import (average_precision_oracle, fisher_oracle, make_dataset,
-                     make_task)
+                     make_task, score_candidates_oracle)
 
 
 class TestRankFeatures:
@@ -196,6 +196,48 @@ class TestLSClassifier:
         with pytest.raises(ValidationError):
             train_ls_classifier(np.zeros((2, 3)), np.zeros((3, 2)), ridge)
 
+    @pytest.mark.parametrize("ridge", [1e-6, 0.5, 1e12])
+    def test_stack_matches_slices(self, ridge):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((2, 3, 5, 20))
+        Y = np.zeros((20, 3))
+        Y[np.arange(20), rng.integers(0, 3, 20)] = 1
+        stacked = train_ls_classifier(X, Y, ridge)
+        assert stacked.W.shape == (2, 3, 5, 3) and stacked.b.shape == (2, 3, 3)
+        for i in np.ndindex(2, 3):
+            single = train_ls_classifier(X[i], Y, ridge)
+            for got, want in ((stacked.W[i], single.W), (stacked.b[i], single.b)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            np.testing.assert_allclose(stacked.decision(X)[i], single.decision(X[i]),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_stack_with_one_indefinite_gram_raises(self):
+        # two copies of a feature of size 1e10: the ridge is below the
+        # round-off of the Gram matrix, whose Cholesky factor then meets an
+        # exact zero pivot
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((3, 2, 4))
+        X[1] = 1e10 * np.array([1.0, -1.0, 1.0, -1.0])
+        Y = np.zeros((4, 2))
+        Y[[0, 2], 0] = Y[[1, 3], 1] = 1
+        train_ls_classifier(X[[0, 2]], Y, 1e-6)
+        with pytest.raises(NumericalError, match="SPD factorization failed"):
+            train_ls_classifier(X, Y, 1e-6)
+        with pytest.raises(NumericalError, match="SPD factorization failed"):
+            train_ls_classifier(X[1], Y, 1e-6)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_stack_with_one_overflowing_gram_raises(self):
+        # one feature of size 1e200 overflows its Gram matrix to inf; with one
+        # feature the factorization would pass the inf on as a factor
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((3, 1, 4))
+        X[1] *= 1e200
+        Y = np.zeros((4, 2))
+        Y[[0, 2], 0] = Y[[1, 3], 1] = 1
+        with pytest.raises(NumericalError, match="non-finite"):
+            train_ls_classifier(X, Y, 1e-2)
+
 
 class TestAveragePrecision:
     def test_worked_example(self):
@@ -232,6 +274,22 @@ class TestAveragePrecision:
     def test_needs_a_relevant_item(self):
         with pytest.raises(ValidationError):
             average_precision(np.ones(3), np.zeros(3, bool))
+
+    def test_map_stack_matches_slices_bit_for_bit(self):
+        # scores on a 0.1 grid tie often (ties go to the lower index), and
+        # class 2 has no relevant test sample, so it is skipped
+        rng = np.random.default_rng(17)
+        scores = np.round(rng.random((2, 4, 30, 3)), 1)
+        Y = np.zeros((30, 3))
+        Y[np.arange(30), rng.integers(0, 2, 30)] = 1
+        stacked = mean_average_precision(scores, Y)
+        assert stacked.shape == (2, 4)
+        for i in np.ndindex(2, 4):
+            assert stacked[i] == mean_average_precision(scores[i], Y)
+            assert mean_average_precision(scores[i], Y) == float(np.mean(
+                [average_precision(scores[i][:, c], Y[:, c] > 0) for c in (0, 1)]))
+        with pytest.raises(ValidationError, match="no class has a relevant sample"):
+            mean_average_precision(scores, np.zeros((30, 3)))
 
     def test_map_bounds_and_perfect_ranker(self):
         rng = np.random.default_rng(13)
@@ -419,6 +477,51 @@ class TestRunExperiment:
         # per fit of the 8 cells
         assert len(calls) == 2 * 2 * (3 + 8) * synth.n_tasks
         assert shared.to_json_dict() == unshared.to_json_dict()
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_batched_scoring_matches_per_candidate_oracle(self, synth, monkeypatch,
+                                                          seed):
+        from sfmc import select_eval
+
+        kwargs = dict(
+            methods=["sfmc", "fisher", "all_features"], fractions=[0.2, 1.0],
+            feature_counts=[2, 4, 8], repeats=3, seed=seed,
+            grid={"beta": [0.01, 1.0], "gamma": [0.1, 10.0]},
+            hp_base=Hyperparams(k=6, max_iter=10),
+        )
+        batched = run_experiment(synth, **kwargs)
+        monkeypatch.setattr(select_eval, "_score_candidates", score_candidates_oracle)
+        oracle = run_experiment(synth, **kwargs)
+        assert len(batched.cells) == len(oracle.cells) == 2 * (3 + 3 + 1)
+        for got, want in zip(batched.cells, oracle.cells):
+            assert (got.method, got.fraction, got.count) == (want.method, want.fraction,
+                                                             want.count)
+            assert got.map_per_repeat == want.map_per_repeat
+            assert got.recovery_per_repeat == want.recovery_per_repeat
+            assert got.best_params == want.best_params
+        assert batched.to_json_dict() == oracle.to_json_dict()
+
+    def test_one_classifier_and_map_call_per_task_and_count(self, synth, monkeypatch):
+        # every candidate of a (repeat, fraction, method), each grid cell for
+        # sfmc, is scored in one batched call per task and count
+        from sfmc import select_eval
+
+        calls = {"train_ls_classifier": 0, "mean_average_precision": 0}
+        for name in calls:
+            original = getattr(select_eval, name)
+            monkeypatch.setattr(
+                select_eval, name,
+                lambda *a, name=name, original=original:
+                    calls.__setitem__(name, calls[name] + 1) or original(*a))
+        run_experiment(
+            synth, methods=["sfmc", "fisher", "all_features"], fractions=[0.2, 1.0],
+            feature_counts=[4, 8], repeats=2, seed=3, grid={"gamma": [0.1, 1.0, 10.0]},
+            hp_base=Hyperparams(k=6, max_iter=10))
+        # repeats x fractions x tasks x counts (2 for sfmc, 2 for fisher, 1
+        # for all_features)
+        expected = 2 * 2 * synth.n_tasks * (2 + 2 + 1)
+        assert calls == {"train_ls_classifier": expected,
+                         "mean_average_precision": expected}
 
     def test_more_labels_help(self):
         # full labels beat 10% labels for Fisher on clean synthetic data in
