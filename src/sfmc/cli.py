@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input or validation error, 2 numerical failure.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .dataset import (SynthConfig, generate_synthetic, load_manifest,
@@ -26,40 +27,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _thread_count(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be at least 1, got {n}")
-    return n
-
-
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--threads", type=_thread_count, default=1, help="worker cap")
     p.add_argument("--verbose", action="store_true", help="per-iteration output")
 
 
 def _add_hyperparams(p):
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=15, help="clique size for the graph")
-    p.add_argument("--inf-surrogate", type=float, default=1e6)
-    p.add_argument("--delta", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
+    # one flag per Hyperparams field, typed and defaulted by the field's
+    # default; lam is --lambda, and max_iter is --max-iter
+    for f in fields(Hyperparams):
+        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default,
+                       help="clique size for the graph" if f.name == "k" else None)
 
 
 def _hp_from_args(args):
-    return Hyperparams(
-        alpha=args.alpha, beta=args.beta, gamma=args.gamma, lam=args.lam,
-        k=args.k, inf_surrogate=args.inf_surrogate, delta=args.delta,
-        max_iter=args.max_iter, rel_tol=args.rel_tol,
-    )
+    return Hyperparams(**{f.name: getattr(args, f.name) for f in fields(Hyperparams)})
 
 
 def build_parser():
@@ -133,7 +116,7 @@ def _cmd_fit(args):
     if args.verbose:
         def callback(r, state):
             print(f"iter {r:3d}  objective {state.objective_trace[-1]:.10g}")
-    model = fit(ds, hp, callback=callback, n_threads=args.threads)
+    model = fit(ds, hp, callback=callback)
     model.save(args.out)
     trace = model.objective_trace
     print(f"fitted {model.n_tasks} tasks in {model.iterations} iterations "
@@ -179,7 +162,6 @@ def _cmd_eval(args):
         hp_base=_hp_from_args(args),
         test_fraction=args.test_fraction,
         ridge=args.ridge,
-        n_threads=args.threads,
     )
     report.save(args.out)
     if args.cells_csv:

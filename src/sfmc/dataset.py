@@ -96,6 +96,25 @@ class TaskData:
         return self.Y.shape[1]
 
 
+def _check_support(support, d):
+    """Raise ValidationError unless support lists distinct feature indices in [0, d)."""
+    if not isinstance(support, (list, tuple)) or len(support) == 0:
+        raise ValidationError("metadata support must be a non-empty list of feature indices")
+    seen = set()
+    for j in support:
+        # bool is an int subclass, but True is no feature index
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            problem = "is not an integer"
+        elif not 0 <= j < d:
+            problem = f"is outside [0, {d})"
+        elif j in seen:
+            problem = "repeats"
+        else:
+            seen.add(j)
+            continue
+        raise ValidationError(f"metadata support entry {j!r} {problem}")
+
+
 @dataclass(frozen=True)
 class MultiTaskDataset:
     """An ordered collection of tasks over one shared feature space."""
@@ -120,6 +139,11 @@ class MultiTaskDataset:
             if len(names) != d:
                 raise ValidationError(f"feature_names must have length {d}")
             object.__setattr__(self, "feature_names", names)
+        if not isinstance(self.metadata, dict):
+            raise ValidationError("metadata must be an object")
+        support = self.metadata.get("support")
+        if support is not None:
+            _check_support(support, d)
 
     @property
     def n_tasks(self):

@@ -259,7 +259,7 @@ def _assemble_csr(idx, M):
         data[indptr[lo]:indptr[hi]] = block[stored]
     L = csr_array((data, indices, indptr), shape=(n, n))
     L.has_canonical_format = True
-    # eval shares one graph across every fit and thread of a split
+    # eval shares one graph across every fit of a split
     for a in (L.data, L.indices, L.indptr):
         a.setflags(write=False)
     return L

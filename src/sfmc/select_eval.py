@@ -26,7 +26,7 @@ class FeatureRanking:
 
 def _rank_from_scores(scores):
     scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(scores.size), -scores))
+    order = np.argsort(-scores, kind="stable")  # ties to the lower index
     return FeatureRanking(indices=order, scores=scores)
 
 
@@ -293,9 +293,8 @@ def _stratified_split(task, rng, test_fraction):
 def _recovery(selections, support, count):
     """Per candidate, the share of min(count, |support|) support features
     selected, averaged over tasks; selections is (candidates, tasks, count)."""
-    support = np.unique(support)
     hits = np.isin(selections, support).sum(axis=-1)
-    return (hits / min(count, support.size)).mean(axis=-1)
+    return (hits / min(count, len(support))).mean(axis=-1)
 
 
 def _score_candidates(candidates, train_tasks, test_sets, counts, ridge, support):
@@ -327,7 +326,7 @@ def _score_candidates(candidates, train_tasks, test_sets, counts, ridge, support
     return res
 
 
-def _candidate_rankings(method, dataset, combos, hp, graphs, n_threads):
+def _candidate_rankings(method, dataset, combos, hp, graphs):
     """Per-task rankings of each candidate: one per grid cell for sfmc, each
     model ranked as soon as it is fitted, and one for the baselines.
 
@@ -342,7 +341,7 @@ def _candidate_rankings(method, dataset, combos, hp, graphs, n_threads):
             cell = replace(hp, **combo)
             if prepared is None or not prepared.serves(dataset, cell):
                 prepared = None  # drop the last set before building the next
-                prepared = prepare(dataset, cell, n_threads, graphs)
+                prepared = prepare(dataset, cell, graphs)
             model = fit(dataset, cell, prepared=prepared)
             yield [rank_features(model, l) for l in range(model.n_tasks)]
     elif method == "fisher":
@@ -362,7 +361,6 @@ def run_experiment(
     hp_base=None,
     test_fraction=0.5,
     ridge=1e-2,
-    n_threads=1,
 ):
     """Benchmark feature-selection methods over label fractions and counts.
 
@@ -379,8 +377,7 @@ def run_experiment(
     baseline ranking, is scored together: one batched classifier and MAP
     call per task and count.  When the dataset carries a planted support,
     support-recovery precision at each count is reported as well.
-    Repeats run in order; n_threads goes to the per-task work of the graph
-    builds and cache preparations.  Deterministic for a fixed seed.
+    Repeats run in order.  Deterministic for a fixed seed.
     """
     methods = [m.lower() for m in methods]
     for m in methods:
@@ -432,14 +429,13 @@ def run_experiment(
         hp = replace(hp_base, k=min(hp_base.k, min(t.n_samples for t in train_ds.tasks)))
         # masking labels leaves X alone, so every fit of this split shares
         # one graph per task
-        graphs = build_graphs(train_ds, hp, n_threads) if "sfmc" in methods else None
+        graphs = build_graphs(train_ds, hp) if "sfmc" in methods else None
         scores = {}
         for fi, fraction in enumerate(fractions):
             masked = apply_label_fraction(train_ds, fraction, _child_seed(seed, rep, fi))
             for method in methods:
                 t0 = time.perf_counter()
-                candidates = list(_candidate_rankings(
-                    method, masked, combos, hp, graphs, n_threads))
+                candidates = list(_candidate_rankings(method, masked, combos, hp, graphs))
                 table = _score_candidates(candidates, masked.tasks, test_sets,
                                           counts[method], ridge, dataset.support)
                 scores[method, fraction] = (table, time.perf_counter() - t0)

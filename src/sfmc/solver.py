@@ -649,20 +649,7 @@ class Anderson:
         return gx, plain
 
 
-def _map_tasks(fn, items, n_threads):
-    """[fn(item) for item in items]; n_threads > 1 runs them on a thread pool."""
-    if n_threads < 1:
-        raise ValidationError(f"thread count must be at least 1, got {n_threads}")
-    items = list(items)
-    if n_threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def build_graphs(dataset, hp, n_threads=1):
+def build_graphs(dataset, hp):
     """Every task's Laplacian at hp.k and hp.lam, in task order, for prepare(graphs=).
 
     A Laplacian depends only on its task's X, k and lam, and each one keeps
@@ -671,8 +658,7 @@ def build_graphs(dataset, hp, n_threads=1):
     gamma or the label mask (apply_label_fraction passes X through) can
     share it.
     """
-    return _map_tasks(lambda task: build_task_laplacian(task.X, hp.k, hp.lam),
-                      dataset.tasks, n_threads)
+    return [build_task_laplacian(task.X, hp.k, hp.lam) for task in dataset.tasks]
 
 
 def _cache_key(hp):
@@ -709,21 +695,19 @@ class PreparedTasks:
         return dataset is self.dataset and _cache_key(hp) == _cache_key(self.hp)
 
 
-def prepare(dataset, hp, n_threads=1, graphs=None):
+def prepare(dataset, hp, graphs=None):
     """Every task's precompute_task caches for fits of dataset at hp, as a PreparedTasks.
 
     Per task it takes the graph Laplacian from graphs (as build_graphs
     returns them) and keeps, from precompute_task, the caches R and T, the
     W-free objective constant and the bias caches g and h.  When graphs is
     None, each task's Laplacian is built in that task's precompute call and
-    dropped after it, so a single-thread call holds one n x n array at a
-    time (X'X in the graph build, then A; L is sparse), and allocates
-    nothing n-sized that it returns.  A supplied graph must have been built from its task's own X
-    array (lap.X is task.X) at hp.k and hp.lam, or ValidationError is
+    dropped after it, so the call holds one n x n array at a time (X'X in
+    the graph build, then A; L is sparse), and allocates nothing n-sized
+    that it returns.  A supplied graph must have been built from its task's
+    own X array (lap.X is task.X) at hp.k and hp.lam, or ValidationError is
     raised.  The fits' JointSystem is built here, once, from R and T.  gamma
-    is not read, and alpha and beta only through their product.  n_threads
-    > 1 runs the tasks on a thread pool; results are identical to the
-    sequential path.
+    is not read, and alpha and beta only through their product.
     """
     for task in dataset.tasks:
         if hp.k > task.n_samples:
@@ -742,24 +726,24 @@ def prepare(dataset, hp, n_threads=1, graphs=None):
                     f"built from this task's X with k={hp.k}, lam={hp.lam}"
                 )
 
-    def caches(l):
-        task = dataset.tasks[l]
+    caches = []
+    for l, task in enumerate(dataset.tasks):
         lap = (graphs[l] if graphs is not None
                else build_task_laplacian(task.X, hp.k, hp.lam))
-        return precompute_task(task, lap, hp)
-
-    R, T, const, g, h = zip(*_map_tasks(caches, range(dataset.n_tasks), n_threads))
+        caches.append(precompute_task(task, lap, hp))
+        del lap  # a graph built here is dropped before the next task's build
+    R, T, const, g, h = zip(*caches)
     for a in R + T + g + h:
         a.setflags(write=False)
     return PreparedTasks(system=JointSystem(R, T), const=const, g=g, h=h,
                          dataset=dataset, hp=hp)
 
 
-def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
+def fit(dataset, hp, callback=None, prepared=None):
     """Run the alternating solver on every task of the dataset.
 
     The per-task caches come from prepared, a PreparedTasks from prepare;
-    when it is None, fit calls prepare(dataset, hp, n_threads) itself, so a
+    when it is None, fit calls prepare(dataset, hp) itself, so a
     lone fit holds one n x n array at a time, and nothing n-sized once the
     precomputation is done.  A prepared set must serve the fit
     (PreparedTasks.serves): built from this very dataset object, at hp's
@@ -796,10 +780,10 @@ def fit(dataset, hp, callback=None, n_threads=1, prepared=None):
     0) and after each reweighting iteration, with state.W the per-task
     column slices of the current W; state.cg_iterations and state.cg_split
     then give that iteration's joint CG solve (0 and None on the direct
-    solve_W path).  n_threads goes to prepare.
+    solve_W path).
     """
     if prepared is None:
-        prepared = prepare(dataset, hp, n_threads)
+        prepared = prepare(dataset, hp)
     elif not prepared.serves(dataset, hp):
         raise ValidationError(
             "caches prepared for another dataset object, or at (alpha*beta, "

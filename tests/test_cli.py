@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import sfmc
-from sfmc.cli import main
+from sfmc.cli import _hp_from_args, build_parser, main
 from sfmc.dataset import generate_synthetic, SynthConfig, write_manifest
-from sfmc.solver import load_selection_model
+from sfmc.solver import Hyperparams, load_selection_model
 
 
 @pytest.fixture()
@@ -90,6 +91,23 @@ class TestFit:
                    str(tmp_path / "m.json")])
         assert rc == 1
         assert "missing.json" in capsys.readouterr().err
+
+    def test_hyperparameter_defaults_from_hyperparams(self):
+        args = build_parser().parse_args(["fit", "M", "--out", "O"])
+        assert _hp_from_args(args) == Hyperparams()
+
+    def test_hyperparameter_flags_map_to_fields(self):
+        args = build_parser().parse_args([
+            "fit", "M", "--out", "O", "--alpha", "2", "--beta", "3", "--gamma", "0",
+            "--lambda", "4", "--k", "6", "--inf-surrogate", "50", "--delta", "1e-9",
+            "--max-iter", "7", "--rel-tol", "1e-3"])
+        hp = _hp_from_args(args)
+        assert hp == Hyperparams(alpha=2.0, beta=3.0, gamma=0.0, lam=4.0, k=6,
+                                 inf_surrogate=50.0, delta=1e-9, max_iter=7,
+                                 rel_tol=1e-3)
+        assert type(hp.k) is int and type(hp.max_iter) is int
+        for flag in ("--k", "--max-iter"):
+            assert main(["fit", "M", "--out", "O", flag, "2.5"]) == 1
 
     def test_bad_flag_value_exit_1(self, synth_dir, tmp_path, capsys):
         rc = main([
@@ -273,17 +291,6 @@ class TestEval:
         assert "ridge must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_threads_flag_does_not_change_output(self, synth_dir, tmp_path):
-        args = [
-            "eval", str(synth_dir / "manifest.json"), "--methods", "fisher",
-            "--fractions", "0.4", "1.0", "--counts", "3", "--repeats", "3",
-            "--k", "5", "--seed", "6",
-        ]
-        assert main(args + ["--out", str(tmp_path / "r1.json")]) == 0
-        assert main(args + ["--out", str(tmp_path / "r2.json"), "--threads", "3"]) == 0
-        assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
-
-
 class TestErrorPaths:
     def test_numerical_failure_exit_2(self, synth_dir, tmp_path, monkeypatch):
         from sfmc.solver import NumericalError
@@ -391,40 +398,50 @@ class TestErrorPaths:
                    "--k", "5", "--seed", "-4"])
         assert rc == 1
 
-    @pytest.mark.parametrize("command", ["fit", "eval"])
-    def test_threads_below_one_exit_1(self, synth_dir, tmp_path, capsys, command):
-        out = tmp_path / "out.json"
-        args = [command, str(synth_dir / "manifest.json"), "--out", str(out),
-                "--k", "5", "--threads", "-3"]
-        if command == "eval":
-            args += ["--methods", "sfmc", "--fractions", "0.5", "--counts", "3",
-                     "--repeats", "1"]
-        assert main(args) == 1
-        assert "thread count must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("case,threads", [
-        ("synth", "0"), ("select", "-2"), ("eval_fisher", "0"),
-        ("eval_all_features", "-5")])
-    def test_threads_below_one_exit_1_without_thread_pool(self, synth_dir, tmp_path,
-                                                          capsys, case, threads):
-        # these commands start no per-task pool, so the count is checked
-        # when the command line is parsed
-        out = tmp_path / "out"
-        if case == "synth":
-            args = ["synth", "--out-dir", str(out)]
-        elif case == "select":
-            model = tmp_path / "model.json"
-            assert main(["fit", str(synth_dir / "manifest.json"), "--out", str(model),
-                         "--k", "5"]) == 0
-            args = ["select", str(model), "--top", "3", "--out", str(out)]
-        else:
-            args = ["eval", str(synth_dir / "manifest.json"), "--out", str(out),
-                    "--methods", case[len("eval_"):], "--fractions", "0.5",
-                    "--counts", "3", "--repeats", "1", "--k", "5"]
+    def test_bad_support_exit_1(self, tmp_path, capsys):
+        # recovery would count the impossible indices 99 and -1 in its
+        # denominator, so the manifest is rejected before any work
+        data = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(data), "--features", "20", "--support",
+                     "4", "--tasks", "2", "--samples", "60", "--noise", "1.1",
+                     "--seed", "0"]) == 0
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["metadata"]["support"] = [0, 1, 2, 3, 99, -1]
+        manifest.write_text(json.dumps(doc))
+        report_path = tmp_path / "r.json"
         capsys.readouterr()
-        assert main(args + ["--threads", threads]) == 1
-        assert f"thread count must be at least 1, got {threads}" in capsys.readouterr().err
+        rc = main(["eval", str(manifest), "--out", str(report_path), "--methods",
+                   "fisher", "--counts", "4", "8", "--k", "5"])
+        assert rc == 1
+        assert "support entry 99 is outside [0, 20)" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "select", "eval"])
+    def test_threads_flag_rejected(self, synth_dir, tmp_path, capsys, command):
+        # tasks run in order; there is no thread option to set
+        out = tmp_path / "out"
+        args = {
+            "synth": ["synth", "--out-dir", str(out)],
+            "fit": ["fit", str(synth_dir / "manifest.json"), "--out", str(out),
+                    "--k", "5"],
+            "select": ["select", str(tmp_path / "model.json"), "--top", "3",
+                       "--out", str(out)],
+            "eval": ["eval", str(synth_dir / "manifest.json"), "--out", str(out),
+                     "--methods", "fisher", "--fractions", "0.5", "--counts", "3",
+                     "--repeats", "1", "--k", "5"],
+        }[command]
+        if command == "select":
+            assert main(["fit", str(synth_dir / "manifest.json"), "--out",
+                         str(tmp_path / "model.json"), "--k", "5"]) == 0
+        assert main(args) == 0  # the same command without the flag runs
+        if out.is_dir():
+            shutil.rmtree(out)
+        else:
+            out.unlink()
+        capsys.readouterr()
+        assert main(args + ["--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_commands_do_not_mutate_inputs(self, synth_dir, tmp_path):

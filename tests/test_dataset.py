@@ -74,6 +74,39 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match=message):
             load_manifest(path)
 
+    @pytest.mark.parametrize("support, message", [
+        ([0, 1, 3], "entry 3 is outside \\[0, 3\\)"),
+        ([-1, 0], "entry -1 is outside \\[0, 3\\)"),
+        ([0, 2, 0], "entry 0 repeats"),
+        ([0, True], "entry True is not an integer"),
+        ([1.0], "entry 1.0 is not an integer"),
+        (["1"], "entry '1' is not an integer"),
+        (2, "support must be a non-empty list"),
+        ([], "support must be a non-empty list"),
+    ], ids=["too-large", "negative", "repeated", "bool", "float", "string",
+            "not-list", "empty"])
+    def test_bad_support_rejected(self, tmp_path, support, message):
+        path = small_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["metadata"] = {"support": support}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
+            load_manifest(path)
+
+    def test_metadata_not_object_rejected(self, tmp_path):
+        path = small_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["metadata"] = [0, 1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="metadata must be an object"):
+            load_manifest(path)
+
+    def test_valid_support_kept(self, tmp_path):
+        ds = load_manifest(small_manifest(tmp_path))
+        for support in ([2, 0], (1,), [np.int64(0), 2]):
+            back = MultiTaskDataset(tasks=ds.tasks, metadata={"support": support})
+            assert back.support == [int(j) for j in support]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_manifest(tmp_path / "nope.json")

@@ -244,7 +244,7 @@ class TestLaplacianStorage:
         assert L.has_canonical_format
         # exactly symmetric: precompute_task adds L to A without symmetrizing
         assert (L != L.T).nnz == 0
-        # eval shares one graph across every fit and thread of a split
+        # eval shares one graph across every fit of a split
         for a in (L.data, L.indices, L.indptr):
             assert not a.flags.writeable
         with pytest.raises(ValueError):

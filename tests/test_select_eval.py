@@ -385,24 +385,6 @@ class TestRunExperiment:
         r2 = run_experiment(synth, **kwargs)
         assert r1.to_json_dict() == r2.to_json_dict()
 
-    def test_threaded_matches_sequential(self, synth, monkeypatch):
-        # repeats run in order and n_threads goes to the per-task work of the
-        # graph builds and fits, so every pool is started with n_threads
-        from sfmc import solver
-
-        kwargs = dict(
-            methods=["sfmc", "fisher"], fractions=[0.2, 1.0], feature_counts=[4],
-            repeats=3, seed=5, hp_base=Hyperparams(k=6),
-        )
-        r1 = run_experiment(synth, **kwargs)
-        pools = []
-        map_tasks = solver._map_tasks
-        monkeypatch.setattr(solver, "_map_tasks",
-                            lambda fn, items, n: pools.append(n) or map_tasks(fn, items, n))
-        r2 = run_experiment(synth, n_threads=3, **kwargs)
-        assert r1.to_json_dict() == r2.to_json_dict()
-        assert pools and set(pools) == {3}
-
     def test_rejects_duplicate_fractions(self, synth):
         # a fraction's mask seed depends on its position, so repeats of one
         # fraction would report two cells holding only the last mask's scores

@@ -77,22 +77,6 @@ class TestFitBasics:
             np.testing.assert_array_equal(a, b)
         assert m1.objective_trace == m2.objective_trace
 
-    def test_thread_pool_matches_sequential(self):
-        rng = np.random.default_rng(3)
-        ds = make_dataset(rng, t=3, d=6, n=12, c=2)
-        m1 = fit(ds, Hyperparams(k=4))
-        m2 = fit(ds, Hyperparams(k=4), n_threads=3)
-        for a, b in zip(m1.W, m2.W):
-            np.testing.assert_array_equal(a, b)
-
-    def test_thread_count_below_one_rejected(self):
-        ds = make_dataset(np.random.default_rng(3), t=2, d=6, n=12, c=2)
-        hp = Hyperparams(k=4)
-        for call in (fit, prepare, build_graphs):
-            for n_threads in (0, -3):
-                with pytest.raises(ValidationError, match="thread count"):
-                    call(ds, hp, n_threads=n_threads)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_independent_of_memory_layout(self, seed, tmp_path):
         # load_manifest reads a Fortran-ordered X, make_task builds a C-ordered

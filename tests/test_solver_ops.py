@@ -207,16 +207,16 @@ class TestPrecomputeTask:
                                    atol=1e-9 * np.abs(T_literal).max())
 
     def test_fit_holds_no_factor(self):
-        # fit keeps only each task's d-space caches, so a single-thread fit
-        # peaks at one task's L beside its A, about 2.3 n x n blocks; a fit
-        # that kept every task's factor to the end would stack them, about
-        # 4.25 blocks at t = 3
+        # fit keeps only each task's d-space caches, so it peaks at one
+        # task's L beside its A, about 2.3 n x n blocks; a fit that kept
+        # every task's factor to the end would stack them, about 4.25
+        # blocks at t = 3
         n = 600
         ds = make_dataset(np.random.default_rng(7), t=3, d=20, n=n, c=3)
         hp = Hyperparams(k=10)
         tracemalloc.start()
         try:
-            fit(ds, hp, n_threads=1)
+            fit(ds, hp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
