@@ -135,10 +135,12 @@ class MultiTaskDataset:
                     f"features but task {task.name!r} has {task.n_features}"
                 )
         if self.feature_names is not None:
-            names = tuple(str(s) for s in self.feature_names)
-            if len(names) != d:
-                raise ValidationError(f"feature_names must have length {d}")
-            object.__setattr__(self, "feature_names", names)
+            # a string or an object would otherwise pass as its characters or keys
+            if (not isinstance(self.feature_names, (list, tuple))
+                    or len(self.feature_names) != d):
+                raise ValidationError(f"feature_names must be a list of {d} names")
+            object.__setattr__(self, "feature_names",
+                               tuple(str(s) for s in self.feature_names))
         if not isinstance(self.metadata, dict):
             raise ValidationError("metadata must be an object")
         support = self.metadata.get("support")

@@ -9,11 +9,12 @@ local Laplacian is H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique
 submatrix and H_k the centering matrix; the task Laplacian is the sum of all
 local Laplacians scatter-added into global sample coordinates.  The n local
 Laplacians are computed in batched chunks from the clique Gram matrices,
-with H_k applied as a mean subtraction.  L is stored sparse, as a canonical
-read-only CSR array: a row holds only the samples that share a clique with
-it (about 130 of 1500 at k=15, d=100), so X'X is the only n x n array a
-build holds.  The result is exactly symmetric, positive semidefinite, and
-annihilates constant vectors.
+with H_k applied as a mean subtraction, and summed in one pass over their
+entries (sorted (row, column) keys, one bincount per block of rows).  L is a
+canonical read-only CSR array: a row holds only the samples that share a
+clique with it (about 130 of 1500 at k=15, d=100), so the sum's work grows
+with L's entries, and X'X is the only n x n array a build holds.  L is
+exactly symmetric, positive semidefinite, and annihilates constant vectors.
 """
 
 import math
@@ -23,8 +24,8 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
-# bytes of one row block of GEMM distances: bounds the k-NN scan's working
-# memory (a few blocks) whatever the sample count or the number of ties
+# bytes of one row block, of GEMM distances (k-NN scan) or clique entries
+# (L's assembly): bounds working memory to a few blocks whatever n or the ties
 KNN_BLOCK_BYTES = 1 << 20
 # X is rescaled by a power of two for the GEMM only when its largest entry
 # lies outside [2^-SCALE_EXP, 2^SCALE_EXP]; inside it X'X cannot overflow
@@ -218,11 +219,12 @@ def _local_laplacians(K, idx, lam):
 def _assemble_csr(idx, M):
     """Read-only canonical CSR of sum_i S_i M_i S_i', S_i clique i's selection.
 
-    Rows are summed in blocks of at most KNN_BLOCK_BYTES of dense row
-    entries.  A stable argsort of idx gathers each row's (clique, position)
-    pairs in clique order, and bincount adds them into the block, so every
-    entry is the same sum, in the same order, as one bincount over all n^2
-    entries in clique order would give.
+    One pass over row blocks of about KNN_BLOCK_BYTES of clique entries (a
+    row lies in k cliques on average, so KNN_BLOCK_BYTES // 8k^2 rows).  A
+    stable sort of the (row, column) keys of a block's clique entries lists
+    L's stored entries in canonical order, each one's terms in clique order,
+    and one bincount sums them from 0: every entry is the sum a dense scatter
+    in clique order gives, bit for bit, and no (rows x n) array is formed.
     """
     n, k = idx.shape
     flat_idx = idx.ravel()
@@ -230,34 +232,31 @@ def _assemble_csr(idx, M):
     # unique, and a quicksort of them costs a quarter of a stable sort
     order = np.argsort(flat_idx * flat_idx.size + np.arange(flat_idx.size))
     starts = np.searchsorted(flat_idx[order], np.arange(n + 1))
-    step = max(1, KNN_BLOCK_BYTES // (8 * n))
-    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    step = max(1, KNN_BLOCK_BYTES // (8 * k * k))
+    # keys (row - lo, column) with their tags take about 2 log2(n) +
+    # log2(step k^2) bits: far under 63 for any n whose X'X fits in memory
+    shift = int(n - 1).bit_length()
 
-    def gather(lo, hi):
-        # rows lo..hi-1: their (clique, position) pairs in clique order, the
-        # keys (row - lo) n + column of those pairs' entries, and which keys
-        # are hit
+    def block(lo):
+        # rows lo..hi-1: their stored entries' columns, row lengths and sums
+        hi = min(lo + step, n)
         pos = order[starts[lo]:starts[hi]]
-        keys = ((flat_idx[pos] - lo)[:, None] * n + idx[pos // k]).ravel()
-        hit = np.zeros((hi - lo) * n, dtype=bool)
-        hit[keys] = True
-        return pos, keys, hit
+        keys = ((flat_idx[pos] - lo)[:, None] << shift | idx[pos // k]).ravel()
+        # as for order, keys tagged with their place sort stably, so each
+        # entry's terms stay in clique order
+        tag = int(keys.size).bit_length()
+        keys = np.sort(keys << tag | np.arange(keys.size))
+        terms = M.reshape(n * k, k)[pos].ravel()[keys & ((1 << tag) - 1)]
+        keys >>= tag
+        first = np.diff(keys, prepend=-1) != 0
+        stored = keys[first]
+        return (stored & ((1 << shift) - 1),
+                np.bincount(stored >> shift, minlength=hi - lo),
+                np.bincount(np.cumsum(first) - 1, weights=terms))
 
-    # L stores every pair of samples that share a clique: a first pass counts
-    # them per row, so L's arrays are allocated once, at their final size
-    counts = [np.count_nonzero(gather(lo, hi)[2].reshape(hi - lo, n), axis=1)
-              for lo, hi in blocks]
+    indices, counts, data = zip(*map(block, range(0, n, step)))
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data = np.empty(indptr[-1])
-    M = M.reshape(n * k, k)
-    for lo, hi in blocks:
-        pos, keys, hit = gather(lo, hi)
-        stored = np.flatnonzero(hit)
-        block = np.bincount(keys, weights=M[pos].ravel(), minlength=(hi - lo) * n)
-        indices[indptr[lo]:indptr[hi]] = stored % n
-        data[indptr[lo]:indptr[hi]] = block[stored]
-    L = csr_array((data, indices, indptr), shape=(n, n))
+    L = csr_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n))
     L.has_canonical_format = True
     # eval shares one graph across every fit of a split
     for a in (L.data, L.indices, L.indptr):

@@ -211,7 +211,7 @@ def load_selection_model(path):
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
-        return SelectionModel(
+        model = SelectionModel(
             task_names=tuple(t["name"] for t in doc["tasks"]),
             W=tuple(np.asarray(t["W"], dtype=np.float64) for t in doc["tasks"]),
             b=tuple(np.asarray(t["b"], dtype=np.float64) for t in doc["tasks"]),
@@ -225,6 +225,23 @@ def load_selection_model(path):
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model file {path} has unexpected structure: {exc}") from exc
+    if model.n_tasks == 0:
+        raise ValidationError(f"model file {path} has no tasks")
+    d = model.W[0].shape[0] if model.W[0].ndim == 2 else None
+    for name, W, b, scores in zip(model.task_names, model.W, model.b, model.feature_scores):
+        if W.ndim != 2 or W.shape[0] != d:
+            problem = "W must be 2-D" if d is None else f"W must be 2-D with {d} rows"
+        elif b.shape != (W.shape[1],):
+            problem = f"b must have {W.shape[1]} entries, one per W column"
+        elif scores.shape != (d,):
+            problem = f"feature_scores must have {d} entries"
+        elif not (np.isfinite(W).all() and np.isfinite(b).all()
+                  and np.isfinite(scores).all()):
+            problem = "W, b and feature_scores must be finite"
+        else:
+            continue
+        raise ValidationError(f"model file {path}: task {name!r}: {problem}")
+    return model
 
 
 def selection_diag(mask, inf_surrogate):

@@ -222,6 +222,17 @@ class TestSelect:
         assert rc == 1
         assert "alpha must be finite" in capsys.readouterr().err
 
+    def test_malformed_scores_in_model_exit_1(self, model_path, tmp_path, capsys):
+        # a 2-D feature_scores would reach the ranking as rows, not scores
+        doc = json.loads(model_path.read_text())
+        doc["tasks"][0]["feature_scores"] = doc["tasks"][0]["W"]
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "sel.json"
+        rc = main(["select", str(model_path), "--top", "4", "--out", str(out)])
+        assert rc == 1
+        assert "feature_scores must have 10 entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_top_1_is_max_row_norm(self, model_path, tmp_path):
         out = tmp_path / "sel.json"
         assert main(["select", str(model_path), "--top", "1", "--out",
@@ -416,6 +427,18 @@ class TestErrorPaths:
         assert rc == 1
         assert "support entry 99 is outside [0, 20)" in capsys.readouterr().err
         assert not report_path.exists()
+
+    def test_bad_feature_names_exit_1(self, synth_dir, tmp_path, capsys):
+        manifest = synth_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["feature_names"] = 5
+        manifest.write_text(json.dumps(doc))
+        model_path = tmp_path / "model.json"
+        capsys.readouterr()
+        rc = main(["fit", str(manifest), "--out", str(model_path), "--k", "5"])
+        assert rc == 1
+        assert "feature_names must be a list of 10 names" in capsys.readouterr().err
+        assert not model_path.exists()
 
     @pytest.mark.parametrize("command", ["synth", "fit", "select", "eval"])
     def test_threads_flag_rejected(self, synth_dir, tmp_path, capsys, command):

@@ -101,6 +101,17 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match="metadata must be an object"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("names", [5, "abc", {"x": 0, "y": 1, "z": 2}, ["x", "y"]],
+                             ids=["int", "string", "object", "short-list"])
+    def test_bad_feature_names_rejected(self, tmp_path, names):
+        # d = 3: a 3-character string or a 3-key object is not 3 names
+        path = small_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["feature_names"] = names
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="feature_names must be a list of 3"):
+            load_manifest(path)
+
     def test_valid_support_kept(self, tmp_path):
         ds = load_manifest(small_manifest(tmp_path))
         for support in ([2, 0], (1,), [np.int64(0), 2]):

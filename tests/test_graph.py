@@ -256,11 +256,16 @@ class TestLaplacianStorage:
         # for bit, whether the rows (and the clique chunks) are summed in one
         # block or in blocks of 1 or 3 rows
         rng = np.random.default_rng(11)
-        # d < k, d > k, and k = n (every clique is the whole task)
-        for d, n, k in ((2, 17, 6), (7, 23, 4), (3, 9, 9)):
+        # tied columns: a 0/1 grid, every column twice, so cliques share many
+        # samples and are cut at equal distances
+        tied = rng.integers(0, 2, size=(3, 10)).astype(float)
+        # d < k, d > k, k = n (every clique is the whole task), and ties
+        cases = [(rng.standard_normal((2, 17)), 6), (rng.standard_normal((7, 23)), 4),
+                 (rng.standard_normal((3, 9)), 9), (np.hstack([tied, tied]), 5)]
+        for X, k in cases:
+            n = X.shape[1]
             if block_rows is not None:
-                monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n * block_rows)
-            X = rng.standard_normal((d, n))
+                monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * k * k * block_rows)
             L = build_task_laplacian(X, k, 0.3).L
             cliques = knn_cliques(X, k)
             expected = clique_scatter_oracle(X, cliques, 0.3)
@@ -273,3 +278,25 @@ class TestLaplacianStorage:
             np.testing.assert_allclose(
                 L.toarray(), dense_laplacian_oracle(X, cliques, 0.3), atol=1e-12
             )
+
+    def test_assembly_memory_scales_with_clique_entries(self, monkeypatch):
+        # one block holds every row: the assembly's working memory stays a
+        # small multiple of the n k^2 clique entries, with no n x n array
+        n, k = 3000, 5
+        monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n * n)
+        rng = np.random.default_rng(3)
+        # k distinct samples per clique, the first one i itself
+        offsets = np.cumsum(rng.integers(1, n // k, size=(n, k - 1)), axis=1)
+        idx = (np.arange(n)[:, None] + np.hstack([np.zeros((n, 1), int), offsets])) % n
+        M = rng.standard_normal((n, k, k))
+        tracemalloc.start()
+        try:
+            L = graph._assemble_csr(idx, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * k * k * 8
+        rows = np.repeat(idx, k, axis=1).ravel()
+        cols = np.tile(idx, (1, k)).ravel()
+        expected = csr_array((M.ravel(), (rows, cols)), shape=(n, n))
+        assert abs(L - expected).max() <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -650,6 +651,38 @@ class TestModelSerialization:
             else:
                 with pytest.raises(ValidationError, match="exact_w_update"):
                     load_selection_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(tasks=[]), "has no tasks"),
+        (lambda doc: doc["tasks"][1].update(W=doc["tasks"][1]["W"][:2]),
+         "task 't1': W must be 2-D with 6 rows"),
+        (lambda doc: doc["tasks"][0].update(W=doc["tasks"][0]["W"][0]),
+         "task 't0': W must be 2-D"),
+        (lambda doc: doc["tasks"][1].update(b=[0.0]), "task 't1': b must have 2 entries"),
+        (lambda doc: doc["tasks"][0].update(
+            feature_scores=doc["tasks"][0]["feature_scores"][:3]),
+         "task 't0': feature_scores must have 6 entries"),
+        (lambda doc: doc["tasks"][1].update(feature_scores=doc["tasks"][1]["W"]),
+         "task 't1': feature_scores must have 6 entries"),
+        (lambda doc: doc["tasks"][1]["feature_scores"].__setitem__(2, float("nan")),
+         "task 't1': W, b and feature_scores must be finite"),
+        (lambda doc: doc["tasks"][0]["W"][3].__setitem__(0, float("inf")),
+         "task 't0': W, b and feature_scores must be finite"),
+        (lambda doc: doc["tasks"][0]["b"].__setitem__(1, float("nan")),
+         "task 't0': W, b and feature_scores must be finite"),
+    ], ids=["no-tasks", "W-short", "W-1d", "b-short", "scores-short", "scores-2d",
+            "scores-nan", "W-inf", "b-nan"])
+    def test_malformed_model_rejected(self, tmp_path, edit, message):
+        # d = 6, two tasks of two classes each
+        rng = np.random.default_rng(15)
+        ds = make_dataset(rng, t=2, d=6, n=8, c=2)
+        doc = fit(ds, Hyperparams(k=3, max_iter=3)).to_json_dict()
+        doc["tasks"][0]["name"], doc["tasks"][1]["name"] = "t0", "t1"
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_selection_model(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(12)
