@@ -29,7 +29,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--verbose", action="store_true", help="per-iteration output")
 
 
 def _add_hyperparams(p):
@@ -67,6 +66,7 @@ def build_parser():
     _add_hyperparams(p)
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="model JSON path")
+    p.add_argument("--verbose", action="store_true", help="per-iteration output")
 
     p = sub.add_parser("select",
                        help="write top-N feature indices from a fitted model")

@@ -139,8 +139,12 @@ class MultiTaskDataset:
             if (not isinstance(self.feature_names, (list, tuple))
                     or len(self.feature_names) != d):
                 raise ValidationError(f"feature_names must be a list of {d} names")
-            object.__setattr__(self, "feature_names",
-                               tuple(str(s) for s in self.feature_names))
+            for j, name in enumerate(self.feature_names):
+                # str() would pass 1, null or an object off as a name
+                if not isinstance(name, str):
+                    raise ValidationError(
+                        f"feature_names entry {j} is {name!r}, not a string")
+            object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if not isinstance(self.metadata, dict):
             raise ValidationError("metadata must be an object")
         support = self.metadata.get("support")
@@ -296,30 +300,18 @@ def write_manifest(ds, out_dir, manifest_name="manifest.json"):
 def _stratified_counts(class_sizes, m):
     """Split a labeled budget m across classes: one each, rest proportional.
 
-    Largest-remainder rounding, ties broken by lower class index; counts are
-    capped by class size.
+    Largest-remainder rounding, ties broken by lower class index.  The caller
+    ensures C <= m <= sum(class_sizes), so each class's share of the rest is
+    at most its size less one, and only classes with a fractional share take
+    a remainder: no count exceeds its class's size.
     """
     class_sizes = np.asarray(class_sizes, dtype=int)
-    counts = np.ones(len(class_sizes), dtype=int)
     avail = class_sizes - 1
-    rest = m - len(class_sizes)
-    if rest > 0:
-        ideal = rest * avail / max(avail.sum(), 1)
-        base = np.minimum(np.floor(ideal).astype(int), avail)
-        counts += base
-        left = rest - base.sum()
-        order = np.lexsort((np.arange(len(class_sizes)), -(ideal - np.floor(ideal))))
-        while left > 0:
-            progressed = False
-            for c in order:
-                if left == 0:
-                    break
-                if counts[c] < class_sizes[c]:
-                    counts[c] += 1
-                    left -= 1
-                    progressed = True
-            if not progressed:
-                raise ValidationError("labeled budget exceeds available samples")
+    ideal = (m - len(class_sizes)) * avail / max(avail.sum(), 1)
+    base = np.floor(ideal)
+    counts = 1 + base.astype(int)
+    order = np.argsort(base - ideal, kind="stable")
+    counts[order[:m - counts.sum()]] += 1
     return counts
 
 

@@ -88,10 +88,11 @@ def knn_cliques(X, k, gram=None):
     k-th one kept, and the candidates' exact (distance, index) order gives
     exactly what an exhaustive sort would.  A block where an eighth or more
     of the entries are candidates (heavy ties, GEMM cancellation, or k close
-    to n) gets exact distances for every entry instead; there, a row tied
-    far past its k-th distance is sorted whole, stably.  Badly scaled X is rescaled by a power of two
-    (exact) for the GEMM only, and rows whose exact distances could overflow
-    keep every sample as a candidate.
+    to n) gets exact distances for every entry instead, and each of its rows
+    is sorted whole by one stable sort, which is the same (distance, index)
+    order.  Badly scaled X is rescaled by a power of two (exact) for the GEMM
+    only, and rows whose exact distances could overflow keep every sample as
+    a candidate.
     """
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
@@ -140,34 +141,19 @@ def knn_cliques(X, k, gram=None):
             # an eighth or more of the entries are candidates (ties, GEMM
             # cancellation, or k close to n): exact distances for the whole
             # block from cdist, which rounds as _pair_sq_dists does, cost
-            # less than per-pair gathers; the candidates are then every entry
-            # at or under the row's k-th exact distance
+            # less than per-pair gathers, and a stable sort of each row keeps
+            # equal distances in index order.  Distances are >= 0, so -1 puts
+            # each sample at the head of its own row
             exact = cdist(XT[lo:hi], XT, "sqeuclidean")
-            # distances are >= 0, so -1 puts each sample at the head of its own row
             exact[np.arange(m), np.arange(lo, hi)] = -1.0
-            ekth = np.partition(exact, k - 1, axis=1)[:, k - 1]
-            cand = exact <= ekth[:, None]
-            # a row tied well past its k-th distance (candidates for more than
-            # 2k and an eighth of the samples) costs less as a stable sort of
-            # the whole row, which keeps equal distances in index order, than
-            # in the lexsort below
-            counts = np.count_nonzero(cand, axis=1)
-            heavy = (8 * counts > n) & (counts > 2 * k)
-            if heavy.any():
-                indices[lo:hi][heavy] = np.argsort(exact[heavy], axis=1,
-                                                   kind="stable")[:, :k]
-                cand[heavy] = False
-            rows, cols = np.nonzero(cand)
-            dist = exact[rows, cols]
+            indices[lo:hi] = np.argsort(exact, axis=1, kind="stable")[:, :k]
         else:
-            heavy = np.zeros(m, dtype=bool)
             rows, cols = np.nonzero(cand)
             dist = _pair_sq_dists(X, rows + lo, cols)
             dist[rows + lo == cols] = -1.0
-        order = np.lexsort((cols, dist, rows))
-        light = np.flatnonzero(~heavy)
-        heads = np.searchsorted(rows, light)
-        indices[lo + light] = cols[order[heads[:, None] + np.arange(k)]]
+            order = np.lexsort((cols, dist, rows))
+            heads = np.searchsorted(rows, np.arange(m))
+            indices[lo:hi] = cols[order[heads[:, None] + np.arange(k)]]
     indices.setflags(write=False)
     return indices
 

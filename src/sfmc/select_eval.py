@@ -401,13 +401,17 @@ def run_experiment(
             raise ValidationError(f"feature count {c} out of range [1, {d}]")
     # a fraction's mask seed depends on its position, so duplicates are
     # rejected rather than merged; a repeated method would run and report
-    # its cells twice
+    # its cells twice, and a repeated grid value would fit each of its cells
+    # more than once
     if len(set(fractions)) < len(fractions):
         raise ValidationError(f"duplicate label fractions in {list(fractions)}")
     if len(set(methods)) < len(methods):
         raise ValidationError(f"duplicate methods in {methods}")
     hp_base = hp_base if hp_base is not None else Hyperparams()
     grid = grid or {}
+    for name, values in grid.items():
+        if len(set(values)) < len(values):
+            raise ValidationError(f"duplicate {name} grid values in {list(values)}")
     combos = [
         dict(zip(("alpha", "beta", "gamma"), vals))
         for vals in itertools.product(

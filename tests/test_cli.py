@@ -40,6 +40,33 @@ def dense_dir(tmp_path):
     return write_manifest(MultiTaskDataset(tasks=tasks), tmp_path / "dense").parent
 
 
+def _check_flag_rejected(synth_dir, tmp_path, capsys, command, flag):
+    """command runs without flag, then exits 1 with it and writes nothing."""
+    out = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--out-dir", str(out)],
+        "fit": ["fit", str(synth_dir / "manifest.json"), "--out", str(out),
+                "--k", "5"],
+        "select": ["select", str(tmp_path / "model.json"), "--top", "3",
+                   "--out", str(out)],
+        "eval": ["eval", str(synth_dir / "manifest.json"), "--out", str(out),
+                 "--methods", "fisher", "--fractions", "0.5", "--counts", "3",
+                 "--repeats", "1", "--k", "5"],
+    }[command]
+    if command == "select":
+        assert main(["fit", str(synth_dir / "manifest.json"), "--out",
+                     str(tmp_path / "model.json"), "--k", "5"]) == 0
+    assert main(args) == 0  # the same command without the flag runs
+    if out.is_dir():
+        shutil.rmtree(out)
+    else:
+        out.unlink()
+    capsys.readouterr()
+    assert main(args + flag) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSynth:
     def test_writes_loadable_manifest(self, synth_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -402,6 +429,16 @@ class TestErrorPaths:
         assert "duplicate methods" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_duplicate_grid_values_exit_1(self, synth_dir, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        rc = main(["eval", str(synth_dir / "manifest.json"), "--out", str(report_path),
+                   "--methods", "sfmc", "--fractions", "0.5", "--counts", "3",
+                   "--repeats", "1", "--k", "5", "--beta-grid", "1", "1",
+                   "--gamma-grid", "1", "1"])
+        assert rc == 1
+        assert "duplicate beta grid values in [1.0, 1.0]" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_negative_seed_exit_1(self, synth_dir, tmp_path):
         rc = main(["eval", str(synth_dir / "manifest.json"), "--out",
                    str(tmp_path / "r.json"), "--methods", "fisher",
@@ -443,29 +480,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["synth", "fit", "select", "eval"])
     def test_threads_flag_rejected(self, synth_dir, tmp_path, capsys, command):
         # tasks run in order; there is no thread option to set
-        out = tmp_path / "out"
-        args = {
-            "synth": ["synth", "--out-dir", str(out)],
-            "fit": ["fit", str(synth_dir / "manifest.json"), "--out", str(out),
-                    "--k", "5"],
-            "select": ["select", str(tmp_path / "model.json"), "--top", "3",
-                       "--out", str(out)],
-            "eval": ["eval", str(synth_dir / "manifest.json"), "--out", str(out),
-                     "--methods", "fisher", "--fractions", "0.5", "--counts", "3",
-                     "--repeats", "1", "--k", "5"],
-        }[command]
-        if command == "select":
-            assert main(["fit", str(synth_dir / "manifest.json"), "--out",
-                         str(tmp_path / "model.json"), "--k", "5"]) == 0
-        assert main(args) == 0  # the same command without the flag runs
-        if out.is_dir():
-            shutil.rmtree(out)
-        else:
-            out.unlink()
-        capsys.readouterr()
-        assert main(args + ["--threads", "2"]) == 1
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-        assert not out.exists()
+        _check_flag_rejected(synth_dir, tmp_path, capsys, command, ["--threads", "2"])
+
+    @pytest.mark.parametrize("command", ["synth", "select", "eval"])
+    def test_verbose_flag_rejected(self, synth_dir, tmp_path, capsys, command):
+        # only fit has iterations to print
+        _check_flag_rejected(synth_dir, tmp_path, capsys, command, ["--verbose"])
 
     def test_commands_do_not_mutate_inputs(self, synth_dir, tmp_path):
         before = {f.name: f.read_bytes() for f in sorted(synth_dir.iterdir())}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ class TestLoadManifest:
         doc["feature_names"] = names
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="feature_names must be a list of 3"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("bad, shown", [(1, "1"), (None, "None"), ({"a": 1}, "{'a': 1}")],
+                             ids=["int", "null", "object"])
+    def test_non_string_feature_name_rejected(self, tmp_path, bad, shown):
+        path = small_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["feature_names"] = ["x", bad, "z"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"feature_names entry 1 is {shown}, not a string")):
             load_manifest(path)
 
     def test_valid_support_kept(self, tmp_path):

@@ -44,8 +44,8 @@ class TestKnnCliques:
     @pytest.mark.parametrize("k", [2, 4, 9])
     def test_heavily_tied_rows_match_brute_force(self, k):
         # 30 copies of one sample beside 20 distinct ones: the copies' rows
-        # are tied far past their k-th distance and take the stable per-row
-        # sort, while the other rows of the same block take the lexsort
+        # are tied far past their k-th distance, so the block is dense and
+        # every row of it, tied or not, takes the stable per-row sort
         X = np.hstack([np.zeros((3, 30)),
                        np.random.default_rng(k).standard_normal((3, 20))])
         X = X[:, np.random.default_rng(0).permutation(50)]

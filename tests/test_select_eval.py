@@ -400,6 +400,14 @@ class TestRunExperiment:
                 run_experiment(synth, methods=methods, fractions=[0.2],
                                feature_counts=[4], repeats=1, seed=0)
 
+    def test_rejects_duplicate_grid_values(self, synth):
+        # a repeated grid value would fit each of its cells again for no new
+        # cell; 1 and 1.0 are one value
+        for grid in ({"beta": [1.0, 1.0], "gamma": [1.0, 1.0]}, {"alpha": [1, 0.5, 1.0]}):
+            with pytest.raises(ValidationError, match="duplicate (beta|alpha) grid values"):
+                run_experiment(synth, methods=["sfmc"], fractions=[0.2],
+                               feature_counts=[4], repeats=1, seed=0, grid=grid)
+
     def test_graphs_built_once_per_split(self, synth, monkeypatch):
         # the Laplacian depends only on the split's X, k and lam, so every
         # fraction and grid cell of one repeat shares one graph per task
