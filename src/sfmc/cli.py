@@ -144,13 +144,8 @@ def _cmd_select(args):
 
 def _cmd_eval(args):
     ds = load_manifest(args.manifest)
-    grid = {}
-    if args.alpha_grid:
-        grid["alpha"] = args.alpha_grid
-    if args.beta_grid:
-        grid["beta"] = args.beta_grid
-    if args.gamma_grid:
-        grid["gamma"] = args.gamma_grid
+    grid = {name: values for name in ("alpha", "beta", "gamma")
+            if (values := getattr(args, f"{name}_grid"))}
     report = run_experiment(
         ds,
         methods=args.methods,

@@ -267,8 +267,8 @@ def load_manifest(path):
     )
 
 
-def write_manifest(ds, out_dir, manifest_name="manifest.json"):
-    """Write a dataset as manifest + CSV files; returns the manifest path.
+def write_manifest(ds, out_dir):
+    """Write a dataset as out_dir/manifest.json + CSV files; returns the manifest path.
 
     Feature values are printed with 17 significant digits so a write/load
     round trip is bit-exact.
@@ -292,7 +292,7 @@ def write_manifest(ds, out_dir, manifest_name="manifest.json"):
         doc["feature_names"] = list(ds.feature_names)
     if ds.metadata:
         doc["metadata"] = ds.metadata
-    manifest = out_dir / manifest_name
+    manifest = out_dir / "manifest.json"
     manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return manifest
 

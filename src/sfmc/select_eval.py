@@ -14,6 +14,7 @@ from .dataset import MultiTaskDataset, TaskData, ValidationError, apply_label_fr
 from .solver import Hyperparams, NumericalError, build_graphs, fit, prepare
 
 METHODS = ("sfmc", "fisher", "all_features")
+FISHER_VAR_FLOOR = 1e-12  # floor on fisher_score's within-class variance
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,11 @@ def select_top(ranking, count):
     return ranking.indices[:count].copy()
 
 
-def fisher_score(task, var_floor=1e-12):
+def fisher_score(task):
     """Classical between/within class variance ratio per feature.
 
-    score_j = sum_c n_c (mu_cj - mu_j)^2 / sum_c n_c var_cj, computed over
-    labeled samples only; the within-class variance is floored at var_floor.
+    score_j = sum_c n_c (mu_cj - mu_j)^2 / sum_c n_c var_cj over labeled
+    samples only, the within-class variance floored at FISHER_VAR_FLOOR.
     """
     labeled = np.flatnonzero(task.labeled_mask)
     classes = np.argmax(task.Y[labeled], axis=1)
@@ -71,7 +72,7 @@ def fisher_score(task, var_floor=1e-12):
         mu_c = Xc.mean(axis=1)
         between += nc * (mu_c - mu) ** 2
         within += nc * Xc.var(axis=1)
-    return between / np.maximum(within, var_floor)
+    return between / np.maximum(within, FISHER_VAR_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -368,11 +369,12 @@ def run_experiment(
     label masking at each fraction, fit/rank per method, then a regularized
     least-squares classifier on the selected features of the labeled samples,
     scored by mean average precision on the test split.  For the joint solver
-    a hyperparameter grid is crossed, gamma innermost, and the best cell (by
-    mean MAP over repeats) is reported; each split's task graphs are built
-    once and shared by all its fits, and each label mask's per-task caches
-    (solver.prepare) are built once per run of grid cells with the same
-    alpha beta and shared by their fits, one fit call per cell.  Every
+    grid (alpha, beta or gamma to distinct values; hp_base gives the rest)
+    is crossed, gamma innermost, and the best cell (by mean MAP over
+    repeats) is reported; each split's task graphs are built once and shared
+    by all its fits, and each label mask's per-task caches (solver.prepare)
+    are built once per run of grid cells with the same alpha beta and shared
+    by their fits, one fit call per cell.  Every
     candidate of a (repeat, fraction, method), each grid cell or the one
     baseline ranking, is scored together: one batched classifier and MAP
     call per task and count.  When the dataset carries a planted support,
@@ -410,6 +412,10 @@ def run_experiment(
     hp_base = hp_base if hp_base is not None else Hyperparams()
     grid = grid or {}
     for name, values in grid.items():
+        if name not in ("alpha", "beta", "gamma"):
+            raise ValidationError(f"unknown grid key {name!r}; choose alpha, beta or gamma")
+        if len(values) == 0:
+            raise ValidationError(f"empty {name} grid")
         if len(set(values)) < len(values):
             raise ValidationError(f"duplicate {name} grid values in {list(values)}")
     combos = [

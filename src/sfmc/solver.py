@@ -49,6 +49,7 @@ toward rel_tol as the fit converges.
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,6 +72,9 @@ CG_MAX_ITER_PER_COLUMN = 10
 # its residual falls by this factor, or by the last relative objective change
 # if that is smaller
 CG_FORCING_CAP = 1e-2
+# weight of a labeled sample in the label-propagation loss (the diagonal of
+# U), standing in for the paper's infinite weight
+LABEL_WEIGHT = 1e6
 
 
 class NumericalError(RuntimeError):
@@ -83,8 +87,8 @@ class Hyperparams:
 
     alpha weighs the per-task sparsity + fitting block, beta the fitting term
     inside it, gamma the cross-task trace-norm coupling.  lam and k control
-    the graph Laplacian.  inf_surrogate stands in for the infinite label
-    weight on labeled samples.
+    the graph Laplacian.  The infinite weight on labeled samples is the
+    constant LABEL_WEIGHT, not a knob.
     """
 
     alpha: float = 1.0
@@ -92,7 +96,6 @@ class Hyperparams:
     gamma: float = 1.0
     lam: float = 1.0
     k: int = 15
-    inf_surrogate: float = 1e6
     delta: float = 1e-12
     max_iter: int = 50
     rel_tol: float = 1e-6
@@ -111,8 +114,6 @@ class Hyperparams:
             raise ValidationError("lam must be positive")
         if self.k < 2:
             raise ValidationError("k must be at least 2")
-        if self.inf_surrogate < 1:
-            raise ValidationError("inf_surrogate must be at least 1")
         if self.delta <= 0:
             raise ValidationError("delta must be positive")
         if self.max_iter < 1:
@@ -135,6 +136,10 @@ class Hyperparams:
         if d.pop("exact_w_update", True) is not True:
             raise ValidationError("exact_w_update=false (the alpha/beta-scaled "
                                   "W update) is no longer supported")
+        # and inf_surrogate, the label weight, now the constant LABEL_WEIGHT
+        if (weight := d.pop("inf_surrogate", LABEL_WEIGHT)) != LABEL_WEIGHT:
+            raise ValidationError(f"inf_surrogate={weight!r} is no longer supported; "
+                                  f"the label weight is fixed at {LABEL_WEIGHT:g}")
         return cls(**d)
 
 
@@ -150,7 +155,6 @@ class SolverState:
     Dl: np.ndarray
     Dtilde: np.ndarray
     objective_trace: list = field(default_factory=list)
-    iterations: int = 0
     # the last step's joint CG solve: its iteration count and preconditioner
     # split ("task" or "row"); 0 and None on the direct solve_W path
     cg_iterations: int = 0
@@ -159,16 +163,24 @@ class SolverState:
 
 @dataclass(frozen=True)
 class SelectionModel:
-    """Fitted weights, biases, and per-task feature scores."""
+    """Fitted weights and biases, with the fit's hyperparameters and trace."""
 
     task_names: tuple
     W: tuple
     b: tuple
-    feature_scores: tuple
     hyperparams: Hyperparams
     objective_trace: tuple
     converged: bool
-    iterations: int
+
+    @cached_property
+    def feature_scores(self):
+        """Each task's feature scores, the row norms of its W_l; not saved."""
+        return tuple(np.sqrt((W_l * W_l).sum(axis=1)) for W_l in self.W)
+
+    @property
+    def iterations(self):
+        """Reweighting iterations run, read off the trace; not saved."""
+        return len(self.objective_trace) - 1
 
     @property
     def n_tasks(self):
@@ -181,24 +193,16 @@ class SelectionModel:
     def to_json_dict(self):
         return {
             "hyperparams": self.hyperparams.to_dict(),
-            "tasks": [
-                {
-                    "name": self.task_names[l],
-                    "W": self.W[l].tolist(),
-                    "b": self.b[l].tolist(),
-                    "feature_scores": self.feature_scores[l].tolist(),
-                }
-                for l in range(self.n_tasks)
-            ],
+            "tasks": [{"name": name, "W": W.tolist(), "b": b.tolist()}
+                      for name, W, b in zip(self.task_names, self.W, self.b)],
             "objective_trace": list(self.objective_trace),
             "converged": self.converged,
-            "iterations": self.iterations,
         }
 
     def save(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        # compact, so json takes its C encoder
+        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True,
+                                         separators=(",", ":")) + "\n")
         return Path(path)
 
 
@@ -215,39 +219,32 @@ def load_selection_model(path):
             task_names=tuple(t["name"] for t in doc["tasks"]),
             W=tuple(np.asarray(t["W"], dtype=np.float64) for t in doc["tasks"]),
             b=tuple(np.asarray(t["b"], dtype=np.float64) for t in doc["tasks"]),
-            feature_scores=tuple(
-                np.asarray(t["feature_scores"], dtype=np.float64) for t in doc["tasks"]
-            ),
             hyperparams=Hyperparams.from_dict(doc["hyperparams"]),
             objective_trace=tuple(doc["objective_trace"]),
             converged=bool(doc["converged"]),
-            iterations=int(doc["iterations"]),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model file {path} has unexpected structure: {exc}") from exc
     if model.n_tasks == 0:
         raise ValidationError(f"model file {path} has no tasks")
     d = model.W[0].shape[0] if model.W[0].ndim == 2 else None
-    for name, W, b, scores in zip(model.task_names, model.W, model.b, model.feature_scores):
+    for name, W, b in zip(model.task_names, model.W, model.b):
         if W.ndim != 2 or W.shape[0] != d:
             problem = "W must be 2-D" if d is None else f"W must be 2-D with {d} rows"
         elif b.shape != (W.shape[1],):
             problem = f"b must have {W.shape[1]} entries, one per W column"
-        elif scores.shape != (d,):
-            problem = f"feature_scores must have {d} entries"
-        elif not (np.isfinite(W).all() and np.isfinite(b).all()
-                  and np.isfinite(scores).all()):
-            problem = "W, b and feature_scores must be finite"
+        elif not (np.isfinite(W).all() and np.isfinite(b).all()):
+            problem = "W and b must be finite"
         else:
             continue
         raise ValidationError(f"model file {path}: task {name!r}: {problem}")
     return model
 
 
-def selection_diag(mask, inf_surrogate):
-    """Diagonal of U, the label weights: inf_surrogate where labeled, 1 otherwise."""
+def selection_diag(mask):
+    """Diagonal of U, the label weights: LABEL_WEIGHT where labeled, 1 otherwise."""
     mask = np.asarray(mask, dtype=bool)
-    return np.where(mask, float(inf_surrogate), 1.0)
+    return np.where(mask, float(LABEL_WEIGHT), 1.0)
 
 
 def _refined_solve(factor, B, matmul):
@@ -308,7 +305,7 @@ def precompute_task(task, lap, hp):
         raise NumericalError(f"alpha * beta = {hp.alpha!r} * {hp.beta!r} "
                              f"over- or underflows to {ab}")
     L = lap.L
-    u = selection_diag(task.labeled_mask, hp.inf_surrogate)
+    u = selection_diag(task.labeled_mask)
     # alpha beta H + U + L in one n x n allocation, made first so that it
     # reuses the block the graph build's X'X left, before smaller arrays
     # split it: L densified, then the other terms added to each entry, which
@@ -679,8 +676,8 @@ def build_graphs(dataset, hp):
 
 
 def _cache_key(hp):
-    """What precompute_task reads of hp: alpha beta, inf_surrogate, k and lam."""
-    return (hp.alpha * hp.beta, hp.inf_surrogate, hp.k, hp.lam)
+    """What precompute_task reads of hp: alpha beta, k and lam."""
+    return (hp.alpha * hp.beta, hp.k, hp.lam)
 
 
 @dataclass(frozen=True)
@@ -690,9 +687,10 @@ class PreparedTasks:
     system is the JointSystem of the tasks' R and T; const, g and h hold one
     entry per task, in task order.  R, T, g and h are read-only, because
     fits at other gammas share them.  dataset and hp are the objects prepare
-    was called with.  Beyond the dataset, the caches depend on hp only
-    through _cache_key, so fits of the same dataset that differ only in
-    gamma, or in alpha and beta with the same product, can share one set.
+    was called with.  Beyond the dataset (and the constant LABEL_WEIGHT),
+    the caches depend on hp only through _cache_key, so fits of the same
+    dataset that differ only in gamma, or in alpha and beta with the same
+    product, can share one set.
     """
 
     system: JointSystem
@@ -764,11 +762,11 @@ def fit(dataset, hp, callback=None, prepared=None):
     lone fit holds one n x n array at a time, and nothing n-sized once the
     precomputation is done.  A prepared set must serve the fit
     (PreparedTasks.serves): built from this very dataset object, at hp's
-    alpha beta, inf_surrogate, k and lam (gamma is free), or ValidationError
-    is raised.  The W steps read the set's JointSystem, so fits that share a
-    set share it too.  The loop carries W as one d x sum(c) array, task l
-    its column slice.  The initial W_l solve uses unit row weights and an
-    identity coupling.  Each reweighting iteration then:
+    alpha beta, k and lam (gamma is free), or ValidationError is raised.
+    The W steps read the set's JointSystem, so fits that share a set share
+    it too.  The loop carries W as one d x sum(c) array, task l its column
+    slice.  The initial W_l solve uses unit row weights and an identity
+    coupling.  Each reweighting iteration then:
 
     1. takes the plain step of reweighted_step, with D_l and (unless gamma
        is 0) Dtilde from reweight, read off the current W's Score: its row
@@ -803,9 +801,8 @@ def fit(dataset, hp, callback=None, prepared=None):
         prepared = prepare(dataset, hp)
     elif not prepared.serves(dataset, hp):
         raise ValidationError(
-            "caches prepared for another dataset object, or at (alpha*beta, "
-            f"inf_surrogate, k, lam) = {_cache_key(prepared.hp)} where the fit "
-            f"has {_cache_key(hp)}"
+            "caches prepared for another dataset object, or at (alpha*beta, k, "
+            f"lam) = {_cache_key(prepared.hp)} where the fit has {_cache_key(hp)}"
         )
     const = sum(prepared.const)
     system = prepared.system
@@ -857,7 +854,6 @@ def fit(dataset, hp, callback=None, prepared=None):
             raise NumericalError(f"objective is non-finite at iteration {r}")
         prev = state.objective_trace[-1]
         state.objective_trace.append(obj)
-        state.iterations = r
         publish(r, W)
         scale = max(abs(prev), np.finfo(float).tiny)
         if abs(prev - obj) < hp.rel_tol * scale:
@@ -868,14 +864,11 @@ def fit(dataset, hp, callback=None, prepared=None):
     W_tasks = tuple(W[:, s].copy() for s in blocks)
     b = [W_l.T @ g_l + h_l
          for W_l, g_l, h_l in zip(W_tasks, prepared.g, prepared.h)]
-    feature_scores = tuple(np.sqrt((W_l * W_l).sum(axis=1)) for W_l in W_tasks)
     return SelectionModel(
         task_names=tuple(task.name for task in dataset.tasks),
         W=W_tasks,
         b=tuple(b),
-        feature_scores=feature_scores,
         hyperparams=hp,
         objective_trace=tuple(state.objective_trace),
         converged=converged,
-        iterations=state.iterations,
     )

@@ -6,6 +6,8 @@ minimizers) so the production code path is never used to produce its own
 expected values.
 """
 
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -13,6 +15,12 @@ from sfmc.dataset import MultiTaskDataset, TaskData
 from sfmc.select_eval import mean_average_precision, select_top, train_ls_classifier
 
 GRID = [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6]
+
+# a model file in the older format, which also stores inf_surrogate,
+# feature_scores and iterations (2 tasks, d = 8, alpha = beta = gamma = 1,
+# k = 5), and `sfmc select --top 5` on it as written from that format
+LEGACY_MODEL = Path(__file__).parent / "data" / "legacy_model.json"
+LEGACY_SELECT = Path(__file__).parent / "data" / "legacy_select.json"
 
 
 # ---------------------------------------------------------------- instances

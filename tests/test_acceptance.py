@@ -12,6 +12,7 @@ import pytest
 from sfmc.cli import main
 from sfmc.dataset import SynthConfig, generate_synthetic
 from sfmc.graph import build_task_laplacian, knn_cliques
+from sfmc import solver
 from sfmc.select_eval import average_precision, run_experiment
 from sfmc.solver import (Hyperparams, JointSystem, fit, precompute_task,
                          reduced_objective, solve_W)
@@ -86,7 +87,7 @@ def test_3_oracle_equivalence():
         model = fit(ds, hp)
 
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
-        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        Us = [selection_diag_oracle(t.labeled_mask, solver.LABEL_WEIGHT) for t in ds.tasks]
         caches = [precompute_task(t, lap, hp) for t, lap in zip(ds.tasks, laps)]
         R_list = [c[0] for c in caches]
         T_list = [c[1] for c in caches]
@@ -201,7 +202,7 @@ def test_4_closed_form_correctness():
                          beta=float(10 ** rng.uniform(-2, 2)),
                          k=int(rng.integers(2, min(5, n) + 1)))
         lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
+        U = selection_diag_oracle(task.labeled_mask, solver.LABEL_WEIGHT)
         H = np.eye(n) - np.ones((n, n)) / n
         W = rng.standard_normal((d, c))
         R, T, const, g_b, h_b = precompute_task(task, lap, hp)

@@ -13,6 +13,7 @@ import sfmc
 from sfmc.cli import _hp_from_args, build_parser, main
 from sfmc.dataset import generate_synthetic, SynthConfig, write_manifest
 from sfmc.solver import Hyperparams, load_selection_model
+from helpers import LEGACY_MODEL, LEGACY_SELECT
 
 
 @pytest.fixture()
@@ -126,12 +127,11 @@ class TestFit:
     def test_hyperparameter_flags_map_to_fields(self):
         args = build_parser().parse_args([
             "fit", "M", "--out", "O", "--alpha", "2", "--beta", "3", "--gamma", "0",
-            "--lambda", "4", "--k", "6", "--inf-surrogate", "50", "--delta", "1e-9",
-            "--max-iter", "7", "--rel-tol", "1e-3"])
+            "--lambda", "4", "--k", "6", "--delta", "1e-9", "--max-iter", "7",
+            "--rel-tol", "1e-3"])
         hp = _hp_from_args(args)
         assert hp == Hyperparams(alpha=2.0, beta=3.0, gamma=0.0, lam=4.0, k=6,
-                                 inf_surrogate=50.0, delta=1e-9, max_iter=7,
-                                 rel_tol=1e-3)
+                                 delta=1e-9, max_iter=7, rel_tol=1e-3)
         assert type(hp.k) is int and type(hp.max_iter) is int
         for flag in ("--k", "--max-iter"):
             assert main(["fit", "M", "--out", "O", flag, "2.5"]) == 1
@@ -146,7 +146,7 @@ class TestFit:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma", "--lambda",
-                                      "--inf-surrogate", "--delta", "--rel-tol"])
+                                      "--delta", "--rel-tol"])
     def test_non_finite_hyperparameter_exit_1(self, synth_dir, tmp_path, capsys,
                                               flag, value):
         # NaN passes every range check: unchecked, --rel-tol nan would never
@@ -249,16 +249,36 @@ class TestSelect:
         assert rc == 1
         assert "alpha must be finite" in capsys.readouterr().err
 
-    def test_malformed_scores_in_model_exit_1(self, model_path, tmp_path, capsys):
-        # a 2-D feature_scores would reach the ranking as rows, not scores
+    def test_removed_label_weight_exit_1(self, model_path, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
-        doc["tasks"][0]["feature_scores"] = doc["tasks"][0]["W"]
+        doc["hyperparams"]["inf_surrogate"] = 50
         model_path.write_text(json.dumps(doc))
         out = tmp_path / "sel.json"
         rc = main(["select", str(model_path), "--top", "4", "--out", str(out)])
         assert rc == 1
-        assert "feature_scores must have 10 entries" in capsys.readouterr().err
+        assert "inf_surrogate=50" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stale_scores_in_model_ranked_by_w(self, model_path, tmp_path):
+        # a file whose stored feature_scores disagree with its W selects as
+        # the same file without them: the ranking comes from W
+        assert main(["select", str(model_path), "--top", "10", "--out",
+                     str(tmp_path / "fresh.json")]) == 0
+        doc = json.loads(model_path.read_text())
+        for task in doc["tasks"]:
+            task["feature_scores"] = list(range(10))
+        model_path.write_text(json.dumps(doc))
+        assert main(["select", str(model_path), "--top", "10", "--out",
+                     str(tmp_path / "stale.json")]) == 0
+        assert ((tmp_path / "stale.json").read_bytes()
+                == (tmp_path / "fresh.json").read_bytes())
+
+    def test_legacy_model_file(self, tmp_path):
+        # select on a model file of the older format writes what it wrote
+        # when that format was current
+        out = tmp_path / "sel.json"
+        assert main(["select", str(LEGACY_MODEL), "--top", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == LEGACY_SELECT.read_bytes()
 
     def test_top_1_is_max_row_norm(self, model_path, tmp_path):
         out = tmp_path / "sel.json"
@@ -481,6 +501,12 @@ class TestErrorPaths:
     def test_threads_flag_rejected(self, synth_dir, tmp_path, capsys, command):
         # tasks run in order; there is no thread option to set
         _check_flag_rejected(synth_dir, tmp_path, capsys, command, ["--threads", "2"])
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_inf_surrogate_flag_rejected(self, synth_dir, tmp_path, capsys, command):
+        # the label weight is the constant solver.LABEL_WEIGHT
+        _check_flag_rejected(synth_dir, tmp_path, capsys, command,
+                             ["--inf-surrogate", "1e6"])
 
     @pytest.mark.parametrize("command", ["synth", "select", "eval"])
     def test_verbose_flag_rejected(self, synth_dir, tmp_path, capsys, command):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,18 @@ class TestRunExperiment:
             with pytest.raises(ValidationError, match="duplicate (beta|alpha) grid values"):
                 run_experiment(synth, methods=["sfmc"], fractions=[0.2],
                                feature_counts=[4], repeats=1, seed=0, grid=grid)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"delta": [1.0, 2.0], "Beta": [5.0]}, "unknown grid key 'delta'"),
+        ({"gamma": [1.0], "Beta": [5.0]}, "unknown grid key 'Beta'"),
+        ({"beta": []}, "empty beta grid"),
+    ], ids=["delta", "Beta", "empty"])
+    def test_rejects_unknown_or_empty_grid(self, synth, grid, message):
+        # only alpha, beta and gamma are crossed: another key would run the
+        # base cell as if it were a grid, and an empty list has no cell
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_experiment(synth, methods=["sfmc"], fractions=[0.2],
+                           feature_counts=[4], repeats=1, seed=0, grid=grid)
 
     def test_graphs_built_once_per_split(self, synth, monkeypatch):
         # the Laplacian depends only on the split's X, k and lam, so every

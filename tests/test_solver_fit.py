@@ -11,12 +11,13 @@ from sfmc.dataset import (MultiTaskDataset, SynthConfig, TaskData, ValidationErr
                           write_manifest)
 from sfmc import graph, solver
 from sfmc.graph import build_task_laplacian
+from sfmc.select_eval import rank_features
 from sfmc.solver import (Anderson, Hyperparams, JointSystem, build_graphs, fit,
                          load_selection_model, precompute_task, prepare,
                          reduced_objective, reweight, reweighted_step, solve_W)
-from helpers import (analytic_full_gradient, central_diff_grad, descent_minimize,
-                     full_objective_oracle, lbfgs_minimize, make_dataset,
-                     make_random_instance, make_task, reduced_gradient_oracle,
+from helpers import (LEGACY_MODEL, analytic_full_gradient, central_diff_grad,
+                     descent_minimize, full_objective_oracle, lbfgs_minimize,
+                     make_dataset, make_random_instance, make_task, reduced_gradient_oracle,
                      reduced_objective_oracle, selection_diag_oracle,
                      solve_Fb_oracle, update_Dl_oracle, update_Dtilde_oracle)
 
@@ -29,6 +30,7 @@ class TestFitBasics:
         tr = np.array(model.objective_trace)
         assert np.all(np.diff(tr) <= 1e-9 * np.abs(tr[:-1]))
         assert model.iterations >= 1
+        assert model.iterations == len(model.objective_trace) - 1
         assert len(model.feature_scores) == 2
         for W, scores in zip(model.W, model.feature_scores):
             np.testing.assert_allclose(scores, np.sqrt((W**2).sum(axis=1)))
@@ -97,16 +99,18 @@ class TestFitBasics:
         for alpha, beta, suffix in [(0.8, 1.5, ""), (1e-6, 1.0, "-ab1e-6"),
                                     (1.0, 1e6, "-ab1e6")]
         for gamma, d, c in [(0.0, 6, 2), (0.5, 5, 3), (0.5, 8, 2)]])
-    def test_trace_is_full_objective_at_every_iterate(self, gamma, d, c, alpha, beta):
+    def test_trace_is_full_objective_at_every_iterate(self, monkeypatch, gamma, d, c,
+                                                       alpha, beta):
         # the loop scores W in d-space; every entry must equal the full
         # objective at that W with F and b at their closed-form optimum.  The
         # cases: no coupling, the d x d coupling (d <= sum(c)) and the
         # sum(c) x sum(c) joint W step (d > sum(c)), each at alpha beta = 1.2,
-        # 1e-6 and 1e6, where the final b checks the bias caches' scaling
+        # 1e-6 and 1e6, where the final b checks the bias caches' scaling.  A
+        # moderate label weight keeps the dense oracles well conditioned
+        monkeypatch.setattr(solver, "LABEL_WEIGHT", 1e3)
         rng = np.random.default_rng(31)
         ds = make_dataset(rng, t=2, d=d, n=12, c=c)
-        hp = Hyperparams(alpha=alpha, beta=beta, gamma=gamma, k=4, inf_surrogate=1e3,
-                         max_iter=15)
+        hp = Hyperparams(alpha=alpha, beta=beta, gamma=gamma, k=4, max_iter=15)
         iterates = []
 
         def record(r, state):
@@ -115,7 +119,7 @@ class TestFitBasics:
         model = fit(ds, hp, callback=record)
         assert len(iterates) == len(model.objective_trace) == model.iterations + 1
         Ls = [build_task_laplacian(t.X, hp.k, hp.lam).L for t in ds.tasks]
-        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        Us = [selection_diag_oracle(t.labeled_mask, 1e3) for t in ds.tasks]
         for W, obj in zip(iterates, model.objective_trace):
             Fb = [solve_Fb_oracle(t, L, U, hp, W_l)
                   for t, L, U, W_l in zip(ds.tasks, Ls, Us, W)]
@@ -347,8 +351,7 @@ class TestFitBasics:
         ds = make_dataset(rng, t=2, d=6, n=12, c=2, label_frac=1.0)
         hp = Hyperparams(k=4)
         prepared = prepare(ds, hp)
-        for bad in (replace(hp, alpha=2.0), replace(hp, beta=0.5),
-                    replace(hp, inf_surrogate=1e3), replace(hp, k=5),
+        for bad in (replace(hp, alpha=2.0), replace(hp, beta=0.5), replace(hp, k=5),
                     replace(hp, lam=2.0)):
             with pytest.raises(ValidationError, match="caches prepared for another"):
                 fit(ds, bad, prepared=prepared)
@@ -493,9 +496,9 @@ class TestGradientConsistency:
         # comparison threshold; the gradient formulas do not depend on it
         rng = np.random.default_rng(8)
         ds = make_dataset(rng, t=2, d=4, n=7, c=2)
-        hp = Hyperparams(alpha=1.3, beta=0.6, gamma=0.8, k=3, inf_surrogate=1e3)
+        hp = Hyperparams(alpha=1.3, beta=0.6, gamma=0.8, k=3)
         Ls = [build_task_laplacian(t.X, hp.k, hp.lam).L for t in ds.tasks]
-        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        Us = [selection_diag_oracle(t.labeled_mask, 1e3) for t in ds.tasks]
         W = [rng.standard_normal((4, 2)) for _ in range(2)]
         F = [rng.standard_normal((7, 2)) for _ in range(2)]
         b = [rng.standard_normal(2) for _ in range(2)]
@@ -561,7 +564,7 @@ class TestTinyInstanceOracle:
         model = fit(ds, hp)
 
         laps = [build_task_laplacian(t.X, hp.k, hp.lam) for t in ds.tasks]
-        Us = [selection_diag_oracle(t.labeled_mask, hp.inf_surrogate) for t in ds.tasks]
+        Us = [selection_diag_oracle(t.labeled_mask, solver.LABEL_WEIGHT) for t in ds.tasks]
         caches = [precompute_task(t, lap, hp) for t, lap in zip(ds.tasks, laps)]
         R_list = [c[0] for c in caches]
         T_list = [c[1] for c in caches]
@@ -659,19 +662,11 @@ class TestModelSerialization:
         (lambda doc: doc["tasks"][0].update(W=doc["tasks"][0]["W"][0]),
          "task 't0': W must be 2-D"),
         (lambda doc: doc["tasks"][1].update(b=[0.0]), "task 't1': b must have 2 entries"),
-        (lambda doc: doc["tasks"][0].update(
-            feature_scores=doc["tasks"][0]["feature_scores"][:3]),
-         "task 't0': feature_scores must have 6 entries"),
-        (lambda doc: doc["tasks"][1].update(feature_scores=doc["tasks"][1]["W"]),
-         "task 't1': feature_scores must have 6 entries"),
-        (lambda doc: doc["tasks"][1]["feature_scores"].__setitem__(2, float("nan")),
-         "task 't1': W, b and feature_scores must be finite"),
         (lambda doc: doc["tasks"][0]["W"][3].__setitem__(0, float("inf")),
-         "task 't0': W, b and feature_scores must be finite"),
+         "task 't0': W and b must be finite"),
         (lambda doc: doc["tasks"][0]["b"].__setitem__(1, float("nan")),
-         "task 't0': W, b and feature_scores must be finite"),
-    ], ids=["no-tasks", "W-short", "W-1d", "b-short", "scores-short", "scores-2d",
-            "scores-nan", "W-inf", "b-nan"])
+         "task 't0': W and b must be finite"),
+    ], ids=["no-tasks", "W-short", "W-1d", "b-short", "W-inf", "b-nan"])
     def test_malformed_model_rejected(self, tmp_path, edit, message):
         # d = 6, two tasks of two classes each
         rng = np.random.default_rng(15)
@@ -683,6 +678,68 @@ class TestModelSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_selection_model(path)
+
+    @pytest.mark.parametrize("stored", [
+        lambda W: np.sqrt((W * W).sum(axis=1))[:3].tolist(),
+        lambda W: W.tolist(),
+        lambda W: [float("nan")] * W.shape[0],
+        lambda W: np.arange(W.shape[0], dtype=float).tolist(),
+    ], ids=["scores-short", "scores-2d", "scores-nan", "scores-stale"])
+    def test_stored_feature_scores_ignored(self, tmp_path, stored):
+        # older model files store each task's feature_scores next to its W;
+        # the scores are W's row norms, so the loader ranks by W and ignores
+        # the stored copy, whatever its shape or values
+        rng = np.random.default_rng(15)
+        model = fit(make_dataset(rng, t=2, d=6, n=8, c=2), Hyperparams(k=3, max_iter=3))
+        doc = model.to_json_dict()
+        for task, W in zip(doc["tasks"], model.W):
+            task["feature_scores"] = stored(W)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        back = load_selection_model(path)
+        for l, W in enumerate(model.W):
+            np.testing.assert_array_equal(back.feature_scores[l],
+                                          np.sqrt((W * W).sum(axis=1)))
+            np.testing.assert_array_equal(rank_features(back, l).indices,
+                                          rank_features(model, l).indices)
+
+    def test_legacy_inf_surrogate_key(self, tmp_path):
+        # older model files carry the label weight as inf_surrogate: the
+        # weight fit uses loads, any other names a fit this solver cannot redo
+        rng = np.random.default_rng(14)
+        model = fit(make_dataset(rng, t=1, d=4, n=7, c=2), Hyperparams(k=3, max_iter=5))
+        doc = model.to_json_dict()
+        for weight in (1e6, 50.0):
+            doc["hyperparams"]["inf_surrogate"] = weight
+            path = tmp_path / f"model_{weight}.json"
+            path.write_text(json.dumps(doc))
+            if weight == solver.LABEL_WEIGHT:
+                assert load_selection_model(path).hyperparams == model.hyperparams
+            else:
+                with pytest.raises(ValidationError, match="inf_surrogate=50.0"):
+                    load_selection_model(path)
+
+    def test_legacy_model_file(self):
+        # a model file written before the derived fields and the label-weight
+        # key were dropped: it loads, and the scores derived from its W are
+        # the stored ones bit for bit
+        doc = json.loads(LEGACY_MODEL.read_text())
+        model = load_selection_model(LEGACY_MODEL)
+        assert doc["hyperparams"]["inf_surrogate"] == solver.LABEL_WEIGHT
+        assert model.hyperparams == Hyperparams(alpha=1.0, beta=1.0, gamma=1.0, k=5)
+        assert model.iterations == doc["iterations"]
+        for task, scores in zip(doc["tasks"], model.feature_scores):
+            np.testing.assert_array_equal(scores, task["feature_scores"])
+
+    def test_save_writes_compact_json_without_derived_fields(self, tmp_path):
+        rng = np.random.default_rng(12)
+        model = fit(make_dataset(rng, t=1, d=4, n=7, c=2), Hyperparams(k=3, max_iter=5))
+        text = model.save(tmp_path / "m.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert set(doc) == {"converged", "hyperparams", "objective_trace", "tasks"}
+        assert set(doc["tasks"][0]) == {"W", "b", "name"}
+        assert "inf_surrogate" not in doc["hyperparams"]
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -64,22 +64,22 @@ class TestNorms:
 
 class TestSelectionDiag:
     def test_mixed_mask(self):
-        u = selection_diag(np.array([True, False]), 1e6)
+        u = selection_diag(np.array([True, False]))
         np.testing.assert_array_equal(u, [1e6, 1.0])
 
     def test_all_false_is_identity(self):
-        np.testing.assert_array_equal(selection_diag(np.zeros(3, bool), 1e6), np.ones(3))
+        np.testing.assert_array_equal(selection_diag(np.zeros(3, bool)), np.ones(3))
 
     def test_all_true(self):
-        np.testing.assert_array_equal(
-            selection_diag(np.ones(2, bool), 1e6), [1e6, 1e6]
-        )
+        np.testing.assert_array_equal(selection_diag(np.ones(2, bool)), [1e6, 1e6])
 
-    def test_matches_oracle(self):
+    def test_matches_oracle(self, monkeypatch):
+        # the weight is read at call time, so tests can set another one
+        monkeypatch.setattr(solver, "LABEL_WEIGHT", 123.0)
         rng = np.random.default_rng(2)
         mask = rng.random(9) < 0.4
         np.testing.assert_array_equal(
-            selection_diag(mask, 123.0), np.diag(selection_diag_oracle(mask, 123.0))
+            selection_diag(mask), np.diag(selection_diag_oracle(mask, 123.0))
         )
 
 
@@ -87,7 +87,7 @@ def _task_with_caches(rng, d=5, n=8, c=2, **hp_kwargs):
     task = make_task(rng, d, n, c)
     hp = Hyperparams(k=min(4, n), **hp_kwargs)
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
-    U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
+    U = selection_diag_oracle(task.labeled_mask, solver.LABEL_WEIGHT)
     R, T, *_ = precompute_task(task, lap, hp)
     return task, lap, U, R, T, centering_oracle(n), hp
 
@@ -195,7 +195,7 @@ class TestPrecomputeTask:
         assert peak < 1.5 * n * n * 8
         # the literal formulas, with dense H and U and an explicit inverse
         H = centering_oracle(n)
-        U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
+        U = selection_diag_oracle(task.labeled_mask, solver.LABEL_WEIGHT)
         ab = hp.alpha * hp.beta
         A = ab * H + U + lap.L
         P = np.linalg.inv(A)
@@ -528,7 +528,7 @@ class TestSolveWCoupled:
 def _eliminated(task, hp):
     """(lap, U, reduced objective + const at W, fit's bias at W) for one task."""
     lap = build_task_laplacian(task.X, hp.k, hp.lam)
-    U = selection_diag_oracle(task.labeled_mask, hp.inf_surrogate)
+    U = selection_diag_oracle(task.labeled_mask, solver.LABEL_WEIGHT)
     R, T, const, g, h = precompute_task(task, lap, hp)
 
     def value(W):
