@@ -70,7 +70,6 @@ def build_parser():
 
     p = sub.add_parser("select",
                        help="write top-N feature indices from a fitted model")
-    _add_common(p)
     p.add_argument("model")
     p.add_argument("--top", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -1,20 +1,20 @@
 """k-NN clique discovery and local-learning Laplacian assembly.
 
 Each sample i forms a clique of itself plus its k-1 Euclidean nearest
-neighbors.  The neighbors are found from the Gram matrix X'X, which the
-Laplacian needs anyway: row blocks of the GEMM distances s_i + s_j - 2 X'X
-(s the squared norms) give candidates, exact distances are computed for
-those candidates only, and no n x n distance matrix is formed.  The clique's
-local Laplacian is H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique
-submatrix and H_k the centering matrix; the task Laplacian is the sum of all
-local Laplacians scatter-added into global sample coordinates.  The n local
-Laplacians are computed in batched chunks from the clique Gram matrices,
-with H_k applied as a mean subtraction, and summed in one pass over their
-entries (sorted (row, column) keys, one bincount per block of rows).  L is a
-canonical read-only CSR array: a row holds only the samples that share a
-clique with it (about 130 of 1500 at k=15, d=100), so the sum's work grows
-with L's entries, and X'X is the only n x n array a build holds.  L is
-exactly symmetric, positive semidefinite, and annihilates constant vectors.
+neighbors, found from row blocks of the GEMM distances s_i + s_j - 2 x_i'x_j
+(s the squared norms; each block is one product with X): they give
+candidates, exact distances are computed for those only, and no n x n
+distance matrix is formed.  The clique's local Laplacian is
+H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique submatrix and H_k
+the centering matrix; the task Laplacian is the sum of all local Laplacians
+scatter-added into global sample coordinates.  The n local Laplacians are
+computed in batched chunks from the Gram matrices of the gathered clique
+columns of X, with H_k applied as a mean subtraction, and summed in one pass
+over their entries (sorted (row, column) keys, one bincount per block of
+rows).  L is a canonical read-only CSR array: a row holds only the samples
+that share a clique with it (about 130 of 1500 at k=15, d=100), so the sum's
+work grows with L's entries, and a build holds no n x n array.  L is exactly
+symmetric, positive semidefinite, and annihilates constant vectors.
 """
 
 import math
@@ -24,11 +24,11 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
-# bytes of one row block, of GEMM distances (k-NN scan) or clique entries
-# (L's assembly): bounds working memory to a few blocks whatever n or the ties
+# bytes of one block of GEMM distances, clique columns or clique entries (k-NN
+# scan, local Laplacians, L's assembly): a few blocks whatever n or the ties
 KNN_BLOCK_BYTES = 1 << 20
 # X is rescaled by a power of two for the GEMM only when its largest entry
-# lies outside [2^-SCALE_EXP, 2^SCALE_EXP]; inside it X'X cannot overflow
+# lies outside [2^-SCALE_EXP, 2^SCALE_EXP]; inside it the GEMM cannot overflow
 SCALE_EXP = 64
 
 
@@ -66,33 +66,35 @@ def _pair_sq_dists(X, rows, cols):
     return out
 
 
-def knn_cliques(X, k, gram=None):
+def knn_cliques(X, k):
     """Read-only (n, k) index array: row i is [i, then its k-1 nearest samples].
 
-    X is d x n, one sample per column; gram, when given, is X.T @ X (the
-    caller's own GEMM, reused).  Distances are squared Euclidean in the
-    original feature space, computed as scipy's cdist computes them.  The
+    X is d x n, one sample per column.  Distances are squared Euclidean in
+    the original feature space, computed as scipy's cdist computes them.  The
     k-1 neighbors are ordered by (distance, sample index): among samples at
     equal distance the lower index comes first, so the result is
     deterministic and a duplicate of sample i never displaces i from the
     head of its clique.
 
     Rows are scanned in blocks of at most KNN_BLOCK_BYTES of GEMM distances
-    Dg = s_i + s_j - 2 X'X, s = diag X'X.  With kth the row's (k-1)-th
-    smallest Dg, every j whose Dg lies within a rigorous round-off bound of
-    kth is a candidate.  The bound covers the GEMM error of Dg_ij and of the
-    k-1 samples at or under kth (at most (2d + 4) u (s_i + s_j) plus
-    underflow, u = 2^-53, with s_j <= 2 s_i + 2 Dg_ij up to that error) and
-    the exact distances' own error ((d + 3) u relative, plus underflow).  So
-    every sample left out is strictly farther, by exact distance, than the
-    k-th one kept, and the candidates' exact (distance, index) order gives
+    Dg = s_i + s_j - 2 x_i'x_j, one product of the block's samples with X.
+    The squared norms s are summed apart from it, each with an error of at
+    most d u s_i plus underflow, as a GEMM's diagonal entry would have, so
+    the bound below still holds.  With kth the row's (k-1)-th smallest Dg,
+    every j whose Dg lies within a rigorous round-off bound of kth is a
+    candidate.  The bound covers the GEMM error of Dg_ij and of the k-1
+    samples at or under kth (at most (2d + 4) u (s_i + s_j) plus underflow,
+    u = 2^-53, with s_j <= 2 s_i + 2 Dg_ij up to that error) and the exact
+    distances' own error ((d + 3) u relative, plus underflow).  So every
+    sample left out is strictly farther, by exact distance, than the k-th
+    one kept, and the candidates' exact (distance, index) order gives
     exactly what an exhaustive sort would.  A block where an eighth or more
     of the entries are candidates (heavy ties, GEMM cancellation, or k close
     to n) gets exact distances for every entry instead, and each of its rows
     is sorted whole by one stable sort, which is the same (distance, index)
     order.  Badly scaled X is rescaled by a power of two (exact) for the GEMM
-    only, and rows whose exact distances could overflow keep every sample as
-    a candidate.
+    and s only, and rows whose exact distances could overflow keep every
+    sample as a candidate.
     """
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
@@ -104,10 +106,9 @@ def knn_cliques(X, k, gram=None):
     p = 0
     if top > 0 and not 2.0 ** -SCALE_EXP <= top <= 2.0 ** SCALE_EXP:
         p = -math.frexp(top)[1]
-    if p or gram is None:
-        Xs = np.ldexp(X, p)
-        gram = Xs.T @ Xs
-    s = gram.diagonal().copy()
+    XT = np.ascontiguousarray(X.T)
+    Xs = np.ldexp(XT, p) if p else XT
+    s = np.einsum("ij,ij->i", Xs, Xs)
     # round-off bounds, in units of the (scaled) GEMM: relative coefficients of
     # the GEMM and exact distances, and absolute terms for underflow (of the
     # scaling, the GEMM, and the exact distances in X's own units)
@@ -119,13 +120,13 @@ def knn_cliques(X, k, gram=None):
     overflow = math.ldexp(1.0, min(1023 + 2 * p, 1023))
 
     X = np.ascontiguousarray(X)
-    XT = np.ascontiguousarray(X.T)
     indices = np.empty((n, k), dtype=np.intp)
     step = max(1, KNN_BLOCK_BYTES // (8 * n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         m = hi - lo
-        D = gram[lo:hi] * -2.0
+        D = Xs[lo:hi] @ Xs.T
+        D *= -2.0
         D += s
         D += s[lo:hi, None]
         D[np.arange(m), np.arange(lo, hi)] = -np.inf
@@ -161,36 +162,38 @@ def knn_cliques(X, k, gram=None):
 def build_task_laplacian(X, k, lam):
     """Sum of the n local Laplacians H_k (Xc' Xc + lam I)^-1 H_k of X's cliques.
 
-    X is d x n.  X'X is formed once, by one GEMM; knn_cliques finds the
-    cliques from it, and the clique Gram matrices G are gathered from it, in
-    chunks of at most KNN_BLOCK_BYTES, so no (n, k, d) array is formed.  Each
-    G is Cholesky-factored, G = C C', which raises LinAlgError if any
+    X is d x n, the only input read.  knn_cliques finds the cliques.  In
+    chunks of at most KNN_BLOCK_BYTES, one batched product forms the Gram
+    matrices G = Xc' Xc of the cliques' gathered columns, an (m, k, d) stack.
+    Each G is Cholesky-factored, G = C C', which raises LinAlgError if any
     clique's G is not numerically positive definite (badly scaled X with a
-    tiny lam).  With N = C^-1 H_k, each local Laplacian is N'N; they are
-    scatter-added into L by _assemble_csr.  L is a canonical, read-only
-    scipy.sparse.csr_array, with at most k^2 entries per clique, so X'X is
-    the only n x n array a build holds.
+    tiny lam).  With N = C^-1 H_k, each local Laplacian is N'N; _assemble_csr
+    scatter-adds them into L, a canonical, read-only scipy.sparse.csr_array
+    with at most k^2 entries per clique.  No n x n array is formed.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("X has non-finite entries")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    K = X.T @ X
-    idx = knn_cliques(X, k, gram=K)
-    # L is assembled while X'X is alive, so L's arrays never take part of the
-    # block X'X frees; precompute_task's A, of the same size, reuses it
-    return TaskLaplacian(L=_assemble_csr(idx, _local_laplacians(K, idx, lam)),
+    idx = knn_cliques(X, k)
+    return TaskLaplacian(L=_assemble_csr(idx, _local_laplacians(X, idx, lam)),
                          X=X, k=k, lam=lam)
 
 
-def _local_laplacians(K, idx, lam):
-    """(n, k, k) local Laplacians N'N of the cliques idx, from the Gram matrix K."""
-    n, k = idx.shape
+def _local_laplacians(X, idx, lam):
+    """(n, k, k) local Laplacians N'N of the cliques idx of X's columns."""
+    (d, n), k = X.shape, idx.shape[1]
+    XT = np.ascontiguousarray(X.T)
     M = np.empty((n, k, k))
-    step = max(1, KNN_BLOCK_BYTES // (8 * k * k))
+    step = max(1, KNN_BLOCK_BYTES // (8 * k * max(k, d)))
+    # one gather buffer for every chunk (a fresh one is mapped and faulted in
+    # each time); idx is in range, so "clip" only skips take's bounds check
+    buf = np.empty((min(step, n), k, d))
     for lo in range(0, n, step):
-        G = K[idx[lo:lo + step, :, None], idx[lo:lo + step, None, :]]
+        chunk = idx[lo:lo + step]
+        Xc = np.take(XT, chunk, axis=0, out=buf[:len(chunk)], mode="clip")
+        G = Xc @ Xc.transpose(0, 2, 1)
         G += lam * np.eye(k)
         C_inv = np.linalg.inv(np.linalg.cholesky(G))
         N = C_inv - C_inv.mean(axis=2, keepdims=True)
@@ -220,7 +223,7 @@ def _assemble_csr(idx, M):
     starts = np.searchsorted(flat_idx[order], np.arange(n + 1))
     step = max(1, KNN_BLOCK_BYTES // (8 * k * k))
     # keys (row - lo, column) with their tags take about 2 log2(n) +
-    # log2(step k^2) bits: far under 63 for any n whose X'X fits in memory
+    # log2(step k^2) bits: under 63 for any n up to 2^20 (about 57 bits there)
     shift = int(n - 1).bit_length()
 
     def block(lo):

@@ -215,13 +215,21 @@ def load_selection_model(path):
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
+        trace, converged = doc["objective_trace"], doc["converged"]
+        # iterations is read off the trace; type() keeps out bools
+        if not (isinstance(trace, list) and trace and all(
+                type(v) in (int, float) and abs(v) < math.inf for v in trace)):
+            raise ValidationError(f"model file {path}: objective_trace must be "
+                                  "a non-empty list of finite numbers")
+        if type(converged) is not bool:
+            raise ValidationError(f"model file {path}: converged must be true or false")
         model = SelectionModel(
             task_names=tuple(t["name"] for t in doc["tasks"]),
             W=tuple(np.asarray(t["W"], dtype=np.float64) for t in doc["tasks"]),
             b=tuple(np.asarray(t["b"], dtype=np.float64) for t in doc["tasks"]),
             hyperparams=Hyperparams.from_dict(doc["hyperparams"]),
-            objective_trace=tuple(doc["objective_trace"]),
-            converged=bool(doc["converged"]),
+            objective_trace=tuple(trace),
+            converged=converged,
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model file {path} has unexpected structure: {exc}") from exc
@@ -306,12 +314,10 @@ def precompute_task(task, lap, hp):
                              f"over- or underflows to {ab}")
     L = lap.L
     u = selection_diag(task.labeled_mask)
-    # alpha beta H + U + L in one n x n allocation, made first so that it
-    # reuses the block the graph build's X'X left, before smaller arrays
-    # split it: L densified, then the other terms added to each entry, which
-    # rounds as the sum of the dense terms.  L is exactly symmetric, so A is
-    # too, and A.T is A in Fortran order, which LAPACK overwrites with its
-    # factor
+    # alpha beta H + U + L in one n x n allocation: L densified, then the
+    # other terms added to each entry, which rounds as the sum of the dense
+    # terms.  L is exactly symmetric, so A is too, and A.T is A in Fortran
+    # order, which LAPACK overwrites with its factor
     A = L.toarray()
     A += -(ab * (1.0 / n))
     A[np.diag_indices(n)] = L.diagonal() + (ab * (1.0 - 1.0 / n) + u)
@@ -717,8 +723,8 @@ def prepare(dataset, hp, graphs=None):
     returns them) and keeps, from precompute_task, the caches R and T, the
     W-free objective constant and the bias caches g and h.  When graphs is
     None, each task's Laplacian is built in that task's precompute call and
-    dropped after it, so the call holds one n x n array at a time (X'X in
-    the graph build, then A; L is sparse), and allocates nothing n-sized
+    dropped after it, so the call holds one n x n array at a time (A; the
+    graph build holds none, and L is sparse), and allocates nothing n-sized
     that it returns.  A supplied graph must have been built from its task's
     own X array (lap.X is task.X) at hp.k and hp.lam, or ValidationError is
     raised.  The fits' JointSystem is built here, once, from R and T.  gamma
@@ -759,8 +765,8 @@ def fit(dataset, hp, callback=None, prepared=None):
 
     The per-task caches come from prepared, a PreparedTasks from prepare;
     when it is None, fit calls prepare(dataset, hp) itself, so a
-    lone fit holds one n x n array at a time, and nothing n-sized once the
-    precomputation is done.  A prepared set must serve the fit
+    lone fit holds one n x n array at a time (each task's A), and nothing
+    n-sized once the precomputation is done.  A prepared set must serve the fit
     (PreparedTasks.serves): built from this very dataset object, at hp's
     alpha beta, k and lam (gamma is free), or ValidationError is raised.
     The W steps read the set's JointSystem, so fits that share a set share

@@ -120,8 +120,9 @@ def clique_scatter_oracle(X, clique_indices, lam):
     """L summed densely, clique by clique, into an n x n array.
 
     Each clique's local Laplacian is formed as build_task_laplacian forms it
-    (its Gram matrix read off X'X, a Cholesky factor C, N = C^-1 H_k, N'N
-    symmetrized), one clique at a time, and added into L in clique order.
+    (its Gram matrix the product of its gathered columns of X, a Cholesky
+    factor C, N = C^-1 H_k, N'N symmetrized), one clique at a time, and
+    added into L in clique order.
     So every entry of L is the same sum in the same order as the production
     build's, and the two agree bit for bit: this pins the order in which
     the sparse assembly sums, where dense_laplacian_oracle checks the
@@ -130,10 +131,10 @@ def clique_scatter_oracle(X, clique_indices, lam):
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     k = clique_indices.shape[1]
-    K = X.T @ X
     L = np.zeros((n, n))
     for g in clique_indices:
-        G = K[np.ix_(g, g)] + lam * np.eye(k)
+        Xc = X.T[g]
+        G = Xc @ Xc.T + lam * np.eye(k)
         C_inv = np.linalg.inv(np.linalg.cholesky(G))
         N = C_inv - C_inv.mean(axis=1, keepdims=True)
         M = N.T @ N

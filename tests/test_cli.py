@@ -259,6 +259,23 @@ class TestSelect:
         assert "inf_surrogate=50" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("objective_trace", "xyz", "objective_trace must be a non-empty list"),
+        ("objective_trace", [], "objective_trace must be a non-empty list"),
+        ("converged", "no", "converged must be true or false"),
+    ], ids=["trace-str", "trace-empty", "converged-str"])
+    def test_malformed_trace_or_converged_exit_1(self, model_path, tmp_path, capsys,
+                                                 key, value, message):
+        # the iteration count is read off the trace, and "no" is not a bool
+        doc = json.loads(model_path.read_text())
+        doc[key] = value
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "sel.json"
+        rc = main(["select", str(model_path), "--top", "4", "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stale_scores_in_model_ranked_by_w(self, model_path, tmp_path):
         # a file whose stored feature_scores disagree with its W selects as
         # the same file without them: the ranking comes from W
@@ -512,6 +529,10 @@ class TestErrorPaths:
     def test_verbose_flag_rejected(self, synth_dir, tmp_path, capsys, command):
         # only fit has iterations to print
         _check_flag_rejected(synth_dir, tmp_path, capsys, command, ["--verbose"])
+
+    def test_seed_flag_rejected_on_select(self, synth_dir, tmp_path, capsys):
+        # select ranks a saved model's W; it draws nothing at random
+        _check_flag_rejected(synth_dir, tmp_path, capsys, "select", ["--seed", "0"])
 
     def test_commands_do_not_mutate_inputs(self, synth_dir, tmp_path):
         before = {f.name: f.read_bytes() for f in sorted(synth_dir.iterdir())}

@@ -86,10 +86,8 @@ class TestKnnCliques:
         X = np.random.default_rng(6).random((5, 30)) * scale + offset
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             expected = [brute_knn(X, k) for k in (2, 4, 9)]
-            gram = X.T @ X
         for k, cl in zip((2, 4, 9), expected):
             np.testing.assert_array_equal(knn_cliques(X, k), cl)
-            np.testing.assert_array_equal(knn_cliques(X, k, gram=gram), cl)
 
     @pytest.mark.parametrize("n", [9, 10, 11])
     def test_block_edges(self, n, monkeypatch):
@@ -104,7 +102,8 @@ class TestKnnCliques:
     @pytest.mark.parametrize("kind", ["identical", "grid01"])
     def test_memory_bounded_on_ties(self, kind):
         # every sample tied at the k-th distance (all identical) or many ties
-        # (a 0/1 grid) still scans in row blocks: no n x n arrays beyond X'X
+        # (a 0/1 grid) still scans in row blocks: a few blocks plus X's
+        # transpose, and no n x n array
         n, d, k = 1500, 100, 15
         rng = np.random.default_rng(7)
         X = (np.ones((d, n)) if kind == "identical"
@@ -115,7 +114,7 @@ class TestKnnCliques:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * n * n * 8
+        assert peak <= 5 * graph.KNN_BLOCK_BYTES + 2 * 8 * n * d
         D = cdist(X.T, X.T, "sqeuclidean")
         np.fill_diagonal(D, -1.0)
         order = np.lexsort((np.broadcast_to(np.arange(n), D.shape), D), axis=1)
@@ -278,6 +277,19 @@ class TestLaplacianStorage:
             np.testing.assert_allclose(
                 L.toarray(), dense_laplacian_oracle(X, cliques, 0.3), atol=1e-12
             )
+
+    def test_build_holds_no_n_by_n_array(self):
+        # the k-NN scan, the clique Gram matrices and the assembly all work in
+        # blocks, so one build peaks below a quarter of one n x n array
+        n, d, k = 3000, 20, 10
+        X = np.random.default_rng(4).standard_normal((d, n))
+        tracemalloc.start()
+        try:
+            build_task_laplacian(X, k, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     def test_assembly_memory_scales_with_clique_entries(self, monkeypatch):
         # one block holds every row: the assembly's working memory stays a

@@ -289,10 +289,10 @@ class TestFitBasics:
         assert model.to_json_dict() == shared.to_json_dict()
 
     def test_prepare_holds_one_n_by_n_array(self, monkeypatch):
-        # X'X lives only in the graph build and A only in the precompute, and
-        # L is sparse, so prepare peaks at one n x n array plus the k-NN
-        # scan's row blocks and O(n (d + c) + n k^2); a dense L held beside A
-        # peaks above two n x n arrays
+        # the graph build holds no n x n array, A lives only in the
+        # precompute, and L is sparse, so prepare peaks at one n x n array
+        # plus the k-NN scan's row blocks and O(n (d + c) + n k^2); a dense L
+        # held beside A peaks above two n x n arrays
         monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 1 << 16)
         n, d, c, k = 800, 20, 3, 10
         task = make_task(np.random.default_rng(1), d, n, c, label_frac=0.2)
@@ -624,6 +624,9 @@ class TestTinyInstanceOracle:
                 minimize=lambda f, g, W0: descent_minimize(f, g, W0, max_iter=600))
 
 
+TRACE_MESSAGE = "objective_trace must be a non-empty list of finite numbers"
+
+
 class TestModelSerialization:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -666,7 +669,16 @@ class TestModelSerialization:
          "task 't0': W and b must be finite"),
         (lambda doc: doc["tasks"][0]["b"].__setitem__(1, float("nan")),
          "task 't0': W and b must be finite"),
-    ], ids=["no-tasks", "W-short", "W-1d", "b-short", "W-inf", "b-nan"])
+        (lambda doc: doc.update(objective_trace="xyz"), TRACE_MESSAGE),
+        (lambda doc: doc.update(objective_trace=[]), TRACE_MESSAGE),
+        (lambda doc: doc["objective_trace"].__setitem__(-1, float("nan")), TRACE_MESSAGE),
+        (lambda doc: doc["objective_trace"].__setitem__(0, None), TRACE_MESSAGE),
+        (lambda doc: doc.update(objective_trace=[True, False]), TRACE_MESSAGE),
+        (lambda doc: doc.update(converged="no"), "converged must be true or false"),
+        (lambda doc: doc.update(converged=1), "converged must be true or false"),
+    ], ids=["no-tasks", "W-short", "W-1d", "b-short", "W-inf", "b-nan",
+            "trace-str", "trace-empty", "trace-nan", "trace-null", "trace-bools",
+            "converged-str", "converged-int"])
     def test_malformed_model_rejected(self, tmp_path, edit, message):
         # d = 6, two tasks of two classes each
         rng = np.random.default_rng(15)
