@@ -2,19 +2,22 @@
 
 Each sample i forms a clique of itself plus its k-1 Euclidean nearest
 neighbors, found from row blocks of the GEMM distances s_i + s_j - 2 x_i'x_j
-(s the squared norms; each block is one product with X): they give
-candidates, exact distances are computed for those only, and no n x n
-distance matrix is formed.  The clique's local Laplacian is
+(s the squared norms; each block is one product with X, into one reused
+buffer): they give candidates, exact distances are computed for those only
+(_pair_sq_dists, in cache-sized chunks of gathered sample pairs), and no
+n x n distance matrix is formed.  The clique's local Laplacian is
 H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique submatrix and H_k
 the centering matrix; the task Laplacian is the sum of all local Laplacians
 scatter-added into global sample coordinates.  The n local Laplacians are
 computed in batched chunks from the Gram matrices of the gathered clique
-columns of X, with H_k applied as a mean subtraction, and summed in one pass
-over their entries (sorted (row, column) keys, one bincount per block of
-rows).  L is a canonical read-only CSR array: a row holds only the samples
-that share a clique with it (about 130 of 1500 at k=15, d=100), so the sum's
-work grows with L's entries, and a build holds no n x n array.  L is exactly
-symmetric, positive semidefinite, and annihilates constant vectors.
+columns of X: each is Cholesky-factored, G = C C', tril_inv inverts the
+whole chunk's factors by batched forward substitution, and H_k is applied as
+a mean subtraction.  They are summed in one pass over their entries (sorted
+(row, column) keys, one bincount per block of rows).  L is a canonical
+read-only CSR array: a row holds only the samples that share a clique with
+it (about 110 of 1500 at k=15, d=100), so the sum's work grows with L's
+entries, and a build holds no n x n array.  L is exactly symmetric,
+positive semidefinite, and annihilates constant vectors.
 """
 
 import math
@@ -30,6 +33,9 @@ KNN_BLOCK_BYTES = 1 << 20
 # X is rescaled by a power of two for the GEMM only when its largest entry
 # lies outside [2^-SCALE_EXP, 2^SCALE_EXP]; inside it the GEMM cannot overflow
 SCALE_EXP = 64
+# bytes of one chunk of gathered pair differences for the exact distances: its
+# three arrays stay in cache (1 MB chunks took about 1.3x as long at d = 50-200)
+PAIR_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,21 +54,48 @@ class TaskLaplacian:
     lam: float
 
 
-def _pair_sq_dists(X, rows, cols):
-    """Squared distances between columns rows[m] and cols[m] of X, as cdist.
+def tril_inv(C):
+    """Inverses of a stack (..., k, k) of nonsingular lower-triangular factors.
 
-    The squared differences are added feature by feature, in order, which
-    rounds exactly as scipy's cdist(..., "sqeuclidean") and the brute-force
-    oracle do; a pairwise-summed reduction would not.
+    Forward substitution on C Y = I, one row at a time, one batched matmul
+    per row: row i of Y = C^-1 is -C[i, :i] Y[:i, :i] / C[i, i], with
+    1 / C[i, i] on the diagonal, the row-oriented triangular inverse (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 14).  Each
+    computed row meets its row of C Y = I to within k u |C| |Y| entrywise
+    (u = 2^-53, to first order), so ||C Y - I|| <= k u cond(C) in the
+    infinity norm.  Only the lower triangle of C is read.  A general
+    inverse would run a pivoted LU on every matrix instead.
     """
-    out = np.zeros(rows.size)
+    k = C.shape[-1]
+    diag = np.diagonal(C, axis1=-2, axis2=-1)
+    Y = np.zeros_like(C)
+    Y[..., range(k), range(k)] = 1.0 / diag
+    for i in range(1, k):
+        row = np.matmul(C[..., i:i + 1, :i], Y[..., :i, :i])[..., 0, :]
+        Y[..., i, :i] = row / -diag[..., i, None]
+    return Y
+
+
+def _pair_sq_dists(XT, rows, cols):
+    """Squared distances between rows rows[m] and cols[m] of XT, as cdist.
+
+    XT is n x d, one sample per row.  Each chunk of at most PAIR_BLOCK_BYTES
+    gathers its pairs' rows, squares their differences, and sums a
+    C-contiguous copy of the (d, pairs) transpose over axis 0, which adds
+    the features one by one, in order: so it rounds exactly as scipy's
+    cdist(..., "sqeuclidean") and the brute-force oracle do.  A reduction
+    over the gathered (pairs, d) rows, or over X[:, rows] (fancy indexing
+    returns it in a transposed layout), would be summed pairwise instead.
+    """
+    out = np.empty(rows.size)
+    step = max(1, PAIR_BLOCK_BYTES // (8 * XT.shape[1]))
     # huge X overflows to inf, as cdist does; knn_cliques allows for that
     with np.errstate(over="ignore"):
-        for x in X:
-            diff = x[rows]
-            diff -= x[cols]
+        for lo in range(0, rows.size, step):
+            diff = XT[rows[lo:lo + step]]
+            diff -= XT[cols[lo:lo + step]]
             diff *= diff
-            out += diff
+            np.ascontiguousarray(diff.T).sum(axis=0, out=out[lo:lo + step])
     return out
 
 
@@ -119,13 +152,15 @@ def knn_cliques(X, k):
     # rows whose candidate distances could overflow in X's units
     overflow = math.ldexp(1.0, min(1023 + 2 * p, 1023))
 
-    X = np.ascontiguousarray(X)
     indices = np.empty((n, k), dtype=np.intp)
     step = max(1, KNN_BLOCK_BYTES // (8 * n))
+    # every row block's GEMM goes into one buffer: a fresh block of about
+    # KNN_BLOCK_BYTES would be mapped and faulted in anew each time
+    buf = np.empty((min(step, n), n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         m = hi - lo
-        D = Xs[lo:hi] @ Xs.T
+        D = np.matmul(Xs[lo:hi], Xs.T, out=buf[:m])
         D *= -2.0
         D += s
         D += s[lo:hi, None]
@@ -137,7 +172,6 @@ def knn_cliques(X, k):
         thr *= 1.0 + 8.0 * gemm_rel
         thr[thr >= overflow] = np.inf
         cand = D <= thr[:, None]
-        del D
         if 8 * np.count_nonzero(cand) > m * n:
             # an eighth or more of the entries are candidates (ties, GEMM
             # cancellation, or k close to n): exact distances for the whole
@@ -149,10 +183,12 @@ def knn_cliques(X, k):
             exact[np.arange(m), np.arange(lo, hi)] = -1.0
             indices[lo:hi] = np.argsort(exact, axis=1, kind="stable")[:, :k]
         else:
-            rows, cols = np.nonzero(cand)
-            dist = _pair_sq_dists(X, rows + lo, cols)
+            # flatnonzero lists candidates in (row, column) order, so a
+            # stable sort by (row, distance) breaks ties by column
+            rows, cols = np.divmod(np.flatnonzero(cand), n)
+            dist = _pair_sq_dists(XT, rows + lo, cols)
             dist[rows + lo == cols] = -1.0
-            order = np.lexsort((cols, dist, rows))
+            order = np.lexsort((dist, rows))
             heads = np.searchsorted(rows, np.arange(m))
             indices[lo:hi] = cols[order[heads[:, None] + np.arange(k)]]
     indices.setflags(write=False)
@@ -167,7 +203,8 @@ def build_task_laplacian(X, k, lam):
     matrices G = Xc' Xc of the cliques' gathered columns, an (m, k, d) stack.
     Each G is Cholesky-factored, G = C C', which raises LinAlgError if any
     clique's G is not numerically positive definite (badly scaled X with a
-    tiny lam).  With N = C^-1 H_k, each local Laplacian is N'N; _assemble_csr
+    tiny lam).  tril_inv inverts the chunk's factors at once, and with
+    N = C^-1 H_k each local Laplacian is N'N; _assemble_csr
     scatter-adds them into L, a canonical, read-only scipy.sparse.csr_array
     with at most k^2 entries per clique.  No n x n array is formed.
     """
@@ -195,7 +232,7 @@ def _local_laplacians(X, idx, lam):
         Xc = np.take(XT, chunk, axis=0, out=buf[:len(chunk)], mode="clip")
         G = Xc @ Xc.transpose(0, 2, 1)
         G += lam * np.eye(k)
-        C_inv = np.linalg.inv(np.linalg.cholesky(G))
+        C_inv = tril_inv(np.linalg.cholesky(G))
         N = C_inv - C_inv.mean(axis=2, keepdims=True)
         local = N.transpose(0, 2, 1) @ N
         # L must be exactly symmetric: precompute_task adds it to A without

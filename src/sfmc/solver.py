@@ -58,7 +58,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dgesdd, dpotrf, dpotrs
 
 from .dataset import ValidationError
-from .graph import build_task_laplacian
+from .graph import build_task_laplacian, tril_inv
 
 # past W-map steps the Anderson extrapolation combines, and the fractions of
 # the extrapolation step it tries before falling back to the plain step
@@ -216,9 +216,10 @@ def load_selection_model(path):
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         trace, converged = doc["objective_trace"], doc["converged"]
-        # iterations is read off the trace; type() keeps out bools
+        # iterations is read off the trace; type() keeps out bools, and
+        # math.isfinite raises OverflowError on an int too large for a float
         if not (isinstance(trace, list) and trace and all(
-                type(v) in (int, float) and abs(v) < math.inf for v in trace)):
+                type(v) in (int, float) and math.isfinite(v) for v in trace)):
             raise ValidationError(f"model file {path}: objective_trace must be "
                                   "a non-empty list of finite numbers")
         if type(converged) is not bool:
@@ -233,6 +234,11 @@ def load_selection_model(path):
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model file {path} has unexpected structure: {exc}") from exc
+    except OverflowError as exc:
+        # a JSON integer too large for a float, in W, b, the trace or a
+        # hyperparameter
+        raise ValidationError(f"model file {path} holds a number too large "
+                              f"for a float: {exc}") from exc
     if model.n_tasks == 0:
         raise ValidationError(f"model file {path} has no tasks")
     d = model.W[0].shape[0] if model.W[0].ndim == 2 else None
@@ -432,8 +438,9 @@ def _row_split(system, diags, Dtilde, cpl):
     (m_j)_k = R_l[j, j] + D_l[j]/beta for the task l that owns column k, so
     P_j is the joint operator restricted to row j of W with each R_l cut to
     its diagonal.  All d blocks are sum(c) x sum(c); one batched Cholesky
-    factors them and its inverse is formed once, so each apply is a batched
-    product.
+    factors them, P_j = C_j C_j', graph.tril_inv inverts all d factors by
+    batched forward substitution, and P_j^-1 = C_j^-T C_j^-1 is formed once,
+    so each apply is a batched product.
     """
     m = np.repeat(np.array([diag + D_l for diag, D_l in zip(system.diag_R, diags)]),
                   system.widths, axis=0).T
@@ -441,7 +448,7 @@ def _row_split(system, diags, Dtilde, cpl):
     diag = np.arange(m.shape[1])
     P[:, diag, diag] += m
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(P))
+        L_inv = tril_inv(np.linalg.cholesky(P))
     except LinAlgError as exc:
         raise NumericalError(f"preconditioner factorization failed: {exc}") from exc
     P_inv = np.swapaxes(L_inv, 1, 2) @ L_inv

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from sfmc.dataset import MultiTaskDataset, TaskData
+from sfmc.graph import tril_inv
 from sfmc.select_eval import mean_average_precision, select_top, train_ls_classifier
 
 GRID = [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6]
@@ -122,7 +123,10 @@ def clique_scatter_oracle(X, clique_indices, lam):
     Each clique's local Laplacian is formed as build_task_laplacian forms it
     (its Gram matrix the product of its gathered columns of X, a Cholesky
     factor C, N = C^-1 H_k, N'N symmetrized), one clique at a time, and
-    added into L in clique order.
+    added into L in clique order.  C^-1 comes from the production kernel,
+    graph.tril_inv, on a (1, k, k) stack: any other inverse rounds
+    differently, and this oracle pins the order of the sums, not the
+    inverse (test_graph checks tril_inv against np.linalg.inv).
     So every entry of L is the same sum in the same order as the production
     build's, and the two agree bit for bit: this pins the order in which
     the sparse assembly sums, where dense_laplacian_oracle checks the
@@ -135,7 +139,7 @@ def clique_scatter_oracle(X, clique_indices, lam):
     for g in clique_indices:
         Xc = X.T[g]
         G = Xc @ Xc.T + lam * np.eye(k)
-        C_inv = np.linalg.inv(np.linalg.cholesky(G))
+        C_inv = tril_inv(np.linalg.cholesky(G)[None])[0]
         N = C_inv - C_inv.mean(axis=1, keepdims=True)
         M = N.T @ N
         L[np.ix_(g, g)] += 0.5 * (M + M.T)

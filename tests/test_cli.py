@@ -276,6 +276,25 @@ class TestSelect:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["W", "alpha", "trace"])
+    def test_number_too_large_for_float_exit_1(self, model_path, tmp_path, capsys,
+                                               where):
+        # JSON integers have no size limit: 10**400 overflows float(), and
+        # abs(10**400) < inf holds for a Python int
+        doc = json.loads(model_path.read_text())
+        if where == "W":
+            doc["tasks"][0]["W"][0][0] = 10**400
+        elif where == "alpha":
+            doc["hyperparams"]["alpha"] = 10**400
+        else:
+            doc["objective_trace"][-1] = 10**400
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "sel.json"
+        rc = main(["select", str(model_path), "--top", "4", "--out", str(out)])
+        assert rc == 1
+        assert "too large for a float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stale_scores_in_model_ranked_by_w(self, model_path, tmp_path):
         # a file whose stored feature_scores disagree with its W selects as
         # the same file without them: the ranking comes from W

@@ -6,7 +6,7 @@ from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 from sfmc import graph
-from sfmc.graph import build_task_laplacian, knn_cliques
+from sfmc.graph import build_task_laplacian, knn_cliques, tril_inv
 from helpers import (brute_knn, centering_oracle, clique_scatter_oracle,
                      dense_laplacian_oracle)
 
@@ -128,6 +128,63 @@ class TestKnnCliques:
         np.testing.assert_array_equal(cl[:, 0], np.arange(14))
         for row in cl:
             assert len(set(row.tolist())) == 6
+
+
+class TestTrilInv:
+    """Batched inverse of lower-triangular factors, against np.linalg.inv."""
+
+    # (stack, k): a chunk of clique factors at fit_large_n's shape (d = 100,
+    # k = 15), the row split's d blocks of sum(c) = 6, and small k
+    @pytest.mark.parametrize("stack, k", [(87, 15), (100, 6), (40, 2), (1, 15)])
+    @pytest.mark.parametrize("cond", [1e1, 1e12])
+    def test_matches_inv_within_condition_bound(self, stack, k, cond):
+        # Cholesky factors of SPD matrices with eigenvalues spread over cond,
+        # so each factor's condition number is about sqrt(cond)
+        rng = np.random.default_rng(k)
+        Q = np.linalg.qr(rng.standard_normal((stack, k, k)))[0]
+        G = (Q * np.logspace(0, -np.log10(cond), k)) @ Q.transpose(0, 2, 1)
+        C = np.linalg.cholesky(0.5 * (G + G.transpose(0, 2, 1)))
+        Y = tril_inv(C)
+        u = 2.0 ** -53
+
+        def norm(A):
+            return np.abs(A).sum(axis=-1).max(axis=-1)
+
+        cond_C = norm(C) * norm(Y)
+        # the residual of each row is within k u |C| |Y| (Higham, ch. 14);
+        # forming C Y adds as much again
+        assert np.all(norm(C @ Y - np.eye(k)) <= 2 * k * u * cond_C)
+        expected = np.linalg.inv(C)
+        assert np.all(norm(Y - expected) <= 4 * k * u * cond_C * norm(expected))
+        np.testing.assert_array_equal(np.triu(Y, 1), 0.0)
+        np.testing.assert_array_equal(np.diagonal(Y, axis1=1, axis2=2),
+                                      1.0 / np.diagonal(C, axis1=1, axis2=2))
+
+    def test_reads_only_the_lower_triangle(self):
+        rng = np.random.default_rng(2)
+        C = np.tril(rng.standard_normal((5, 6, 6))) + 4 * np.eye(6)
+        np.testing.assert_array_equal(tril_inv(C + np.triu(np.ones((6, 6)), 1)),
+                                      tril_inv(C))
+
+
+class TestPairSqDists:
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150, 1e160])
+    def test_bit_equal_to_cdist(self, scale, monkeypatch):
+        # 37 features (a pairwise-summed reduction rounds differently there)
+        # and chunks of 7 pairs, so 300 pairs span 43 chunks, the last one
+        # short; at 1e160 the squared differences overflow to inf
+        d, n = 37, 50
+        monkeypatch.setattr(graph, "PAIR_BLOCK_BYTES", 8 * d * 7)
+        rng = np.random.default_rng(3)
+        XT = rng.standard_normal((n, d)) * np.logspace(0, 6, d) * scale
+        rows, cols = rng.integers(0, n, size=(2, 300))
+        rows[:10] = cols[:10]
+        got = graph._pair_sq_dists(XT, rows, cols)
+        expected = cdist(XT[rows], XT[cols], "sqeuclidean").diagonal()
+        if scale == 1e160:
+            assert np.isinf(expected).any()
+        np.testing.assert_array_equal(got, expected)
+        assert np.all(got[:10] == 0.0)
 
 
 class TestLocalLaplacian:
