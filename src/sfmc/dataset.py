@@ -210,6 +210,18 @@ def _read_matrix_csv(path):
     return data
 
 
+def check_task_name(name, earlier, where):
+    """Raise ValidationError unless name is a string that no earlier task has.
+
+    Task names key the outputs, and str() would pass 1, null or an object
+    off as a name.
+    """
+    if not isinstance(name, str):
+        raise ValidationError(f"{where}: name {name!r} is not a string")
+    if name in earlier:
+        raise ValidationError(f"{where}: name {name!r} repeats an earlier task's")
+
+
 def load_manifest(path):
     """Load a MultiTaskDataset from a JSON manifest.
 
@@ -236,6 +248,7 @@ def load_manifest(path):
         missing = {"name", "features_csv", "labels_csv"} - set(entry)
         if missing:
             raise ValidationError(f"manifest task {i} missing keys: {sorted(missing)}")
+        check_task_name(entry["name"], [t.name for t in tasks], f"manifest task {i}")
         paths = (entry["features_csv"], entry["labels_csv"], entry.get("labeled_mask_csv") or "")
         if not all(isinstance(p, str) for p in paths):
             raise ValidationError(f"manifest task {i}: CSV paths must be strings")
@@ -250,7 +263,7 @@ def load_manifest(path):
             mask = mask.astype(bool)
         else:
             mask = Y.sum(axis=1) > 0
-        task = TaskData(name=str(entry["name"]), X=X_rows.T, Y=Y, labeled_mask=mask)
+        task = TaskData(name=entry["name"], X=X_rows.T, Y=Y, labeled_mask=mask)
         constant = np.flatnonzero(np.ptp(task.X, axis=1) == 0)
         if constant.size:
             warnings.warn(

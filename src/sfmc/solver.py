@@ -55,9 +55,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dgesdd, dpotrf, dpotrs
+from scipy.linalg.lapack import dgesdd, dpftrf, dpftrs, dpotrf, dpotrs
 
-from .dataset import ValidationError
+from .dataset import ValidationError, check_task_name
 from .graph import build_task_laplacian, tril_inv
 
 # past W-map steps the Anderson extrapolation combines, and the fractions of
@@ -241,6 +241,8 @@ def load_selection_model(path):
                               f"for a float: {exc}") from exc
     if model.n_tasks == 0:
         raise ValidationError(f"model file {path} has no tasks")
+    for i, name in enumerate(model.task_names):
+        check_task_name(name, model.task_names[:i], f"model file {path}: task {i}")
     d = model.W[0].shape[0] if model.W[0].ndim == 2 else None
     for name, W, b in zip(model.task_names, model.W, model.b):
         if W.ndim != 2 or W.shape[0] != d:
@@ -261,17 +263,18 @@ def selection_diag(mask):
     return np.where(mask, float(LABEL_WEIGHT), 1.0)
 
 
-def _refined_solve(factor, B, matmul):
-    """cho_solve(factor, B), then one refinement pass against matmul(X) = A X.
+def _refined_solve(solve, B, matmul):
+    """solve(B), then one refinement pass against matmul(X) = A X.
 
-    The refinement keeps the residual near machine precision even when the
-    hyperparameter grid makes A badly scaled.
+    solve applies the inverse of a factored A.  The refinement keeps the
+    residual near machine precision even when the hyperparameter grid makes
+    A badly scaled.
     """
-    X = cho_solve(factor, B, check_finite=False)
+    X = solve(B)
     resid = B - matmul(X)
     norm_b = np.linalg.norm(B)
     if norm_b > 0 and np.linalg.norm(resid) > 1e-13 * norm_b:
-        X = X + cho_solve(factor, resid, check_finite=False)
+        X += solve(resid)
     return X
 
 
@@ -281,7 +284,46 @@ def _spd_solve(A, B):
         factor = cho_factor(A)
     except (LinAlgError, ValueError) as exc:
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    return _refined_solve(factor, B, lambda X: A @ X)
+    return _refined_solve(lambda B: cho_solve(factor, B, check_finite=False),
+                          B, lambda X: A @ X)
+
+
+def _packed_system(L, off, shift):
+    """Lower triangle of L + off (1 1' - I) + diag(shift), in RFP storage.
+
+    L is a canonical, exactly symmetric n x n CSR array; off and shift are
+    what A adds to L off and on the diagonal.  Returns (ap, diag): ap holds
+    the n (n + 1) / 2 entries of the lower triangle in LAPACK's rectangular
+    full packed format, TRANSR = 'N', UPLO = 'L' (Gustavson, Wasniewski,
+    Dongarra & Langou, ACM TOMS 37(2), 2010), and diag is the tuple of two
+    strided views of ap that hold the diagonal.  With m = ceil(n/2) and
+    lda = n + 1 for even n, n for odd n, entry (i, j), i >= j, sits at
+    (j + 1) lda + i - n when j < m (column j of an lda-row array, one row
+    down for even n) and at (j - m) + (i - n + m) lda otherwise (the
+    trailing triangle, transposed into the rows above).  Since L is
+    symmetric, its rows j < m list column j of the lower triangle, so each
+    entry is read from L's CSR arrays in one of two contiguous runs, and no
+    dense or COO copy of L is made.  Each entry rounds as in the dense sum:
+    L_ij + off off the diagonal, L_ii + shift_i on it.
+    """
+    n = L.shape[0]
+    m, lda = (n + 1) // 2, n + 1 - n % 2
+    ap = np.full(n * (n + 1) // 2, off)
+    split = L.indptr[m]
+    rows = np.repeat(np.arange(n), np.diff(L.indptr))
+    # columns j < m: entries (i, j), i > j, of L's rows j < m
+    j, i = rows[:split], L.indices[:split]
+    keep = i > j
+    ap[(j[keep] + 1) * lda + (i[keep] - n)] = L.data[:split][keep] + off
+    # columns j >= m: entries (i, j), m <= j < i, of L's rows i >= m
+    i, j = rows[split:], L.indices[split:]
+    keep = (j >= m) & (j < i)
+    ap[(j[keep] - m) + (i[keep] - (n - m)) * lda] = L.data[split:][keep] + off
+    diag = (ap[lda - n::lda + 1][:m], ap[(2 * m - n) * lda::lda + 1][:n - m])
+    full = L.diagonal() + shift
+    diag[0][:] = full[:m]
+    diag[1][:] = full[m:]
+    return ap, diag
 
 
 def precompute_task(task, lap, hp):
@@ -302,17 +344,20 @@ def precompute_task(task, lap, hp):
     formed: U acts as its diagonal u, and H as a subtraction of column
     means.  lap.L is the sparse CSR Laplacian of build_task_laplacian; it is
     applied sparsely, in two products (L [B, Y] for the right-hand side and
-    const, and L Z), and densified only into A, which is Cholesky-factored
-    in place, so its factor is the only n x n array built here, and it dies
-    when the call returns.  The refinement residual applies A as
+    const, and L Z).  A's lower triangle is built from L's CSR arrays
+    straight into rectangular full packed storage (_packed_system), n (n + 1)
+    / 2 entries, and Cholesky-factored in place there by LAPACK's dpftrf,
+    whose factor dpftrs applies.  So that factor is the only n x n array
+    built here, half the size of a dense one, and it dies when the call
+    returns.  The refinement residual applies A as
     alpha beta (Z - colmean Z) + u Z + L Z.
     """
     n = task.n_samples
     d = task.X.shape[0]
     ab = hp.alpha * hp.beta
-    # LAPACK is called without scipy's finiteness scans of A and its factor,
-    # so the one way A can hold a non-finite entry, alpha beta overflowing,
-    # is checked here, and the factor's diagonal below: Cholesky carries any
+    # LAPACK is called without finiteness scans of A and its factor, so the
+    # one way A can hold a non-finite entry, alpha beta overflowing, is
+    # checked here, and the factor's diagonal below: Cholesky carries any
     # non-finite entry of A there, or fails.  alpha beta underflowing to 0
     # would drop the fitting term, and the W step divides by it
     if not 0 < ab < math.inf:
@@ -320,13 +365,8 @@ def precompute_task(task, lap, hp):
                              f"over- or underflows to {ab}")
     L = lap.L
     u = selection_diag(task.labeled_mask)
-    # alpha beta H + U + L in one n x n allocation: L densified, then the
-    # other terms added to each entry, which rounds as the sum of the dense
-    # terms.  L is exactly symmetric, so A is too, and A.T is A in Fortran
-    # order, which LAPACK overwrites with its factor
-    A = L.toarray()
-    A += -(ab * (1.0 / n))
-    A[np.diag_indices(n)] = L.diagonal() + (ab * (1.0 - 1.0 / n) + u)
+    # alpha beta H + U + L, each entry rounded as the sum of the dense terms
+    ap, diag = _packed_system(L, -(ab * (1.0 / n)), ab * (1.0 - 1.0 / n) + u)
     xbar = task.X.T.mean(axis=0)
     B = task.X.T - xbar
     # L B and L Y in one sparse product; (alpha beta H + L) Y is kept for const
@@ -335,14 +375,23 @@ def precompute_task(task, lap, hp):
     rhs = np.hstack([u[:, None] * B + LBY[:, :d], u[:, None] * task.Y,
                      np.ones((n, 1))])
     del LBY
-    try:
-        factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    if not np.isfinite(np.diagonal(factor[0])).all():
+    ap, info = dpftrf(n, ap, transr="N", uplo="L", overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"SPD factorization failed (info {info})")
+    if not all(np.isfinite(part).all() for part in diag):
         raise NumericalError("SPD factorization failed: non-finite factor")
-    Z = _refined_solve(factor, rhs, lambda X: (ab * (X - X.mean(axis=0))
-                                               + u[:, None] * X + L @ X))
+
+    def apply_A(X):
+        # L X, then u X and alpha beta (X - colmean X) added into it, so at
+        # most one n-sized temporary sits beside the product
+        AX = L @ X
+        AX += u[:, None] * X
+        X_c = X - X.mean(axis=0)
+        X_c *= ab
+        AX += X_c
+        return AX
+
+    Z = _refined_solve(lambda B: dpftrs(n, ap, B, transr="N", uplo="L")[0], rhs, apply_A)
     Z_T, z = Z[:, d:-1], Z[:, -1]
     R = B.T @ Z[:, :d]
     R = 0.5 * (R + R.T)
@@ -730,12 +779,13 @@ def prepare(dataset, hp, graphs=None):
     returns them) and keeps, from precompute_task, the caches R and T, the
     W-free objective constant and the bias caches g and h.  When graphs is
     None, each task's Laplacian is built in that task's precompute call and
-    dropped after it, so the call holds one n x n array at a time (A; the
-    graph build holds none, and L is sparse), and allocates nothing n-sized
-    that it returns.  A supplied graph must have been built from its task's
-    own X array (lap.X is task.X) at hp.k and hp.lam, or ValidationError is
-    raised.  The fits' JointSystem is built here, once, from R and T.  gamma
-    is not read, and alpha and beta only through their product.
+    dropped after it, so the call holds one n x n array at a time (A's
+    packed lower triangle, half of a dense one; the graph build holds none,
+    and L is sparse), and allocates nothing n-sized that it returns.  A
+    supplied graph must have been built from its task's own X array
+    (lap.X is task.X) at hp.k and hp.lam, or ValidationError is raised.
+    The fits' JointSystem is built here, once, from R and T.  gamma is not
+    read, and alpha and beta only through their product.
     """
     for task in dataset.tasks:
         if hp.k > task.n_samples:
@@ -772,10 +822,11 @@ def fit(dataset, hp, callback=None, prepared=None):
 
     The per-task caches come from prepared, a PreparedTasks from prepare;
     when it is None, fit calls prepare(dataset, hp) itself, so a
-    lone fit holds one n x n array at a time (each task's A), and nothing
-    n-sized once the precomputation is done.  A prepared set must serve the fit
-    (PreparedTasks.serves): built from this very dataset object, at hp's
-    alpha beta, k and lam (gamma is free), or ValidationError is raised.
+    lone fit holds one n x n array at a time (each task's packed A,
+    n (n + 1) / 2 entries), and nothing n-sized once the precomputation is
+    done.  A prepared set must serve the fit (PreparedTasks.serves): built
+    from this very dataset object, at hp's alpha beta, k and lam (gamma is
+    free), or ValidationError is raised.
     The W steps read the set's JointSystem, so fits that share a set share
     it too.  The loop carries W as one d x sum(c) array, task l its column
     slice.  The initial W_l solve uses unit row weights and an identity

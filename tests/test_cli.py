@@ -295,6 +295,17 @@ class TestSelect:
         assert "too large for a float" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_task_name_exit_1(self, model_path, tmp_path, capsys):
+        # task names key the selection's entries, so two tasks may not share one
+        doc = json.loads(model_path.read_text())
+        doc["tasks"][1]["name"] = doc["tasks"][0]["name"]
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "sel.json"
+        rc = main(["select", str(model_path), "--top", "4", "--out", str(out)])
+        assert rc == 1
+        assert "repeats an earlier task's" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stale_scores_in_model_ranked_by_w(self, model_path, tmp_path):
         # a file whose stored feature_scores disagree with its W selects as
         # the same file without them: the ranking comes from W
@@ -464,6 +475,17 @@ class TestErrorPaths:
         model_path = tmp_path / "m.json"
         assert main(["fit", str(manifest), "--out", str(model_path), "--k", "5"]) == 1
         assert "CSV paths must be strings" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_non_string_task_name_exit_1(self, synth_dir, tmp_path, capsys):
+        # str() would load a null name as "None" and write it to the model
+        manifest = synth_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["tasks"][1]["name"] = None
+        manifest.write_text(json.dumps(doc))
+        model_path = tmp_path / "m.json"
+        assert main(["fit", str(manifest), "--out", str(model_path), "--k", "5"]) == 1
+        assert "task 1: name None is not a string" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_duplicate_fractions_exit_1(self, synth_dir, tmp_path, capsys):

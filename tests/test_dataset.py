@@ -65,8 +65,15 @@ class TestLoadManifest:
         (lambda doc: doc["tasks"][0].update(labels_csv=None), "task 0: CSV paths"),
         (lambda doc: doc["tasks"][0].update(labeled_mask_csv=["m.csv"]),
          "task 0: CSV paths"),
+        (lambda doc: doc["tasks"][0].update(name=None), "task 0: name None is not a string"),
+        (lambda doc: doc["tasks"][1].update(name=1), "task 1: name 1 is not a string"),
+        (lambda doc: doc["tasks"][0].update(name={"a": 1}),
+         "task 0: name {'a': 1} is not a string"),
+        (lambda doc: doc["tasks"][1].update(name=doc["tasks"][0]["name"]),
+         "task 1: name 't0' repeats an earlier task's"),
     ], ids=["tasks-not-list", "task-not-object", "features-path-int",
-            "labels-path-null", "mask-path-list"])
+            "labels-path-null", "mask-path-list", "name-null", "name-int",
+            "name-object", "name-repeated"])
     def test_malformed_entry(self, tmp_path, edit, message):
         path = small_manifest(tmp_path)
         doc = json.loads(path.read_text())

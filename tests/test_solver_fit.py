@@ -273,8 +273,9 @@ class TestFitBasics:
 
     def test_one_laplacian_alive_without_graphs(self):
         # each task's L is built in its own precompute call and dropped after
-        # it, so the fit holds one n x n L, not all t; holding all three (as
-        # building every graph up front does) peaks above 7 n x n arrays
+        # it, so the fit holds one task's graph, not all t; with L sparse and
+        # A packed, the fit peaks near 1.2 n x n arrays, in the graph build's
+        # fixed-size row blocks
         n = 600
         ds = make_dataset(np.random.default_rng(0), t=3, d=10, n=n, c=2)
         hp = Hyperparams(k=10, max_iter=5)
@@ -290,9 +291,11 @@ class TestFitBasics:
 
     def test_prepare_holds_one_n_by_n_array(self, monkeypatch):
         # the graph build holds no n x n array, A lives only in the
-        # precompute, and L is sparse, so prepare peaks at one n x n array
-        # plus the k-NN scan's row blocks and O(n (d + c) + n k^2); a dense L
-        # held beside A peaks above two n x n arrays
+        # precompute, packed into n (n + 1) / 2 entries, and L is sparse, so
+        # prepare peaks at half of one n x n array plus the k-NN scan's row
+        # blocks and O(n (d + c) + n k^2); a dense A, factored in place, reads
+        # 0.83 n x n arrays beyond that slack, and a dense L held beside it
+        # more than two
         monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 1 << 16)
         n, d, c, k = 800, 20, 3, 10
         task = make_task(np.random.default_rng(1), d, n, c, label_frac=0.2)
@@ -305,7 +308,7 @@ class TestFitBasics:
         finally:
             tracemalloc.stop()
         slack = 4 * graph.KNN_BLOCK_BYTES + 3 * 8 * n * (d + c + k * k)
-        assert peak < 8 * n * n + slack
+        assert peak < 5 * n * n + slack
         # a graph holds O(nnz) bytes, and a clique adds at most k^2 entries
         L = build_task_laplacian(task.X, k, hp.lam).L
         assert L.nnz <= n * k * k
@@ -676,9 +679,15 @@ class TestModelSerialization:
         (lambda doc: doc.update(objective_trace=[True, False]), TRACE_MESSAGE),
         (lambda doc: doc.update(converged="no"), "converged must be true or false"),
         (lambda doc: doc.update(converged=1), "converged must be true or false"),
+        (lambda doc: doc["tasks"][0].update(name=None), "task 0: name None is not a string"),
+        (lambda doc: doc["tasks"][1].update(name={"a": 1}),
+         "task 1: name {'a': 1} is not a string"),
+        (lambda doc: doc["tasks"][1].update(name="t0"),
+         "task 1: name 't0' repeats an earlier task's"),
     ], ids=["no-tasks", "W-short", "W-1d", "b-short", "W-inf", "b-nan",
             "trace-str", "trace-empty", "trace-nan", "trace-null", "trace-bools",
-            "converged-str", "converged-int"])
+            "converged-str", "converged-int", "name-null", "name-object",
+            "name-repeated"])
     def test_malformed_model_rejected(self, tmp_path, edit, message):
         # d = 6, two tasks of two classes each
         rng = np.random.default_rng(15)

@@ -143,6 +143,35 @@ class TestPrecomputeTask:
         with pytest.raises(NumericalError, match="non-finite factor"):
             precompute_task(task, InfLap(), Hyperparams(k=3))
 
+        off = np.zeros((6, 6))
+        off[4, 1] = off[1, 4] = np.inf
+
+        class OffDiagonalInfLap:
+            L = csr_array(off)
+
+        with pytest.raises(NumericalError, match="SPD factorization failed"):
+            precompute_task(task, OffDiagonalInfLap(), Hyperparams(k=3))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 150, 151])
+    def test_packed_system_matches_lapack_layout(self, n):
+        # the lower triangle of L + off (1 1' - I) + diag(shift), placed by
+        # _packed_system, is LAPACK's own RFP copy (dtrttf) of the dense sum,
+        # bit for bit, at even n and odd n; diag views the packed diagonal
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        M[rng.random((n, n)) < 0.7] = 0.0
+        L = csr_array(M + M.T)
+        off, shift = -0.3, rng.random(n) + 2.0
+        dense = L.toarray() + off
+        dense[np.diag_indices(n)] = L.diagonal() + shift
+        expected, info = scipy.linalg.lapack.dtrttf(dense, transr="N", uplo="L")
+        assert info == 0
+        ap, diag = solver._packed_system(L, off, shift)
+        np.testing.assert_array_equal(ap, expected)
+        np.testing.assert_array_equal(np.concatenate(diag), np.diag(dense))
+        for part in diag:
+            assert np.shares_memory(part, ap)
+
     def test_r_symmetric_psd(self):
         rng = np.random.default_rng(4)
         _, _, _, R, _, _, _ = _task_with_caches(rng, d=5, n=8)
@@ -177,40 +206,44 @@ class TestPrecomputeTask:
         np.testing.assert_allclose(T, T_literal, atol=1e-10)
 
     def test_factors_in_place(self):
-        # U and H act as a vector and a mean subtraction, A is factored in
-        # place, and the refinement residual is formed from L, u and a mean
-        # subtraction, so A, factored into itself, is the one n x n array
-        # precompute_task allocates; keeping A beside a factored copy peaks
-        # near 2.2 blocks
-        n, d = 600, 20
-        task = make_task(np.random.default_rng(7), d, n, 3)
-        hp = Hyperparams(k=10)
-        lap = build_task_laplacian(task.X, hp.k, hp.lam)
-        tracemalloc.start()
-        try:
-            R, T, *_ = precompute_task(task, lap, hp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
-        # the literal formulas, with dense H and U and an explicit inverse
-        H = centering_oracle(n)
-        U = selection_diag_oracle(task.labeled_mask, solver.LABEL_WEIGHT)
-        ab = hp.alpha * hp.beta
-        A = ab * H + U + lap.L
-        P = np.linalg.inv(A)
-        R_literal = task.X @ H @ (np.eye(n) - ab * P) @ H @ task.X.T
-        T_literal = task.X @ H @ P @ U @ task.Y
-        np.testing.assert_allclose(R, R_literal, rtol=0,
-                                   atol=1e-9 * np.abs(R_literal).max())
-        np.testing.assert_allclose(T, T_literal, rtol=0,
-                                   atol=1e-9 * np.abs(T_literal).max())
+        # U and H act as a vector and a mean subtraction, A's lower triangle
+        # is packed (n (n + 1) / 2 entries) and factored in place, and the
+        # refinement residual is formed from L, u and a mean subtraction, so
+        # the packed A is the one n x n array precompute_task allocates and
+        # the call peaks near 0.75 of one dense n x n array; a dense A
+        # factored in place peaks near 1.3.  Even and odd n pack differently
+        d = 20
+        for n in (600, 601):
+            task = make_task(np.random.default_rng(7), d, n, 3)
+            hp = Hyperparams(k=10)
+            lap = build_task_laplacian(task.X, hp.k, hp.lam)
+            tracemalloc.start()
+            try:
+                R, T, *_ = precompute_task(task, lap, hp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
+            # the literal formulas, with dense H and U and an explicit inverse
+            H = centering_oracle(n)
+            U = selection_diag_oracle(task.labeled_mask, solver.LABEL_WEIGHT)
+            ab = hp.alpha * hp.beta
+            A = ab * H + U + lap.L
+            P = np.linalg.inv(A)
+            R_literal = task.X @ H @ (np.eye(n) - ab * P) @ H @ task.X.T
+            T_literal = task.X @ H @ P @ U @ task.Y
+            np.testing.assert_allclose(R, R_literal, rtol=0,
+                                       atol=1e-9 * np.abs(R_literal).max())
+            np.testing.assert_allclose(T, T_literal, rtol=0,
+                                       atol=1e-9 * np.abs(T_literal).max())
 
     def test_fit_holds_no_factor(self):
-        # fit keeps only each task's d-space caches, so it peaks at one
-        # task's L beside its A, about 2.3 n x n blocks; a fit that kept
-        # every task's factor to the end would stack them, about 4.25
-        # blocks at t = 3
+        # fit keeps only each task's d-space caches, so it peaks in one
+        # task's step: here the graph build, about 1.4 n x n blocks (its row
+        # blocks are a fixed size, large beside n = 600), above the
+        # precompute's 0.75 with its packed A; a fit that kept every task's
+        # packed factor to the end would add half a block per earlier task,
+        # about 2.6 blocks at t = 3
         n = 600
         ds = make_dataset(np.random.default_rng(7), t=3, d=20, n=n, c=3)
         hp = Hyperparams(k=10)
@@ -220,7 +253,7 @@ class TestPrecomputeTask:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * n * n * 8
+        assert peak < 2 * n * n * 8
 
 
 class TestUpdateDl:
