@@ -179,9 +179,9 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
-        # ValidationError subclasses ValueError; bad seeds and malformed
-        # values from libraries land here too
+    except (ValueError, OSError, OverflowError) as exc:
+        # ValidationError subclasses ValueError; bad seeds, malformed values
+        # from libraries and integer flags too large for a float land here too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

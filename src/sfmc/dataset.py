@@ -1,7 +1,7 @@
 """Multi-task dataset model, manifest ingestion, label masking, synthetic data.
 
 On disk, a dataset is a JSON manifest referencing one feature CSV and one
-label CSV per task (plus an optional labeled-mask CSV).  CSVs are header-free;
+label CSV per task.  CSVs are header-free;
 feature files hold one sample per row.  In memory each task keeps its feature
 matrix sample-per-column (d x n), so ``load_manifest``/``write_manifest``
 transpose explicitly.
@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ def _frozen(a):
 
 @dataclass(frozen=True)
 class TaskData:
-    """One task: features, one-hot labels, and the labeled/unlabeled split.
+    """One task: features and one-hot labels.
 
     X is d x n (sample per column), Y is n x c with 0/1 entries.  A labeled
     sample has exactly one 1 in its Y row; an unlabeled sample's row is all
@@ -39,14 +40,10 @@ class TaskData:
     name: str
     X: np.ndarray
     Y: np.ndarray
-    labeled_mask: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "X", _frozen(np.asfortranarray(self.X, dtype=np.float64)))
         object.__setattr__(self, "Y", _frozen(np.asarray(self.Y, dtype=np.float64)))
-        object.__setattr__(
-            self, "labeled_mask", _frozen(np.asarray(self.labeled_mask, dtype=bool))
-        )
         self._validate()
 
     def _validate(self):
@@ -57,27 +54,23 @@ class TaskData:
             raise ValidationError(
                 f"task {self.name!r}: {n} samples in X but {self.Y.shape[0]} label rows"
             )
-        if self.labeled_mask.shape != (n,):
-            raise ValidationError(f"task {self.name!r}: labeled_mask must have length {n}")
         if not np.isfinite(self.X).all():
             raise ValidationError(f"task {self.name!r}: non-finite feature value")
         if not np.isin(self.Y, (0.0, 1.0)).all():
             raise ValidationError(f"task {self.name!r}: label entries must be 0 or 1")
-        row_sums = self.Y.sum(axis=1)
-        bad = np.flatnonzero(self.labeled_mask & (row_sums != 1.0))
+        bad = np.flatnonzero(self.Y.sum(axis=1) > 1)
         if bad.size:
             raise ValidationError(
-                f"task {self.name!r}: labeled sample {bad[0]} must have exactly one 1 "
-                f"in its label row"
-            )
-        bad = np.flatnonzero(~self.labeled_mask & (row_sums != 0.0))
-        if bad.size:
-            raise ValidationError(
-                f"task {self.name!r}: unlabeled sample {bad[0]} must have an all-zero "
+                f"task {self.name!r}: sample {bad[0]} must have at most one 1 in its "
                 f"label row"
             )
         if self.n_labeled < 1:
             raise ValidationError(f"task {self.name!r}: needs at least one labeled sample")
+
+    @cached_property
+    def labeled_mask(self):
+        """Which samples are labeled: those whose label row holds a 1."""
+        return _frozen(self.Y.any(axis=1))
 
     @property
     def n_features(self):
@@ -227,8 +220,9 @@ def load_manifest(path):
 
     The manifest is ``{"tasks": [{"name", "features_csv", "labels_csv",
     "labeled_mask_csv"?}], "feature_names"?, "metadata"?}`` with CSV paths
-    relative to the manifest file.  When the mask file is absent, a sample
-    counts as labeled iff its label row is nonzero.
+    relative to the manifest file.  A sample is labeled iff its label row
+    holds a 1.  The legacy mask file, when named, is only checked against
+    the labels.
     """
     path = Path(path)
     if not path.exists():
@@ -249,21 +243,20 @@ def load_manifest(path):
         if missing:
             raise ValidationError(f"manifest task {i} missing keys: {sorted(missing)}")
         check_task_name(entry["name"], [t.name for t in tasks], f"manifest task {i}")
-        paths = (entry["features_csv"], entry["labels_csv"], entry.get("labeled_mask_csv") or "")
-        if not all(isinstance(p, str) for p in paths):
-            raise ValidationError(f"manifest task {i}: CSV paths must be strings")
+        paths = [entry[key] for key in ("features_csv", "labels_csv", "labeled_mask_csv")
+                 if key in entry]
+        # an empty path would name the manifest's own directory
+        if not all(isinstance(p, str) and p for p in paths):
+            raise ValidationError(f"manifest task {i}: CSV paths must be non-empty strings")
         X_rows = _read_matrix_csv(base / entry["features_csv"])
         Y = _read_matrix_csv(base / entry["labels_csv"])
-        if "labeled_mask_csv" in entry and entry["labeled_mask_csv"]:
+        task = TaskData(name=entry["name"], X=X_rows.T, Y=Y)
+        if "labeled_mask_csv" in entry:
+            # an older manifest's mask file sets nothing; it is checked as input
             mask = _read_matrix_csv(base / entry["labeled_mask_csv"]).ravel()
-            if not np.isin(mask, (0.0, 1.0)).all():
-                raise ValidationError(
-                    f"task {entry['name']!r}: mask entries must be 0 or 1"
-                )
-            mask = mask.astype(bool)
-        else:
-            mask = Y.sum(axis=1) > 0
-        task = TaskData(name=entry["name"], X=X_rows.T, Y=Y, labeled_mask=mask)
+            if not np.array_equal(mask, task.labeled_mask):
+                raise ValidationError(f"task {task.name!r}: {entry['labeled_mask_csv']} must "
+                                      "hold 1 for each sample with a label, 0 for the rest")
         constant = np.flatnonzero(np.ptp(task.X, axis=1) == 0)
         if constant.size:
             warnings.warn(
@@ -292,14 +285,9 @@ def write_manifest(ds, out_dir):
     for i, task in enumerate(ds.tasks):
         feat = f"task{i}_features.csv"
         lab = f"task{i}_labels.csv"
-        msk = f"task{i}_mask.csv"
         np.savetxt(out_dir / feat, task.X.T, delimiter=",", fmt="%.17g")
         np.savetxt(out_dir / lab, task.Y.astype(int), delimiter=",", fmt="%d")
-        np.savetxt(out_dir / msk, task.labeled_mask.astype(int), fmt="%d")
-        entries.append(
-            {"name": task.name, "features_csv": feat, "labels_csv": lab,
-             "labeled_mask_csv": msk}
-        )
+        entries.append({"name": task.name, "features_csv": feat, "labels_csv": lab})
     doc = {"tasks": entries}
     if ds.feature_names is not None:
         doc["feature_names"] = list(ds.feature_names)
@@ -368,13 +356,9 @@ def apply_label_fraction(ds, fraction, seed):
             members = labeled_idx[classes == c]
             keep.append(rng.permutation(members)[: counts[c]])
         keep = np.sort(np.concatenate(keep))
-        new_mask = np.zeros(n, dtype=bool)
-        new_mask[keep] = True
         new_Y = np.zeros_like(task.Y)
         new_Y[keep] = task.Y[keep]
-        new_tasks.append(
-            TaskData(name=task.name, X=task.X, Y=new_Y, labeled_mask=new_mask)
-        )
+        new_tasks.append(TaskData(name=task.name, X=task.X, Y=new_Y))
     return MultiTaskDataset(
         tasks=tuple(new_tasks), feature_names=ds.feature_names, metadata=ds.metadata
     )
@@ -403,14 +387,7 @@ def generate_synthetic(cfg):
         X[support[:, None], np.arange(cfg.n_per_task)] += means[labels].T
         Y = np.zeros((cfg.n_per_task, cfg.c))
         Y[np.arange(cfg.n_per_task), labels] = 1.0
-        tasks.append(
-            TaskData(
-                name=f"task_{ti}",
-                X=X,
-                Y=Y,
-                labeled_mask=np.ones(cfg.n_per_task, dtype=bool),
-            )
-        )
+        tasks.append(TaskData(name=f"task_{ti}", X=X, Y=Y))
     return MultiTaskDataset(
         tasks=tuple(tasks),
         metadata={"support": [int(j) for j in support]},

@@ -282,12 +282,7 @@ def _stratified_split(task, rng, test_fraction):
         train_idx.append(members[n_test:])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
-    train = TaskData(
-        name=task.name,
-        X=task.X[:, train_idx],
-        Y=task.Y[train_idx],
-        labeled_mask=np.ones(train_idx.size, dtype=bool),
-    )
+    train = TaskData(name=task.name, X=task.X[:, train_idx], Y=task.Y[train_idx])
     return train, task.X[:, test_idx], task.Y[test_idx]
 
 

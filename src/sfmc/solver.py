@@ -48,13 +48,13 @@ toward rel_tol as the fit converges.
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dgesdd, dpftrf, dpftrs, dpotrf, dpotrs
 
 from .dataset import ValidationError, check_task_name
@@ -101,9 +101,14 @@ class Hyperparams:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        # NaN passes every comparison below, so non-finite values go first
+        # NaN passes every comparison below, so non-finite values go first;
+        # bool is an int subclass, but true is no hyperparameter
         for f in fields(self):
             value = getattr(self, f.name)
+            kind = numbers.Integral if f.type is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(
+                    f"{f.name} must be of type {f.type.__name__}, got {value!r}")
             if not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.alpha <= 0 or self.beta <= 0:
@@ -128,9 +133,14 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, d):
+        """Hyperparams from to_dict's form, which must name every field."""
+        if not isinstance(d, dict):
+            raise ValidationError("hyperparams must be an object")
+        missing = [key for key in cls().to_dict() if key not in d]
+        if missing:
+            raise ValidationError(f"hyperparams missing {missing}")
         d = dict(d)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
+        d["lam"] = d.pop("lambda")
         # older model files carry exact_w_update; true names the only W update
         # there is, false the alpha/beta-scaled one that was removed
         if d.pop("exact_w_update", True) is not True:
@@ -141,6 +151,11 @@ class Hyperparams:
             raise ValidationError(f"inf_surrogate={weight!r} is no longer supported; "
                                   f"the label weight is fixed at {LABEL_WEIGHT:g}")
         return cls(**d)
+
+
+def _holds_bool(value):
+    """Whether a JSON value holds true or false, which numpy reads as 1 and 0."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
 
 
 @dataclass
@@ -224,6 +239,9 @@ def load_selection_model(path):
                                   "a non-empty list of finite numbers")
         if type(converged) is not bool:
             raise ValidationError(f"model file {path}: converged must be true or false")
+        if _holds_bool([[t["W"], t["b"]] for t in doc["tasks"]]):
+            raise ValidationError(f"model file {path}: W and b must hold numbers, "
+                                  "not true or false")
         model = SelectionModel(
             task_names=tuple(t["name"] for t in doc["tasks"]),
             W=tuple(np.asarray(t["W"], dtype=np.float64) for t in doc["tasks"]),
@@ -254,6 +272,14 @@ def load_selection_model(path):
         else:
             continue
         raise ValidationError(f"model file {path}: task {name!r}: {problem}")
+    # W entries above about 1.3e154 square past the largest float, and the
+    # scores select writes would read Infinity
+    with np.errstate(over="ignore"):
+        bad = [name for name, scores in zip(model.task_names, model.feature_scores)
+               if not np.isfinite(scores).all()]
+    if bad:
+        raise ValidationError(
+            f"model file {path}: task {bad[0]!r}: W's row norms overflow a float")
     return model
 
 
@@ -278,14 +304,20 @@ def _refined_solve(solve, B, matmul):
     return X
 
 
+def _cholesky(S, what):
+    """dpotrf's upper Cholesky factor of SPD S, in place if S is Fortran-ordered."""
+    if not np.isfinite(S).all():
+        raise NumericalError(f"{what} factorization failed: non-finite entry")
+    factor, info = dpotrf(S, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"{what} factorization failed (info {info})")
+    return factor
+
+
 def _spd_solve(A, B):
     """Solve the SPD system A X = B with one refinement pass."""
-    try:
-        factor = cho_factor(A)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    return _refined_solve(lambda B: cho_solve(factor, B, check_finite=False),
-                          B, lambda X: A @ X)
+    factor = _cholesky(np.array(A, order="F"), "SPD")
+    return _refined_solve(lambda B: dpotrs(factor, B)[0], B, lambda X: A @ X)
 
 
 def _packed_system(L, off, shift):
@@ -452,21 +484,15 @@ def _task_split(system, diags, Dtilde, cpl):
     With Dtilde_ll = V diag(lam) V', the columns of W_l V decouple into d x d
     systems R_l + D_l/beta + cpl lam_k I, factored once each.
     """
-    # the preconditioner applies thousands of small solves per fit, so it
-    # calls LAPACK directly rather than through cho_factor / cho_solve
     precond = []
     for s, R_l, D_l in zip(system.blocks, system.R, diags):
         lam, V = np.linalg.eigh(Dtilde[s, s])
         factors = []
         for lam_k in lam:
-            # dpotrf factors a Fortran-ordered array in place, with no copy;
-            # its diagonal is every (d + 1)-th entry of its flat view
+            # the diagonal is every (d + 1)-th entry of S's flat view
             S = np.array(R_l, order="F")
             S.ravel(order="F")[::S.shape[0] + 1] += D_l + cpl * lam_k
-            factor, info = dpotrf(S, clean=0, overwrite_a=1)
-            if info != 0:
-                raise NumericalError(f"preconditioner factorization failed (info {info})")
-            factors.append(factor)
+            factors.append(_cholesky(S, "preconditioner"))
         precond.append((V, factors))
 
     def solve(Res):
@@ -498,7 +524,7 @@ def _row_split(system, diags, Dtilde, cpl):
     P[:, diag, diag] += m
     try:
         L_inv = tril_inv(np.linalg.cholesky(P))
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"preconditioner factorization failed: {exc}") from exc
     P_inv = np.swapaxes(L_inv, 1, 2) @ L_inv
 

@@ -38,7 +38,7 @@ def make_task(rng, d, n, c, label_frac=0.5, name="t"):
     mask[:c] = True
     Y_masked = Y.copy()
     Y_masked[~mask] = 0.0
-    return TaskData(name=name, X=X, Y=Y_masked, labeled_mask=mask)
+    return TaskData(name=name, X=X, Y=Y_masked)
 
 
 def make_dataset(rng, t, d, n, c, label_frac=0.5):

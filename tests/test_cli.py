@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 
 import sfmc
 from sfmc.cli import _hp_from_args, build_parser, main
-from sfmc.dataset import generate_synthetic, SynthConfig, write_manifest
+from sfmc.dataset import (apply_label_fraction, generate_synthetic, load_manifest,
+                          SynthConfig, write_manifest)
 from sfmc.solver import Hyperparams, load_selection_model
 from helpers import LEGACY_MODEL, LEGACY_SELECT
 
@@ -157,6 +159,17 @@ class TestFit:
                    flag, value])
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--k", "--max-iter"])
+    def test_huge_integer_hyperparameter_exit_1(self, synth_dir, tmp_path, capsys, flag):
+        # an integer flag parses at any size, but the finiteness check
+        # converts it to a float
+        out = tmp_path / "m.json"
+        rc = main(["fit", str(synth_dir / "manifest.json"), "--out", str(out),
+                   flag, str(10**400)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: int too large to convert to float\n"
         assert not out.exists()
 
     def test_gamma_zero_decouples_tasks(self, tmp_path):
@@ -474,7 +487,7 @@ class TestErrorPaths:
         manifest.write_text(json.dumps(doc))
         model_path = tmp_path / "m.json"
         assert main(["fit", str(manifest), "--out", str(model_path), "--k", "5"]) == 1
-        assert "CSV paths must be strings" in capsys.readouterr().err
+        assert "CSV paths must be non-empty strings" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_non_string_task_name_exit_1(self, synth_dir, tmp_path, capsys):
@@ -585,6 +598,86 @@ class TestErrorPaths:
                      "--k", "5"]) == 0
         after = {f.name: f.read_bytes() for f in sorted(synth_dir.iterdir())}
         assert before == after
+
+
+# one input field at a time is set to one of these, or deleted
+_DELETE = object()
+_ODD_VALUES = [None, True, False, 0, -1, 2.5, 10**400, "", "x", [], {}, 1e308, 1e-320,
+               _DELETE]
+
+
+def _field_paths(doc, prefix=()):
+    """Paths to every object key in a JSON document, and to each list's first entry."""
+    items = (doc.items() if isinstance(doc, dict)
+             else [(0, doc[0])] if isinstance(doc, list) and doc else [])
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _strict_json(text):
+    """json.loads that rejects Infinity, -Infinity and NaN, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestMutationSweep:
+    """Single-field mutations of a model file and of a manifest.
+
+    Each mutated input must load, or be refused with exit 1 and one error
+    line; no traceback, no warning, and no non-JSON number in an output.
+    Every (field, value) pair runs; both sweeps take about a second.
+    """
+
+    def _sweep(self, doc, path, argv, out, capsys):
+        for field, value in ((f, v) for f in _field_paths(doc) for v in _ODD_VALUES):
+            label = ".".join(map(str, field)) + (
+                " deleted" if value is _DELETE else f" = {value!r}")
+            path.write_text(json.dumps(_mutated(doc, field, value)))
+            out.unlink(missing_ok=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
+            err = capsys.readouterr().err
+            assert not caught, f"{label}: warned {[str(w.message) for w in caught]}"
+            assert rc in (0, 1), f"{label}: exit {rc}"
+            if rc == 1:
+                assert len([line for line in err.splitlines()
+                            if line.startswith("error:")]) == 1, f"{label}: {err!r}"
+            else:
+                _strict_json(out.read_text())
+
+    def test_model_file_mutations(self, tmp_path, capsys):
+        doc = json.loads(LEGACY_MODEL.read_text())
+        path, out = tmp_path / "model.json", tmp_path / "select.json"
+        self._sweep(doc, path, ["select", str(path), "--top", "3", "--out", str(out)],
+                    out, capsys)
+
+    def test_manifest_mutations(self, tmp_path, capsys):
+        ds = generate_synthetic(SynthConfig(d=6, s=2, t=2, n_per_task=12, seed=0))
+        ds = replace(ds, feature_names=tuple(f"f{j}" for j in range(6)))
+        path = write_manifest(apply_label_fraction(ds, 0.5, seed=0), tmp_path)
+        doc = json.loads(path.read_text())
+        for i, task in enumerate(load_manifest(path).tasks):
+            # the mask file an older manifest names
+            np.savetxt(tmp_path / f"task{i}_mask.csv", task.labeled_mask, fmt="%d")
+            doc["tasks"][i]["labeled_mask_csv"] = f"task{i}_mask.csv"
+        out = tmp_path / "model.json"
+        self._sweep(doc, path, ["fit", str(path), "--out", str(out), "--k", "3",
+                                "--max-iter", "3"], out, capsys)
 
 
 def _run_module(*args):

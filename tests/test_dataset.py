@@ -40,14 +40,21 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match="dimension mismatch"):
             load_manifest(path)
 
-    def test_unlabeled_with_nonzero_row(self, tmp_path):
+    def test_legacy_mask_file_checked_against_labels(self, tmp_path):
+        # a mask file from an older manifest sets nothing: it loads when it
+        # equals the mask the label rows give, and fails otherwise
         path = small_manifest(tmp_path)
-        np.savetxt(tmp_path / "m0.csv", np.array([1, 1, 0, 1, 1]), fmt="%d")
         doc = json.loads(path.read_text())
         doc["tasks"][0]["labeled_mask_csv"] = "m0.csv"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="all-zero"):
-            load_manifest(path)
+        np.savetxt(tmp_path / "m0.csv", np.ones(5), fmt="%d")
+        assert load_manifest(path).tasks[0].labeled_mask.all()
+        # disagreeing, too short, too long, and holding a 2
+        for mask in ([1, 1, 0, 1, 1], [1, 1, 1, 1], [1] * 6, [1, 1, 2, 1, 1]):
+            np.savetxt(tmp_path / "m0.csv", mask, fmt="%d")
+            with pytest.raises(ValidationError, match="task 't0': m0.csv must hold 1 for each "
+                                                      "sample with a label, 0 for the rest"):
+                load_manifest(path)
 
     def test_labeled_with_two_ones(self, tmp_path):
         path = small_manifest(tmp_path)
@@ -55,7 +62,7 @@ class TestLoadManifest:
         Y[:, 0] = 1
         Y[0, 1] = 1
         np.savetxt(tmp_path / "y0.csv", Y, delimiter=",", fmt="%d")
-        with pytest.raises(ValidationError, match="exactly one"):
+        with pytest.raises(ValidationError, match="sample 0 must have at most one 1"):
             load_manifest(path)
 
     @pytest.mark.parametrize("edit, message", [
@@ -65,6 +72,9 @@ class TestLoadManifest:
         (lambda doc: doc["tasks"][0].update(labels_csv=None), "task 0: CSV paths"),
         (lambda doc: doc["tasks"][0].update(labeled_mask_csv=["m.csv"]),
          "task 0: CSV paths"),
+        *[(lambda doc, v=v: doc["tasks"][0].update(labeled_mask_csv=v), "task 0: CSV paths")
+          for v in (None, False, 0, "", [], {})],
+        (lambda doc: doc["tasks"][1].update(features_csv=""), "task 1: CSV paths"),
         (lambda doc: doc["tasks"][0].update(name=None), "task 0: name None is not a string"),
         (lambda doc: doc["tasks"][1].update(name=1), "task 1: name 1 is not a string"),
         (lambda doc: doc["tasks"][0].update(name={"a": 1}),
@@ -72,7 +82,9 @@ class TestLoadManifest:
         (lambda doc: doc["tasks"][1].update(name=doc["tasks"][0]["name"]),
          "task 1: name 't0' repeats an earlier task's"),
     ], ids=["tasks-not-list", "task-not-object", "features-path-int",
-            "labels-path-null", "mask-path-list", "name-null", "name-int",
+            "labels-path-null", "mask-path-list", "mask-path-null", "mask-path-false",
+            "mask-path-0", "mask-path-empty", "mask-path-empty-list",
+            "mask-path-empty-object", "features-path-empty", "name-null", "name-int",
             "name-object", "name-repeated"])
     def test_malformed_entry(self, tmp_path, edit, message):
         path = small_manifest(tmp_path)
@@ -158,6 +170,9 @@ class TestLoadManifest:
         # before any length check can blame another file
         ds = generate_synthetic(SynthConfig(d=4, s=2, t=2, n_per_task=10, seed=0))
         manifest = write_manifest(ds, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["tasks"][0]["labeled_mask_csv"] = "task0_mask.csv"
+        manifest.write_text(json.dumps(doc))
         (tmp_path / f"task0_{kind}.csv").write_text("")
         with pytest.raises(ValidationError, match=f"task0_{kind}.csv holds no data"):
             load_manifest(manifest)
@@ -211,7 +226,10 @@ class TestWriteManifest:
         m1 = write_manifest(ds, tmp_path / "a")
         m2 = write_manifest(ds, tmp_path / "b")
         assert m1.read_bytes() == m2.read_bytes()
-        for name in ("task0_features.csv", "task0_labels.csv", "task0_mask.csv"):
+        # two CSV files per task and the manifest; the labels give the mask
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            "manifest.json", "task0_features.csv", "task0_labels.csv"]
+        for name in ("task0_features.csv", "task0_labels.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -231,8 +249,7 @@ class TestApplyLabelFraction:
         labels = np.arange(n) % c
         Y = np.zeros((n, c))
         Y[np.arange(n), labels] = 1
-        task = TaskData(name="big", X=rng.standard_normal((4, n)), Y=Y,
-                        labeled_mask=np.ones(n, dtype=bool))
+        task = TaskData(name="big", X=rng.standard_normal((4, n)), Y=Y)
         out = apply_label_fraction(MultiTaskDataset(tasks=(task,)), 0.05, seed=0)
         t = out.tasks[0]
         assert t.n_labeled == 200
@@ -328,14 +345,28 @@ class TestTaskDataInvariants:
         with pytest.raises(ValueError):
             ds.tasks[0].X[0, 0] = 99.0
 
+    def test_labeled_mask_derived_from_labels(self):
+        # a sample is labeled iff its label row holds a 1; the mask is read
+        # off Y, not set, and cannot be changed
+        Y = np.array([[0, 1], [0, 0], [1, 0], [0, 0]])
+        task = TaskData(name="t", X=np.zeros((2, 4)), Y=Y)
+        np.testing.assert_array_equal(task.labeled_mask, [True, False, True, False])
+        assert task.labeled_mask.dtype == bool and task.n_labeled == 2
+        with pytest.raises(ValueError):
+            task.labeled_mask[1] = True
+        with pytest.raises(AttributeError):
+            task.labeled_mask = np.ones(4, dtype=bool)
+        with pytest.raises(TypeError):
+            TaskData(name="t", X=np.zeros((2, 4)), Y=Y, labeled_mask=np.ones(4, dtype=bool))
+
     def test_no_labeled_sample_rejected(self):
         X = np.zeros((2, 3))
         Y = np.zeros((3, 2))
         with pytest.raises(ValidationError, match="at least one labeled"):
-            TaskData(name="t", X=X, Y=Y, labeled_mask=np.zeros(3, dtype=bool))
+            TaskData(name="t", X=X, Y=Y)
 
     def test_label_entries_checked(self):
         X = np.zeros((2, 2))
         Y = np.array([[0.5, 0.5], [1, 0]])
         with pytest.raises(ValidationError, match="0 or 1"):
-            TaskData(name="t", X=X, Y=Y, labeled_mask=np.ones(2, dtype=bool))
+            TaskData(name="t", X=X, Y=Y)

@@ -91,7 +91,7 @@ class TestFisherScore:
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         Y = np.zeros((8, 2))
         Y[np.arange(8), labels] = 1
-        task = TaskData(name="t", X=X, Y=Y, labeled_mask=np.ones(8, bool))
+        task = TaskData(name="t", X=X, Y=Y)
         scores = fisher_score(task)
         assert scores[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -102,7 +102,7 @@ class TestFisherScore:
         labels = np.array([0] * 4 + [1] * 4)
         Y = np.zeros((8, 2))
         Y[np.arange(8), labels] = 1
-        task = TaskData(name="t", X=X, Y=Y, labeled_mask=np.ones(8, bool))
+        task = TaskData(name="t", X=X, Y=Y)
         scores = fisher_score(task)
         expected = fisher_oracle(X, labels)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
@@ -134,7 +134,7 @@ class TestFisherScore:
         scores = fisher_score(task)
         X2 = task.X.copy()
         X2[2] = 3.5 * X2[2] + 11.0
-        task2 = TaskData(name="t", X=X2, Y=task.Y, labeled_mask=task.labeled_mask)
+        task2 = TaskData(name="t", X=X2, Y=task.Y)
         scores2 = fisher_score(task2)
         np.testing.assert_array_equal(np.argsort(-scores), np.argsort(-scores2))
 
@@ -142,7 +142,7 @@ class TestFisherScore:
         X = np.zeros((2, 4))
         Y = np.zeros((4, 2))
         Y[:, 0] = 1
-        task = TaskData(name="t", X=X, Y=Y, labeled_mask=np.ones(4, bool))
+        task = TaskData(name="t", X=X, Y=Y)
         with pytest.raises(ValidationError, match="2 labeled classes"):
             fisher_score(task)
 

@@ -385,8 +385,7 @@ class TestFitBasics:
     def test_single_class_task(self):
         rng = np.random.default_rng(13)
         n = 10
-        task = TaskData(name="one", X=rng.standard_normal((4, n)),
-                        Y=np.ones((n, 1)), labeled_mask=np.ones(n, dtype=bool))
+        task = TaskData(name="one", X=rng.standard_normal((4, n)), Y=np.ones((n, 1)))
         model = fit(MultiTaskDataset(tasks=(task,)), Hyperparams(k=4, gamma=0.5))
         tr = np.array(model.objective_trace)
         assert np.all(np.diff(tr) <= 1e-9 * np.abs(tr[:-1]))
@@ -480,10 +479,7 @@ class TestPermutationEquivariance:
         ds = make_dataset(rng, t=2, d=5, n=12, c=2)
         perm = rng.permutation(12)
         task0 = ds.tasks[0]
-        permuted = TaskData(
-            name=task0.name, X=task0.X[:, perm], Y=task0.Y[perm],
-            labeled_mask=task0.labeled_mask[perm],
-        )
+        permuted = TaskData(name=task0.name, X=task0.X[:, perm], Y=task0.Y[perm])
         ds_perm = MultiTaskDataset(tasks=(permuted, ds.tasks[1]))
         hp = Hyperparams(k=4, max_iter=30)
         m1 = fit(ds, hp)
@@ -684,10 +680,33 @@ class TestModelSerialization:
          "task 1: name {'a': 1} is not a string"),
         (lambda doc: doc["tasks"][1].update(name="t0"),
          "task 1: name 't0' repeats an earlier task's"),
+        # finite, but its square, and so its row norm, is not
+        (lambda doc: doc["tasks"][0]["W"][2].__setitem__(1, 1e308),
+         "task 't0': W's row norms overflow a float"),
+        (lambda doc: doc["tasks"][1]["W"][0].__setitem__(0, True),
+         "W and b must hold numbers, not true or false"),
+        (lambda doc: doc["tasks"][0]["b"].__setitem__(1, False),
+         "W and b must hold numbers, not true or false"),
+        (lambda doc: doc["tasks"][0]["W"][1].__setitem__(0, 10**400),
+         "holds a number too large for a float"),
+        (lambda doc: doc["hyperparams"].update(alpha=True),
+         "alpha must be of type float, got True"),
+        (lambda doc: doc["hyperparams"].update(k=2.5), "k must be of type int, got 2.5"),
+        (lambda doc: doc["hyperparams"].update(max_iter=1e308),
+         "max_iter must be of type int, got 1e+308"),
+        (lambda doc: doc["hyperparams"].update(k=10**400),
+         "holds a number too large for a float"),
+        (lambda doc: doc.update(hyperparams={}), "hyperparams missing ['alpha', 'beta'"),
+        (lambda doc: doc.update(hyperparams=[]), "hyperparams must be an object"),
+        (lambda doc: doc.update(hyperparams=""), "hyperparams must be an object"),
+        (lambda doc: doc["hyperparams"].pop("lambda"), "hyperparams missing ['lambda']"),
     ], ids=["no-tasks", "W-short", "W-1d", "b-short", "W-inf", "b-nan",
             "trace-str", "trace-empty", "trace-nan", "trace-null", "trace-bools",
             "converged-str", "converged-int", "name-null", "name-object",
-            "name-repeated"])
+            "name-repeated", "W-norm-overflow", "W-bool", "b-bool", "W-huge-int",
+            "alpha-bool", "k-float", "max_iter-huge-float", "k-huge-int",
+            "hyperparams-empty", "hyperparams-list", "hyperparams-string",
+            "hyperparams-no-lambda"])
     def test_malformed_model_rejected(self, tmp_path, edit, message):
         # d = 6, two tasks of two classes each
         rng = np.random.default_rng(15)

@@ -320,6 +320,30 @@ class TestSolveW:
         W = solve_W(np.zeros((5, 5)), T, 0.5 * np.ones(5), None, hp)
         np.testing.assert_allclose(W, 2 * T, atol=1e-12)
 
+    def test_spd_solve_matches_scipy_cholesky(self):
+        # _spd_solve factors with dpotrf itself; scipy's cho_factor and
+        # cho_solve call the same LAPACK routines, so the refined solutions
+        # agree bit for bit
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            d = int(rng.integers(2, 40))
+            A = rng.standard_normal((d, d))
+            S = A @ A.T + 10.0 ** rng.uniform(-8, 4) * np.eye(d)
+            B = rng.standard_normal((d, 3))
+            factor = scipy.linalg.cho_factor(S)
+            expected = solver._refined_solve(
+                lambda B: scipy.linalg.cho_solve(factor, B), B, lambda X: S @ X)
+            np.testing.assert_array_equal(solver._spd_solve(S, B), expected)
+
+    def test_spd_solve_failures_raise(self):
+        S = np.eye(3)
+        S[2, 2] = -1.0
+        with pytest.raises(NumericalError, match=r"SPD factorization failed \(info 3\)"):
+            solver._spd_solve(S, np.ones((3, 1)))
+        S[2, 2] = np.nan
+        with pytest.raises(NumericalError, match="SPD factorization failed: non-finite"):
+            solver._spd_solve(S, np.ones((3, 1)))
+
     def test_residual_relative(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -630,6 +654,19 @@ class TestHyperparams:
             Hyperparams(delta=0.0)
         with pytest.raises(ValidationError):
             Hyperparams(k=1)
+
+    def test_hyperparams_field_types(self):
+        # numpy scalars pass as numbers; a bool, or a non-integer in an int
+        # field, does not
+        hp = Hyperparams(alpha=np.float64(2.0), k=np.int64(4), max_iter=np.int32(7))
+        assert (hp.alpha, hp.k, hp.max_iter) == (2.0, 4, 7)
+        for kwargs, message in [({"beta": True}, "beta must be of type float"),
+                                ({"k": 4.0}, "k must be of type int"),
+                                ({"max_iter": np.float64(3)}, "max_iter must be of type int"),
+                                ({"k": np.bool_(True)}, "k must be of type int"),
+                                ({"gamma": "1"}, "gamma must be of type float")]:
+            with pytest.raises(ValidationError, match=message):
+                Hyperparams(**kwargs)
 
     def test_dict_round_trip(self):
         hp = Hyperparams(alpha=2.0, lam=0.5, k=7)
