@@ -180,8 +180,9 @@ def main(argv=None):
     try:
         return handlers[args.command](args)
     except (ValueError, OSError, OverflowError) as exc:
-        # ValidationError subclasses ValueError; bad seeds, malformed values
-        # from libraries and integer flags too large for a float land here too
+        # ValidationError subclasses ValueError; bad seeds and malformed
+        # values from libraries land here too, and an integer flag too large
+        # for a float, such as --features, raises OverflowError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

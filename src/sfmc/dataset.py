@@ -9,6 +9,8 @@ transpose explicitly.
 
 import json
 import math
+import numbers
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,6 +21,65 @@ import numpy as np
 
 class ValidationError(ValueError):
     """Input data or configuration violates the dataset contract."""
+
+
+def check_json(value, spec, where):
+    """Return value after checking it against spec, a JSON type description.
+
+    A spec is bool, int, float or str; [item], a non-empty list (or, from
+    Python callers, tuple) of item; or {key: spec}, an object whose keys
+    ending in "?" are optional and whose keys the spec does not name are
+    ignored.  A bool is not a number, numbers are finite, and an int too
+    large for a float is refused.  where is the value's JSON location (""
+    for a whole document), and every error names the location at fault.
+    """
+    if isinstance(spec, dict):
+        ok, kind = isinstance(value, dict), "an object"
+    elif isinstance(spec, list):
+        ok, kind = isinstance(value, (list, tuple)) and len(value) > 0, "a non-empty list"
+    elif spec is bool or spec is str:
+        ok, kind = isinstance(value, spec), "true or false" if spec is bool else "a string"
+    else:
+        # bool is an int subclass, but true is no number
+        ok = not isinstance(value, bool) and isinstance(
+            value, numbers.Integral if spec is int else numbers.Real)
+        kind = "an integer" if spec is int else "a finite number"
+        try:
+            ok = ok and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            ok, kind = False, "a number that fits a float"
+    if not ok:
+        raise ValidationError(f"{where or 'the document'} must be {kind}, "
+                              f"got {reprlib.repr(value)}")
+    if isinstance(spec, dict):
+        for key, item in spec.items():
+            name = key.rstrip("?")
+            at = f"{where}.{name}" if where else name
+            if name in value:
+                check_json(value[name], item, at)
+            elif name == key:
+                raise ValidationError(f"{at} is missing")
+    elif isinstance(spec, list):
+        for i, item in enumerate(value):
+            check_json(item, spec[0], f"{where}[{i}]")
+    return value
+
+
+def read_json(path, spec, what):
+    """Parse the JSON file at path and check it against spec (see check_json).
+
+    Every error reads "<what> <path>: ..." and names the JSON location at
+    fault.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"{what} {path}: file not found")
+    try:
+        return check_json(json.loads(path.read_text()), spec, "")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} {path}: not valid JSON: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{what} {path}: {exc}") from exc
 
 
 def _frozen(a):
@@ -89,25 +150,6 @@ class TaskData:
         return self.Y.shape[1]
 
 
-def _check_support(support, d):
-    """Raise ValidationError unless support lists distinct feature indices in [0, d)."""
-    if not isinstance(support, (list, tuple)) or len(support) == 0:
-        raise ValidationError("metadata support must be a non-empty list of feature indices")
-    seen = set()
-    for j in support:
-        # bool is an int subclass, but True is no feature index
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-            problem = "is not an integer"
-        elif not 0 <= j < d:
-            problem = f"is outside [0, {d})"
-        elif j in seen:
-            problem = "repeats"
-        else:
-            seen.add(j)
-            continue
-        raise ValidationError(f"metadata support entry {j!r} {problem}")
-
-
 @dataclass(frozen=True)
 class MultiTaskDataset:
     """An ordered collection of tasks over one shared feature space."""
@@ -128,21 +170,17 @@ class MultiTaskDataset:
                     f"features but task {task.name!r} has {task.n_features}"
                 )
         if self.feature_names is not None:
-            # a string or an object would otherwise pass as its characters or keys
-            if (not isinstance(self.feature_names, (list, tuple))
-                    or len(self.feature_names) != d):
-                raise ValidationError(f"feature_names must be a list of {d} names")
-            for j, name in enumerate(self.feature_names):
-                # str() would pass 1, null or an object off as a name
-                if not isinstance(name, str):
-                    raise ValidationError(
-                        f"feature_names entry {j} is {name!r}, not a string")
+            check_json(self.feature_names, MANIFEST["feature_names?"], "feature_names")
+            if len(self.feature_names) != d:
+                raise ValidationError(f"feature_names must list {d} names, "
+                                      f"got {len(self.feature_names)}")
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        if not isinstance(self.metadata, dict):
-            raise ValidationError("metadata must be an object")
-        support = self.metadata.get("support")
-        if support is not None:
-            _check_support(support, d)
+        check_json(self.metadata, MANIFEST["metadata?"], "metadata")
+        support = self.metadata.get("support", ())
+        for i, j in enumerate(support):
+            if not 0 <= j < d or j in support[:i]:
+                problem = "repeats an earlier entry" if 0 <= j < d else f"is outside [0, {d})"
+                raise ValidationError(f"metadata.support[{i}] = {j} {problem}")
 
     @property
     def n_tasks(self):
@@ -189,7 +227,8 @@ class SynthConfig:
 
 def _read_matrix_csv(path):
     path = Path(path)
-    if not path.exists():
+    # a directory, such as the one an empty path names, is no CSV either
+    if not path.is_file():
         raise ValidationError(f"file not found: {path}")
     try:
         # an empty file is reported below, by name, instead of by numpy's warning
@@ -203,74 +242,58 @@ def _read_matrix_csv(path):
     return data
 
 
-def check_task_name(name, earlier, where):
-    """Raise ValidationError unless name is a string that no earlier task has.
-
-    Task names key the outputs, and str() would pass 1, null or an object
-    off as a name.
-    """
-    if not isinstance(name, str):
-        raise ValidationError(f"{where}: name {name!r} is not a string")
-    if name in earlier:
-        raise ValidationError(f"{where}: name {name!r} repeats an earlier task's")
+# The manifest's JSON form.  CSV paths are relative to the manifest file,
+# and an older manifest's labeled_mask_csv names a 0/1 column checked
+# against the labels.
+MANIFEST = {
+    "tasks": [{"name": str, "features_csv": str, "labels_csv": str,
+               "labeled_mask_csv?": str}],
+    "feature_names?": [str],
+    "metadata?": {"support?": [int]},
+}
 
 
 def load_manifest(path):
-    """Load a MultiTaskDataset from a JSON manifest.
+    """Load a MultiTaskDataset from a JSON manifest of the form MANIFEST.
 
-    The manifest is ``{"tasks": [{"name", "features_csv", "labels_csv",
-    "labeled_mask_csv"?}], "feature_names"?, "metadata"?}`` with CSV paths
-    relative to the manifest file.  A sample is labeled iff its label row
-    holds a 1.  The legacy mask file, when named, is only checked against
-    the labels.
+    A sample is labeled iff its label row holds a 1.  The legacy mask file,
+    when named, is only checked against the labels.  Every error reads
+    "manifest <path>: ...".
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
-        raise ValidationError(f"manifest {path} must be an object with a 'tasks' list")
-
-    base = path.parent
+    doc = read_json(path, MANIFEST, "manifest")
     tasks = []
-    for i, entry in enumerate(doc["tasks"]):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"manifest task {i} must be an object")
-        missing = {"name", "features_csv", "labels_csv"} - set(entry)
-        if missing:
-            raise ValidationError(f"manifest task {i} missing keys: {sorted(missing)}")
-        check_task_name(entry["name"], [t.name for t in tasks], f"manifest task {i}")
-        paths = [entry[key] for key in ("features_csv", "labels_csv", "labeled_mask_csv")
-                 if key in entry]
-        # an empty path would name the manifest's own directory
-        if not all(isinstance(p, str) and p for p in paths):
-            raise ValidationError(f"manifest task {i}: CSV paths must be non-empty strings")
-        X_rows = _read_matrix_csv(base / entry["features_csv"])
-        Y = _read_matrix_csv(base / entry["labels_csv"])
-        task = TaskData(name=entry["name"], X=X_rows.T, Y=Y)
-        if "labeled_mask_csv" in entry:
-            # an older manifest's mask file sets nothing; it is checked as input
-            mask = _read_matrix_csv(base / entry["labeled_mask_csv"]).ravel()
-            if not np.array_equal(mask, task.labeled_mask):
-                raise ValidationError(f"task {task.name!r}: {entry['labeled_mask_csv']} must "
-                                      "hold 1 for each sample with a label, 0 for the rest")
-        constant = np.flatnonzero(np.ptp(task.X, axis=1) == 0)
-        if constant.size:
-            warnings.warn(
-                f"task {task.name!r}: features {constant.tolist()} are constant "
-                f"across all samples",
-                stacklevel=2,
-            )
-        tasks.append(task)
-
-    return MultiTaskDataset(
-        tasks=tuple(tasks),
-        feature_names=doc.get("feature_names"),
-        metadata=doc.get("metadata", {}),
-    )
+    try:
+        for i, entry in enumerate(doc["tasks"]):
+            # task names key the outputs
+            if entry["name"] in [t.name for t in tasks]:
+                raise ValidationError(
+                    f"tasks[{i}].name {entry['name']!r} repeats an earlier task's")
+            X_rows = _read_matrix_csv(path.parent / entry["features_csv"])
+            Y = _read_matrix_csv(path.parent / entry["labels_csv"])
+            task = TaskData(name=entry["name"], X=X_rows.T, Y=Y)
+            if "labeled_mask_csv" in entry:
+                # an older manifest's mask file sets nothing; it is checked as input
+                mask = _read_matrix_csv(path.parent / entry["labeled_mask_csv"]).ravel()
+                if not np.array_equal(mask, task.labeled_mask):
+                    raise ValidationError(
+                        f"tasks[{i}].labeled_mask_csv: {entry['labeled_mask_csv']} must "
+                        "hold 1 for each sample with a label, 0 for the rest")
+            constant = np.flatnonzero(np.ptp(task.X, axis=1) == 0)
+            if constant.size:
+                warnings.warn(
+                    f"task {task.name!r}: features {constant.tolist()} are constant "
+                    f"across all samples",
+                    stacklevel=2,
+                )
+            tasks.append(task)
+        return MultiTaskDataset(
+            tasks=tuple(tasks),
+            feature_names=doc.get("feature_names"),
+            metadata=doc.get("metadata", {}),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"manifest {path}: {exc}") from exc
 
 
 def write_manifest(ds, out_dir):

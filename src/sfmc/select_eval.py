@@ -3,14 +3,14 @@ average-precision metrics, and the benchmark experiment runner."""
 
 import itertools
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import MultiTaskDataset, TaskData, ValidationError, apply_label_fraction
+from .dataset import (MultiTaskDataset, TaskData, ValidationError, apply_label_fraction,
+                      check_json)
 from .solver import Hyperparams, NumericalError, build_graphs, fit, prepare
 
 METHODS = ("sfmc", "fisher", "all_features")
@@ -100,8 +100,8 @@ class LSClassifier:
 
 def _check_ridge(ridge):
     # NaN passes a <= comparison, so finiteness is checked first
-    if not (math.isfinite(ridge) and ridge > 0):
-        raise ValidationError(f"ridge must be positive and finite, got {ridge}")
+    if check_json(ridge, float, "ridge") <= 0:
+        raise ValidationError(f"ridge must be positive, got {ridge}")
 
 
 def _spd_solve_stack(A, B):

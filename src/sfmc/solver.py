@@ -48,7 +48,6 @@ toward rel_tol as the fit converges.
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -57,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dpftrf, dpftrs, dpotrf, dpotrs
 
-from .dataset import ValidationError, check_task_name
+from .dataset import ValidationError, check_json, read_json
 from .graph import build_task_laplacian, tril_inv
 
 # past W-map steps the Anderson extrapolation combines, and the fractions of
@@ -101,16 +100,9 @@ class Hyperparams:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        # NaN passes every comparison below, so non-finite values go first;
-        # bool is an int subclass, but true is no hyperparameter
+        # NaN passes every comparison below, so non-finite values go first
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Integral if f.type is int else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValidationError(
-                    f"{f.name} must be of type {f.type.__name__}, got {value!r}")
-            if not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value}")
+            check_json(getattr(self, f.name), f.type, f.name)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValidationError("alpha and beta must be positive")
         if self.gamma < 0:
@@ -133,29 +125,38 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, d):
-        """Hyperparams from to_dict's form, which must name every field."""
-        if not isinstance(d, dict):
-            raise ValidationError("hyperparams must be an object")
-        missing = [key for key in cls().to_dict() if key not in d]
-        if missing:
-            raise ValidationError(f"hyperparams missing {missing}")
+        """Hyperparams from to_dict's form, as checked by MODEL_FILE["hyperparams"]."""
         d = dict(d)
         d["lam"] = d.pop("lambda")
         # older model files carry exact_w_update; true names the only W update
         # there is, false the alpha/beta-scaled one that was removed
-        if d.pop("exact_w_update", True) is not True:
-            raise ValidationError("exact_w_update=false (the alpha/beta-scaled "
-                                  "W update) is no longer supported")
+        if not d.pop("exact_w_update", True):
+            raise ValidationError("hyperparams.exact_w_update is false, the alpha/beta-"
+                                  "scaled W update, which is no longer supported")
         # and inf_surrogate, the label weight, now the constant LABEL_WEIGHT
         if (weight := d.pop("inf_surrogate", LABEL_WEIGHT)) != LABEL_WEIGHT:
-            raise ValidationError(f"inf_surrogate={weight!r} is no longer supported; "
-                                  f"the label weight is fixed at {LABEL_WEIGHT:g}")
-        return cls(**d)
+            raise ValidationError(f"hyperparams.inf_surrogate is {weight!r}, which is no "
+                                  f"longer supported; the label weight is fixed at "
+                                  f"{LABEL_WEIGHT:g}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"hyperparams.{unknown[0]} is not a hyperparameter")
+        try:
+            return cls(**d)
+        except ValidationError as exc:
+            raise ValidationError(f"hyperparams: {exc}") from exc
 
 
-def _holds_bool(value):
-    """Whether a JSON value holds true or false, which numpy reads as 1 and 0."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+# The model file's JSON form.  hyperparams is to_dict's form; older files
+# also carry exact_w_update and inf_surrogate there, and iterations and
+# tasks[].feature_scores, which are ignored.
+MODEL_FILE = {
+    "hyperparams": {key: type(value) for key, value in Hyperparams().to_dict().items()}
+                   | {"exact_w_update?": bool, "inf_surrogate?": float},
+    "tasks": [{"name": str, "W": [[float]], "b": [float]}],
+    "objective_trace": [float],
+    "converged": bool,
+}
 
 
 @dataclass
@@ -222,64 +223,37 @@ class SelectionModel:
 
 
 def load_selection_model(path):
+    """Load a model file of the form MODEL_FILE; every error reads "model file <path>: ..."."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"model file not found: {path}")
+    doc = read_json(path, MODEL_FILE, "model file")
+    tasks = doc["tasks"]
+    names = [t["name"] for t in tasks]
+    d = len(tasks[0]["W"])
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
-    try:
-        trace, converged = doc["objective_trace"], doc["converged"]
-        # iterations is read off the trace; type() keeps out bools, and
-        # math.isfinite raises OverflowError on an int too large for a float
-        if not (isinstance(trace, list) and trace and all(
-                type(v) in (int, float) and math.isfinite(v) for v in trace)):
-            raise ValidationError(f"model file {path}: objective_trace must be "
-                                  "a non-empty list of finite numbers")
-        if type(converged) is not bool:
-            raise ValidationError(f"model file {path}: converged must be true or false")
-        if _holds_bool([[t["W"], t["b"]] for t in doc["tasks"]]):
-            raise ValidationError(f"model file {path}: W and b must hold numbers, "
-                                  "not true or false")
+        for i, t in enumerate(tasks):
+            # task names key the outputs
+            if names[i] in names[:i]:
+                raise ValidationError(f"tasks[{i}].name {names[i]!r} repeats an earlier task's")
+            if len(t["W"]) != d or any(len(row) != len(t["b"]) for row in t["W"]):
+                raise ValidationError(f"tasks[{i}].W must be {d} x {len(t['b'])}: {d} rows, "
+                                      "one column per entry of b")
         model = SelectionModel(
-            task_names=tuple(t["name"] for t in doc["tasks"]),
-            W=tuple(np.asarray(t["W"], dtype=np.float64) for t in doc["tasks"]),
-            b=tuple(np.asarray(t["b"], dtype=np.float64) for t in doc["tasks"]),
+            task_names=tuple(names),
+            W=tuple(np.array(t["W"], dtype=np.float64) for t in tasks),
+            b=tuple(np.array(t["b"], dtype=np.float64) for t in tasks),
             hyperparams=Hyperparams.from_dict(doc["hyperparams"]),
-            objective_trace=tuple(trace),
-            converged=converged,
+            objective_trace=tuple(doc["objective_trace"]),
+            converged=doc["converged"],
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"model file {path} has unexpected structure: {exc}") from exc
-    except OverflowError as exc:
-        # a JSON integer too large for a float, in W, b, the trace or a
-        # hyperparameter
-        raise ValidationError(f"model file {path} holds a number too large "
-                              f"for a float: {exc}") from exc
-    if model.n_tasks == 0:
-        raise ValidationError(f"model file {path} has no tasks")
-    for i, name in enumerate(model.task_names):
-        check_task_name(name, model.task_names[:i], f"model file {path}: task {i}")
-    d = model.W[0].shape[0] if model.W[0].ndim == 2 else None
-    for name, W, b in zip(model.task_names, model.W, model.b):
-        if W.ndim != 2 or W.shape[0] != d:
-            problem = "W must be 2-D" if d is None else f"W must be 2-D with {d} rows"
-        elif b.shape != (W.shape[1],):
-            problem = f"b must have {W.shape[1]} entries, one per W column"
-        elif not (np.isfinite(W).all() and np.isfinite(b).all()):
-            problem = "W and b must be finite"
-        else:
-            continue
-        raise ValidationError(f"model file {path}: task {name!r}: {problem}")
-    # W entries above about 1.3e154 square past the largest float, and the
-    # scores select writes would read Infinity
-    with np.errstate(over="ignore"):
-        bad = [name for name, scores in zip(model.task_names, model.feature_scores)
-               if not np.isfinite(scores).all()]
-    if bad:
-        raise ValidationError(
-            f"model file {path}: task {bad[0]!r}: W's row norms overflow a float")
+        # W entries above about 1.3e154 square past the largest float, and the
+        # scores select writes would read Infinity
+        with np.errstate(over="ignore"):
+            bad = [i for i, scores in enumerate(model.feature_scores)
+                   if not np.isfinite(scores).all()]
+        if bad:
+            raise ValidationError(f"tasks[{bad[0]}].W's row norms overflow a float")
+    except ValidationError as exc:
+        raise ValidationError(f"model file {path}: {exc}") from exc
     return model
 
 

@@ -158,18 +158,21 @@ class TestFit:
         rc = main(["fit", str(synth_dir / "manifest.json"), "--out", str(out),
                    flag, value])
         assert rc == 1
-        assert "must be finite" in capsys.readouterr().err
+        field = "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
+        assert f"error: {field} must be a finite number, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--max-iter"])
     def test_huge_integer_hyperparameter_exit_1(self, synth_dir, tmp_path, capsys, flag):
         # an integer flag parses at any size, but the finiteness check
-        # converts it to a float
+        # converts it to a float; the error names the field
         out = tmp_path / "m.json"
         rc = main(["fit", str(synth_dir / "manifest.json"), "--out", str(out),
                    flag, str(10**400)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: int too large to convert to float\n"
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(
+            f"error: {field} must be a number that fits a float, got 1000")
         assert not out.exists()
 
     def test_gamma_zero_decouples_tasks(self, tmp_path):
@@ -260,7 +263,8 @@ class TestSelect:
         rc = main(["select", str(model_path), "--top", "4", "--out",
                    str(tmp_path / "sel.json")])
         assert rc == 1
-        assert "alpha must be finite" in capsys.readouterr().err
+        assert (f"error: model file {model_path}: hyperparams.alpha must be a finite "
+                "number, got nan") in capsys.readouterr().err
 
     def test_removed_label_weight_exit_1(self, model_path, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
@@ -269,7 +273,8 @@ class TestSelect:
         out = tmp_path / "sel.json"
         rc = main(["select", str(model_path), "--top", "4", "--out", str(out)])
         assert rc == 1
-        assert "inf_surrogate=50" in capsys.readouterr().err
+        assert (f"error: model file {model_path}: hyperparams.inf_surrogate is 50, which "
+                "is no longer supported") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
@@ -297,15 +302,19 @@ class TestSelect:
         doc = json.loads(model_path.read_text())
         if where == "W":
             doc["tasks"][0]["W"][0][0] = 10**400
+            location = "tasks[0].W[0][0]"
         elif where == "alpha":
             doc["hyperparams"]["alpha"] = 10**400
+            location = "hyperparams.alpha"
         else:
             doc["objective_trace"][-1] = 10**400
+            location = f"objective_trace[{len(doc['objective_trace']) - 1}]"
         model_path.write_text(json.dumps(doc))
         out = tmp_path / "sel.json"
         rc = main(["select", str(model_path), "--top", "4", "--out", str(out)])
         assert rc == 1
-        assert "too large for a float" in capsys.readouterr().err
+        assert (f"error: model file {model_path}: {location} must be a number that fits "
+                "a float") in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_task_name_exit_1(self, model_path, tmp_path, capsys):
@@ -406,7 +415,7 @@ class TestEval:
                    "--methods", "sfmc", "--fractions", "0.5", "--counts", "3",
                    "--k", "5", "--ridge", value])
         assert rc == 1
-        assert "ridge must be positive and finite" in capsys.readouterr().err
+        assert f"error: ridge must be a finite number, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
 class TestErrorPaths:
@@ -487,7 +496,8 @@ class TestErrorPaths:
         manifest.write_text(json.dumps(doc))
         model_path = tmp_path / "m.json"
         assert main(["fit", str(manifest), "--out", str(model_path), "--k", "5"]) == 1
-        assert "CSV paths must be non-empty strings" in capsys.readouterr().err
+        assert (f"error: manifest {manifest}: tasks[0].features_csv must be a string, "
+                "got 3") in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_non_string_task_name_exit_1(self, synth_dir, tmp_path, capsys):
@@ -498,7 +508,8 @@ class TestErrorPaths:
         manifest.write_text(json.dumps(doc))
         model_path = tmp_path / "m.json"
         assert main(["fit", str(manifest), "--out", str(model_path), "--k", "5"]) == 1
-        assert "task 1: name None is not a string" in capsys.readouterr().err
+        assert (f"error: manifest {manifest}: tasks[1].name must be a string, "
+                "got None") in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_duplicate_fractions_exit_1(self, synth_dir, tmp_path, capsys):
@@ -553,7 +564,8 @@ class TestErrorPaths:
         rc = main(["eval", str(manifest), "--out", str(report_path), "--methods",
                    "fisher", "--counts", "4", "8", "--k", "5"])
         assert rc == 1
-        assert "support entry 99 is outside [0, 20)" in capsys.readouterr().err
+        assert (f"error: manifest {manifest}: metadata.support[4] = 99 is outside "
+                "[0, 20)") in capsys.readouterr().err
         assert not report_path.exists()
 
     def test_bad_feature_names_exit_1(self, synth_dir, tmp_path, capsys):
@@ -565,7 +577,8 @@ class TestErrorPaths:
         capsys.readouterr()
         rc = main(["fit", str(manifest), "--out", str(model_path), "--k", "5"])
         assert rc == 1
-        assert "feature_names must be a list of 10 names" in capsys.readouterr().err
+        assert (f"error: manifest {manifest}: feature_names must be a non-empty list, "
+                "got 5") in capsys.readouterr().err
         assert not model_path.exists()
 
     @pytest.mark.parametrize("command", ["synth", "fit", "select", "eval"])
@@ -655,8 +668,10 @@ class TestMutationSweep:
             assert not caught, f"{label}: warned {[str(w.message) for w in caught]}"
             assert rc in (0, 1), f"{label}: exit {rc}"
             if rc == 1:
-                assert len([line for line in err.splitlines()
-                            if line.startswith("error:")]) == 1, f"{label}: {err!r}"
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert len(errors) == 1, f"{label}: {err!r}"
+                # every error names the file it found at fault
+                assert str(path) in errors[0], f"{label}: {err!r}"
             else:
                 _strict_json(out.read_text())
 

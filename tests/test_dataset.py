@@ -52,8 +52,9 @@ class TestLoadManifest:
         # disagreeing, too short, too long, and holding a 2
         for mask in ([1, 1, 0, 1, 1], [1, 1, 1, 1], [1] * 6, [1, 1, 2, 1, 1]):
             np.savetxt(tmp_path / "m0.csv", mask, fmt="%d")
-            with pytest.raises(ValidationError, match="task 't0': m0.csv must hold 1 for each "
-                                                      "sample with a label, 0 for the rest"):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"manifest {path}: tasks[0].labeled_mask_csv: m0.csv must hold 1 for "
+                    "each sample with a label, 0 for the rest")):
                 load_manifest(path)
 
     def test_labeled_with_two_ones(self, tmp_path):
@@ -66,21 +67,27 @@ class TestLoadManifest:
             load_manifest(path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update(tasks=5), "'tasks' list"),
-        (lambda doc: doc.update(tasks=[5]), "task 0 must be an object"),
-        (lambda doc: doc["tasks"][1].update(features_csv=3), "task 1: CSV paths"),
-        (lambda doc: doc["tasks"][0].update(labels_csv=None), "task 0: CSV paths"),
+        (lambda doc: doc.update(tasks=5), "tasks must be a non-empty list, got 5"),
+        (lambda doc: doc.update(tasks=[5]), "tasks[0] must be an object, got 5"),
+        (lambda doc: doc["tasks"][1].update(features_csv=3),
+         "tasks[1].features_csv must be a string, got 3"),
+        (lambda doc: doc["tasks"][0].update(labels_csv=None),
+         "tasks[0].labels_csv must be a string, got None"),
         (lambda doc: doc["tasks"][0].update(labeled_mask_csv=["m.csv"]),
-         "task 0: CSV paths"),
-        *[(lambda doc, v=v: doc["tasks"][0].update(labeled_mask_csv=v), "task 0: CSV paths")
+         "tasks[0].labeled_mask_csv must be a string, got ['m.csv']"),
+        # an empty path names the manifest's directory, which is no file
+        *[(lambda doc, v=v: doc["tasks"][0].update(labeled_mask_csv=v),
+           f"tasks[0].labeled_mask_csv must be a string, got {v!r}" if v != ""
+           else "file not found: ")
           for v in (None, False, 0, "", [], {})],
-        (lambda doc: doc["tasks"][1].update(features_csv=""), "task 1: CSV paths"),
-        (lambda doc: doc["tasks"][0].update(name=None), "task 0: name None is not a string"),
-        (lambda doc: doc["tasks"][1].update(name=1), "task 1: name 1 is not a string"),
+        (lambda doc: doc["tasks"][1].update(features_csv=""), "file not found: "),
+        (lambda doc: doc["tasks"][0].update(name=None),
+         "tasks[0].name must be a string, got None"),
+        (lambda doc: doc["tasks"][1].update(name=1), "tasks[1].name must be a string, got 1"),
         (lambda doc: doc["tasks"][0].update(name={"a": 1}),
-         "task 0: name {'a': 1} is not a string"),
+         "tasks[0].name must be a string, got {'a': 1}"),
         (lambda doc: doc["tasks"][1].update(name=doc["tasks"][0]["name"]),
-         "task 1: name 't0' repeats an earlier task's"),
+         "tasks[1].name 't0' repeats an earlier task's"),
     ], ids=["tasks-not-list", "task-not-object", "features-path-int",
             "labels-path-null", "mask-path-list", "mask-path-null", "mask-path-false",
             "mask-path-0", "mask-path-empty", "mask-path-empty-list",
@@ -91,18 +98,19 @@ class TestLoadManifest:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=message):
+        # every error names the manifest, then the JSON location at fault
+        with pytest.raises(ValidationError, match=re.escape(f"manifest {path}: {message}")):
             load_manifest(path)
 
     @pytest.mark.parametrize("support, message", [
-        ([0, 1, 3], "entry 3 is outside \\[0, 3\\)"),
-        ([-1, 0], "entry -1 is outside \\[0, 3\\)"),
-        ([0, 2, 0], "entry 0 repeats"),
-        ([0, True], "entry True is not an integer"),
-        ([1.0], "entry 1.0 is not an integer"),
-        (["1"], "entry '1' is not an integer"),
-        (2, "support must be a non-empty list"),
-        ([], "support must be a non-empty list"),
+        ([0, 1, 3], "metadata.support[2] = 3 is outside [0, 3)"),
+        ([-1, 0], "metadata.support[0] = -1 is outside [0, 3)"),
+        ([0, 2, 0], "metadata.support[2] = 0 repeats an earlier entry"),
+        ([0, True], "metadata.support[1] must be an integer, got True"),
+        ([1.0], "metadata.support[0] must be an integer, got 1.0"),
+        (["1"], "metadata.support[0] must be an integer, got '1'"),
+        (2, "metadata.support must be a non-empty list, got 2"),
+        ([], "metadata.support must be a non-empty list, got []"),
     ], ids=["too-large", "negative", "repeated", "bool", "float", "string",
             "not-list", "empty"])
     def test_bad_support_rejected(self, tmp_path, support, message):
@@ -110,7 +118,7 @@ class TestLoadManifest:
         doc = json.loads(path.read_text())
         doc["metadata"] = {"support": support}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=re.escape(f"manifest {path}: {message}")):
             load_manifest(path)
 
     def test_metadata_not_object_rejected(self, tmp_path):
@@ -121,15 +129,19 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match="metadata must be an object"):
             load_manifest(path)
 
-    @pytest.mark.parametrize("names", [5, "abc", {"x": 0, "y": 1, "z": 2}, ["x", "y"]],
-                             ids=["int", "string", "object", "short-list"])
-    def test_bad_feature_names_rejected(self, tmp_path, names):
+    @pytest.mark.parametrize("names, message", [
+        (5, "feature_names must be a non-empty list, got 5"),
+        ("abc", "feature_names must be a non-empty list, got 'abc'"),
+        ({"x": 0, "y": 1, "z": 2}, "feature_names must be a non-empty list, got {'x': 0, "),
+        (["x", "y"], "feature_names must list 3 names, got 2"),
+    ], ids=["int", "string", "object", "short-list"])
+    def test_bad_feature_names_rejected(self, tmp_path, names, message):
         # d = 3: a 3-character string or a 3-key object is not 3 names
         path = small_manifest(tmp_path)
         doc = json.loads(path.read_text())
         doc["feature_names"] = names
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="feature_names must be a list of 3"):
+        with pytest.raises(ValidationError, match=re.escape(f"manifest {path}: {message}")):
             load_manifest(path)
 
     @pytest.mark.parametrize("bad, shown", [(1, "1"), (None, "None"), ({"a": 1}, "{'a': 1}")],
@@ -140,7 +152,8 @@ class TestLoadManifest:
         doc["feature_names"] = ["x", bad, "z"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError,
-                           match=re.escape(f"feature_names entry 1 is {shown}, not a string")):
+                           match=re.escape(f"manifest {path}: feature_names[1] must be a "
+                                           f"string, got {shown}")):
             load_manifest(path)
 
     def test_valid_support_kept(self, tmp_path):
@@ -155,6 +168,14 @@ class TestLoadManifest:
         path = small_manifest(tmp_path)
         (tmp_path / "f0.csv").unlink()
         with pytest.raises(ValidationError, match="not found"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("data", [b'{"tasks": ', b'\xff\xfe{"tasks": []}'],
+                             ids=["truncated", "not-utf8"])
+    def test_unreadable_manifest(self, tmp_path, data):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=re.escape(f"manifest {path}: not valid JSON")):
             load_manifest(path)
 
     def test_non_numeric_cell(self, tmp_path):

@@ -623,9 +623,6 @@ class TestTinyInstanceOracle:
                 minimize=lambda f, g, W0: descent_minimize(f, g, W0, max_iter=600))
 
 
-TRACE_MESSAGE = "objective_trace must be a non-empty list of finite numbers"
-
-
 class TestModelSerialization:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -658,54 +655,74 @@ class TestModelSerialization:
                     load_selection_model(path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update(tasks=[]), "has no tasks"),
+        (lambda doc: doc.update(tasks=[]), "tasks must be a non-empty list, got []"),
         (lambda doc: doc["tasks"][1].update(W=doc["tasks"][1]["W"][:2]),
-         "task 't1': W must be 2-D with 6 rows"),
+         "tasks[1].W must be 6 x 2: 6 rows, one column per entry of b"),
         (lambda doc: doc["tasks"][0].update(W=doc["tasks"][0]["W"][0]),
-         "task 't0': W must be 2-D"),
-        (lambda doc: doc["tasks"][1].update(b=[0.0]), "task 't1': b must have 2 entries"),
+         "tasks[0].W[0] must be a non-empty list, got "),
+        (lambda doc: doc["tasks"][1].update(b=[0.0]),
+         "tasks[1].W must be 6 x 1: 6 rows, one column per entry of b"),
         (lambda doc: doc["tasks"][0]["W"][3].__setitem__(0, float("inf")),
-         "task 't0': W and b must be finite"),
+         "tasks[0].W[3][0] must be a finite number, got inf"),
         (lambda doc: doc["tasks"][0]["b"].__setitem__(1, float("nan")),
-         "task 't0': W and b must be finite"),
-        (lambda doc: doc.update(objective_trace="xyz"), TRACE_MESSAGE),
-        (lambda doc: doc.update(objective_trace=[]), TRACE_MESSAGE),
-        (lambda doc: doc["objective_trace"].__setitem__(-1, float("nan")), TRACE_MESSAGE),
-        (lambda doc: doc["objective_trace"].__setitem__(0, None), TRACE_MESSAGE),
-        (lambda doc: doc.update(objective_trace=[True, False]), TRACE_MESSAGE),
-        (lambda doc: doc.update(converged="no"), "converged must be true or false"),
-        (lambda doc: doc.update(converged=1), "converged must be true or false"),
-        (lambda doc: doc["tasks"][0].update(name=None), "task 0: name None is not a string"),
+         "tasks[0].b[1] must be a finite number, got nan"),
+        (lambda doc: doc.update(objective_trace="xyz"),
+         "objective_trace must be a non-empty list, got 'xyz'"),
+        (lambda doc: doc.update(objective_trace=[]),
+         "objective_trace must be a non-empty list, got []"),
+        # the fit's trace has 4 entries
+        (lambda doc: doc["objective_trace"].__setitem__(-1, float("nan")),
+         "objective_trace[3] must be a finite number, got nan"),
+        (lambda doc: doc["objective_trace"].__setitem__(0, None),
+         "objective_trace[0] must be a finite number, got None"),
+        (lambda doc: doc.update(objective_trace=[True, False]),
+         "objective_trace[0] must be a finite number, got True"),
+        (lambda doc: doc.update(converged="no"), "converged must be true or false, got 'no'"),
+        (lambda doc: doc.update(converged=1), "converged must be true or false, got 1"),
+        (lambda doc: doc["tasks"][0].update(name=None),
+         "tasks[0].name must be a string, got None"),
         (lambda doc: doc["tasks"][1].update(name={"a": 1}),
-         "task 1: name {'a': 1} is not a string"),
+         "tasks[1].name must be a string, got {'a': 1}"),
         (lambda doc: doc["tasks"][1].update(name="t0"),
-         "task 1: name 't0' repeats an earlier task's"),
+         "tasks[1].name 't0' repeats an earlier task's"),
         # finite, but its square, and so its row norm, is not
         (lambda doc: doc["tasks"][0]["W"][2].__setitem__(1, 1e308),
-         "task 't0': W's row norms overflow a float"),
+         "tasks[0].W's row norms overflow a float"),
         (lambda doc: doc["tasks"][1]["W"][0].__setitem__(0, True),
-         "W and b must hold numbers, not true or false"),
+         "tasks[1].W[0][0] must be a finite number, got True"),
         (lambda doc: doc["tasks"][0]["b"].__setitem__(1, False),
-         "W and b must hold numbers, not true or false"),
+         "tasks[0].b[1] must be a finite number, got False"),
+        # numpy reads a numeric string as its number
+        (lambda doc: doc["tasks"][0]["W"][0].__setitem__(0, "7.5"),
+         "tasks[0].W[0][0] must be a finite number, got '7.5'"),
+        (lambda doc: doc["tasks"][0]["b"].__setitem__(0, "-2"),
+         "tasks[0].b[0] must be a finite number, got '-2'"),
         (lambda doc: doc["tasks"][0]["W"][1].__setitem__(0, 10**400),
-         "holds a number too large for a float"),
+         "tasks[0].W[1][0] must be a number that fits a float, got 1000"),
+        # these three used to fail inside numpy, Python or the dataclass
+        (lambda doc: doc["tasks"][0]["W"][1].pop(), "tasks[0].W must be 6 x 2"),
+        (lambda doc: doc.update(tasks=[[1.0], [2.0]]), "tasks[0] must be an object, got [1.0]"),
+        (lambda doc: doc["hyperparams"].update(eta=1.0),
+         "hyperparams.eta is not a hyperparameter"),
         (lambda doc: doc["hyperparams"].update(alpha=True),
-         "alpha must be of type float, got True"),
-        (lambda doc: doc["hyperparams"].update(k=2.5), "k must be of type int, got 2.5"),
+         "hyperparams.alpha must be a finite number, got True"),
+        (lambda doc: doc["hyperparams"].update(k=2.5),
+         "hyperparams.k must be an integer, got 2.5"),
         (lambda doc: doc["hyperparams"].update(max_iter=1e308),
-         "max_iter must be of type int, got 1e+308"),
+         "hyperparams.max_iter must be an integer, got 1e+308"),
         (lambda doc: doc["hyperparams"].update(k=10**400),
-         "holds a number too large for a float"),
-        (lambda doc: doc.update(hyperparams={}), "hyperparams missing ['alpha', 'beta'"),
-        (lambda doc: doc.update(hyperparams=[]), "hyperparams must be an object"),
-        (lambda doc: doc.update(hyperparams=""), "hyperparams must be an object"),
-        (lambda doc: doc["hyperparams"].pop("lambda"), "hyperparams missing ['lambda']"),
+         "hyperparams.k must be a number that fits a float"),
+        (lambda doc: doc.update(hyperparams={}), "hyperparams.alpha is missing"),
+        (lambda doc: doc.update(hyperparams=[]), "hyperparams must be an object, got []"),
+        (lambda doc: doc.update(hyperparams=""), "hyperparams must be an object, got ''"),
+        (lambda doc: doc["hyperparams"].pop("lambda"), "hyperparams.lambda is missing"),
     ], ids=["no-tasks", "W-short", "W-1d", "b-short", "W-inf", "b-nan",
             "trace-str", "trace-empty", "trace-nan", "trace-null", "trace-bools",
             "converged-str", "converged-int", "name-null", "name-object",
-            "name-repeated", "W-norm-overflow", "W-bool", "b-bool", "W-huge-int",
-            "alpha-bool", "k-float", "max_iter-huge-float", "k-huge-int",
-            "hyperparams-empty", "hyperparams-list", "hyperparams-string",
+            "name-repeated", "W-norm-overflow", "W-bool", "b-bool", "W-numeric-string",
+            "b-numeric-string", "W-huge-int", "W-ragged", "tasks-of-lists",
+            "hyperparams-unknown-key", "alpha-bool", "k-float", "max_iter-huge-float",
+            "k-huge-int", "hyperparams-empty", "hyperparams-list", "hyperparams-string",
             "hyperparams-no-lambda"])
     def test_malformed_model_rejected(self, tmp_path, edit, message):
         # d = 6, two tasks of two classes each
@@ -716,7 +733,8 @@ class TestModelSerialization:
         edit(doc)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        # every error names the file, then the JSON location at fault
+        with pytest.raises(ValidationError, match=re.escape(f"model file {path}: {message}")):
             load_selection_model(path)
 
     @pytest.mark.parametrize("stored", [
@@ -756,7 +774,7 @@ class TestModelSerialization:
             if weight == solver.LABEL_WEIGHT:
                 assert load_selection_model(path).hyperparams == model.hyperparams
             else:
-                with pytest.raises(ValidationError, match="inf_surrogate=50.0"):
+                with pytest.raises(ValidationError, match="inf_surrogate is 50.0"):
                     load_selection_model(path)
 
     def test_legacy_model_file(self):
