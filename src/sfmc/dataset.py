@@ -227,7 +227,7 @@ class SynthConfig:
 
 def _read_matrix_csv(path):
     path = Path(path)
-    # a directory, such as the one an empty path names, is no CSV either
+    # a directory is no CSV either
     if not path.is_file():
         raise ValidationError(f"file not found: {path}")
     try:
@@ -240,6 +240,19 @@ def _read_matrix_csv(path):
     if data.size == 0:
         raise ValidationError(f"{path} holds no data")
     return data
+
+
+def _read_task_csv(base, entry, i, key):
+    """The CSV that manifest task entry i names under key, relative to base.
+
+    Errors name the key, as "tasks[i].<key>: ...".
+    """
+    if not entry[key]:
+        raise ValidationError(f"tasks[{i}].{key} is an empty path")
+    try:
+        return _read_matrix_csv(base / entry[key])
+    except ValidationError as exc:
+        raise ValidationError(f"tasks[{i}].{key}: {exc}") from exc
 
 
 # The manifest's JSON form.  CSV paths are relative to the manifest file,
@@ -269,12 +282,12 @@ def load_manifest(path):
             if entry["name"] in [t.name for t in tasks]:
                 raise ValidationError(
                     f"tasks[{i}].name {entry['name']!r} repeats an earlier task's")
-            X_rows = _read_matrix_csv(path.parent / entry["features_csv"])
-            Y = _read_matrix_csv(path.parent / entry["labels_csv"])
+            X_rows = _read_task_csv(path.parent, entry, i, "features_csv")
+            Y = _read_task_csv(path.parent, entry, i, "labels_csv")
             task = TaskData(name=entry["name"], X=X_rows.T, Y=Y)
             if "labeled_mask_csv" in entry:
                 # an older manifest's mask file sets nothing; it is checked as input
-                mask = _read_matrix_csv(path.parent / entry["labeled_mask_csv"]).ravel()
+                mask = _read_task_csv(path.parent, entry, i, "labeled_mask_csv").ravel()
                 if not np.array_equal(mask, task.labeled_mask):
                     raise ValidationError(
                         f"tasks[{i}].labeled_mask_csv: {entry['labeled_mask_csv']} must "

@@ -1,11 +1,13 @@
 """k-NN clique discovery and local-learning Laplacian assembly.
 
 Each sample i forms a clique of itself plus its k-1 Euclidean nearest
-neighbors, found from row blocks of the GEMM distances s_i + s_j - 2 x_i'x_j
-(s the squared norms; each block is one product with X, into one reused
-buffer): they give candidates, exact distances are computed for those only
-(_pair_sq_dists, in cache-sized chunks of gathered sample pairs), and no
-n x n distance matrix is formed.  The clique's local Laplacian is
+neighbors, found from row blocks (of at least KNN_ROW_FLOOR rows) of the GEMM
+distances s_i + s_j - 2 x_i'x_j, s the squared norms: each block is one
+product of augmented rows [-2 x_i, 1, s_i] with [x_j, s_j, 1], into one
+reused buffer.  They give candidates and, within a rigorous round-off bound,
+their order; exact distances are computed only where that order is
+ambiguous (_pair_sq_dists, in cache-sized chunks of gathered sample pairs),
+and no n x n distance matrix is formed.  The clique's local Laplacian is
 H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique submatrix and H_k
 the centering matrix; the task Laplacian is the sum of all local Laplacians
 scatter-added into global sample coordinates.  The n local Laplacians are
@@ -30,6 +32,9 @@ from scipy.spatial.distance import cdist
 # bytes of one block of GEMM distances, clique columns or clique entries (k-NN
 # scan, local Laplacians, L's assembly): a few blocks whatever n or the ties
 KNN_BLOCK_BYTES = 1 << 20
+# rows of a k-NN scan block at least: above n = 2048 a KNN_BLOCK_BYTES block
+# holds fewer, and each thin block's GEMM streams all of X again
+KNN_ROW_FLOOR = 64
 # X is rescaled by a power of two for the GEMM only when its largest entry
 # lies outside [2^-SCALE_EXP, 2^SCALE_EXP]; inside it the GEMM cannot overflow
 SCALE_EXP = 64
@@ -84,8 +89,9 @@ def _pair_sq_dists(XT, rows, cols):
     C-contiguous copy of the (d, pairs) transpose over axis 0, which adds
     the features one by one, in order: so it rounds exactly as scipy's
     cdist(..., "sqeuclidean") and the brute-force oracle do.  A reduction
-    over the gathered (pairs, d) rows, or over X[:, rows] (fancy indexing
-    returns it in a transposed layout), would be summed pairwise instead.
+    over the gathered (pairs, d) rows, over X[:, rows] (fancy indexing
+    returns it in a transposed layout), or over a chunk of one pair would be
+    summed pairwise instead; a lone pair is accumulated in order.
     """
     out = np.empty(rows.size)
     step = max(1, PAIR_BLOCK_BYTES // (8 * XT.shape[1]))
@@ -95,8 +101,25 @@ def _pair_sq_dists(XT, rows, cols):
             diff = XT[rows[lo:lo + step]]
             diff -= XT[cols[lo:lo + step]]
             diff *= diff
-            np.ascontiguousarray(diff.T).sum(axis=0, out=out[lo:lo + step])
+            if len(diff) > 1:
+                np.ascontiguousarray(diff.T).sum(axis=0, out=out[lo:lo + step])
+            else:
+                # a (d, 1) sum is reduced as one contiguous row, pairwise
+                out[lo] = np.add.accumulate(diff[0])[-1]
     return out
+
+
+def _exact_block(XT, lo, hi, k):
+    """Rows lo..hi-1 of knn_cliques, from exact distances to every sample.
+
+    cdist rounds as _pair_sq_dists does and costs less than per-pair gathers
+    for a whole block; a stable sort of each row keeps equal distances in
+    index order.  Distances are >= 0, so -1 puts each sample at the head of
+    its own row.
+    """
+    exact = cdist(XT[lo:hi], XT, "sqeuclidean")
+    exact[np.arange(hi - lo), np.arange(lo, hi)] = -1.0
+    return np.argsort(exact, axis=1, kind="stable")[:, :k]
 
 
 def knn_cliques(X, k):
@@ -109,25 +132,40 @@ def knn_cliques(X, k):
     deterministic and a duplicate of sample i never displaces i from the
     head of its clique.
 
-    Rows are scanned in blocks of at most KNN_BLOCK_BYTES of GEMM distances
-    Dg = s_i + s_j - 2 x_i'x_j, one product of the block's samples with X.
-    The squared norms s are summed apart from it, each with an error of at
-    most d u s_i plus underflow, as a GEMM's diagonal entry would have, so
-    the bound below still holds.  With kth the row's (k-1)-th smallest Dg,
-    every j whose Dg lies within a rigorous round-off bound of kth is a
-    candidate.  The bound covers the GEMM error of Dg_ij and of the k-1
-    samples at or under kth (at most (2d + 4) u (s_i + s_j) plus underflow,
-    u = 2^-53, with s_j <= 2 s_i + 2 Dg_ij up to that error) and the exact
-    distances' own error ((d + 3) u relative, plus underflow).  So every
-    sample left out is strictly farther, by exact distance, than the k-th
-    one kept, and the candidates' exact (distance, index) order gives
-    exactly what an exhaustive sort would.  A block where an eighth or more
-    of the entries are candidates (heavy ties, GEMM cancellation, or k close
-    to n) gets exact distances for every entry instead, and each of its rows
-    is sorted whole by one stable sort, which is the same (distance, index)
-    order.  Badly scaled X is rescaled by a power of two (exact) for the GEMM
-    and s only, and rows whose exact distances could overflow keep every
-    sample as a candidate.
+    Rows are scanned in blocks of KNN_BLOCK_BYTES of GEMM distances, and of
+    at least KNN_ROW_FLOOR rows (the floor binds above n = 2048, where
+    thinner blocks would stream X once for every few rows).  A block is one
+    product of augmented rows, Dg_ij = [-2 x_i, 1, s_i] . [x_j, s_j, 1], with
+    s the squared norms.  Round-off, in units of u = 2^-53: each s_i is off
+    by at most d u s_i; the product's d + 2 terms (the scaling by -2 is
+    exact) have absolute values summing to at most 2 (s_i + s_j), and a dot
+    product errs by at most (d + 2) u times that sum, in any order of
+    summation.  So |Dg_ij - D_ij| <= g (s_i + s_j) to first order,
+    g = (3d + 4) u, against the true distance D_ij; with s_j <= 2 s_i +
+    2 D_ij that is at most g (3 s_i + 2 D_ij).  The exact distances E_ij err
+    by at most r D_ij, r = (d + 3) u.  Underflow adds absolute terms to both
+    (of the norms and products, and of E in X's own units).  So for every j
+    with Dg_ij <= P, P >= 0, |Dg_ij - E_ij| is at most half of
+
+        err_i(P) = 2 (g (3 s_i + 2 P) + r P + underflow),
+
+    the factor 2 covering higher-order terms and the rounding of these
+    bounds.  With kth the row's (k-1)-th smallest Dg, every j with Dg_ij <=
+    thr_i = kth + 2 err_i(max(kth, 0)) is a candidate: every sample left out
+    is then strictly farther, by E, than each of the k-1 samples at or under
+    kth.  Each row's candidates are sorted by Dg and split into runs where
+    Dg rises by more than err_i(max(thr_i, 0)): every candidate of a run is
+    strictly nearer, by E, than every candidate of a later run.  Only runs of
+    two or more that begin within the first k places (those inside the
+    clique, and any at the k-th place) are ordered by exact (distance,
+    index), from _pair_sq_dists; on well-separated data there are none, and
+    the result is exactly what an exhaustive sort would give.  A block with
+    a row where more than an eighth of the samples are candidates (heavy
+    ties, GEMM cancellation, or k close to n) gets exact distances for every
+    entry instead, and each of its rows is sorted whole by one stable sort,
+    which is the same (distance, index) order.  Badly scaled X is rescaled by a
+    power of two (exact) for the GEMM and s only, and rows whose exact
+    distances could overflow keep every sample as a candidate, in one run.
     """
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
@@ -139,58 +177,97 @@ def knn_cliques(X, k):
     p = 0
     if top > 0 and not 2.0 ** -SCALE_EXP <= top <= 2.0 ** SCALE_EXP:
         p = -math.frexp(top)[1]
-    XT = np.ascontiguousarray(X.T)
-    Xs = np.ldexp(XT, p) if p else XT
+    # the GEMM's right-hand rows [x_j, s_j, 1], with x scaled by 2^p (exact);
+    # the block's left-hand rows [-2 x_i, 1, s_i] are built per block.
+    # Unscaled, the first d columns are X's samples for the exact distances
+    right = np.empty((n, d + 2))
+    right[:, :d] = X.T
+    Xs = XT = right[:, :d]
+    if p:
+        XT = XT.copy()
+        np.ldexp(Xs, p, out=Xs)
     s = np.einsum("ij,ij->i", Xs, Xs)
+    right[:, d] = s
+    right[:, d + 1] = 1.0
     # round-off bounds, in units of the (scaled) GEMM: relative coefficients of
     # the GEMM and exact distances, and absolute terms for underflow (of the
     # scaling, the GEMM, and the exact distances in X's own units)
-    gemm_rel = (2 * d + 4) * 2.0 ** -53
+    gemm_rel = (3 * d + 4) * 2.0 ** -53
     exact_rel = (d + 3) * 2.0 ** -53
-    gemm_abs = math.ldexp(16 * (d + 1), -1074)
-    exact_abs = math.ldexp(d + 1, 2 * p - 1074)
+    under = math.ldexp(16 * (d + 1), -1074) + math.ldexp(d + 1, 2 * p - 1074)
+
+    def err(si, P):
+        # err_i(P) of the docstring, for rows with squared norms si
+        return 2.0 * (gemm_rel * (3.0 * si + 2.0 * P) + exact_rel * P + under)
+
     # rows whose candidate distances could overflow in X's units
     overflow = math.ldexp(1.0, min(1023 + 2 * p, 1023))
 
     indices = np.empty((n, k), dtype=np.intp)
-    step = max(1, KNN_BLOCK_BYTES // (8 * n))
+    step = min(max(KNN_ROW_FLOOR, KNN_BLOCK_BYTES // (8 * n)), n)
     # every row block's GEMM goes into one buffer: a fresh block of about
     # KNN_BLOCK_BYTES would be mapped and faulted in anew each time
-    buf = np.empty((min(step, n), n))
+    buf = np.empty((step, n))
+    left = np.empty((step, d + 2))
+    left[:, d] = 1.0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         m = hi - lo
-        D = np.matmul(Xs[lo:hi], Xs.T, out=buf[:m])
-        D *= -2.0
-        D += s
-        D += s[lo:hi, None]
+        np.multiply(Xs[lo:hi], -2.0, out=left[:m, :d])
+        left[:m, d + 1] = s[lo:hi]
+        D = np.matmul(left[:m], right.T, out=buf[:m])
         D[np.arange(m), np.arange(lo, hi)] = -np.inf
-        kth = np.partition(D, k - 1, axis=1)[:, k - 1]
-        pos = np.maximum(kth, 0.0)
-        thr = kth + 2.0 * (gemm_rel * (4.0 * s[lo:hi] + 2.0 * pos)
-                           + 2.0 * exact_rel * pos + 2.0 * exact_abs + 2.0 * gemm_abs)
-        thr *= 1.0 + 8.0 * gemm_rel
+        # a copy, so the partitioned block is freed before the next one
+        kth = np.partition(D, k - 1, axis=1)[:, k - 1].copy()
+        thr = kth + 2.0 * err(s[lo:hi], np.maximum(kth, 0.0))
         thr[thr >= overflow] = np.inf
         cand = D <= thr[:, None]
+        # a row with more than an eighth of the samples as candidates (ties,
+        # GEMM cancellation, or k close to n) puts its block on exact
+        # distances to every sample; a block where more than an eighth of
+        # the entries are candidates holds such a row
         if 8 * np.count_nonzero(cand) > m * n:
-            # an eighth or more of the entries are candidates (ties, GEMM
-            # cancellation, or k close to n): exact distances for the whole
-            # block from cdist, which rounds as _pair_sq_dists does, cost
-            # less than per-pair gathers, and a stable sort of each row keeps
-            # equal distances in index order.  Distances are >= 0, so -1 puts
-            # each sample at the head of its own row
-            exact = cdist(XT[lo:hi], XT, "sqeuclidean")
-            exact[np.arange(m), np.arange(lo, hi)] = -1.0
-            indices[lo:hi] = np.argsort(exact, axis=1, kind="stable")[:, :k]
-        else:
-            # flatnonzero lists candidates in (row, column) order, so a
-            # stable sort by (row, distance) breaks ties by column
-            rows, cols = np.divmod(np.flatnonzero(cand), n)
-            dist = _pair_sq_dists(XT, rows + lo, cols)
-            dist[rows + lo == cols] = -1.0
-            order = np.lexsort((dist, rows))
-            heads = np.searchsorted(rows, np.arange(m))
-            indices[lo:hi] = cols[order[heads[:, None] + np.arange(k)]]
+            indices[lo:hi] = _exact_block(XT, lo, hi, k)
+            continue
+        # each row's candidates, sorted by Dg (the sample itself, at -inf,
+        # first) and padded with +inf to the longest row's count
+        rows, cols = np.divmod(np.flatnonzero(cand), n)
+        place = np.arange(rows.size) - np.searchsorted(rows, np.arange(m))[rows]
+        width = place.max() + 1
+        if 8 * width > n:
+            indices[lo:hi] = _exact_block(XT, lo, hi, k)
+            continue
+        G = np.full((m, width), np.inf)
+        G[rows, place] = D[rows, cols]
+        C = np.zeros(G.shape, dtype=np.intp)
+        C[rows, place] = cols
+        order = np.argsort(G, axis=1)
+        G = np.take_along_axis(G, order, axis=1)
+        C = np.take_along_axis(C, order, axis=1)
+        indices[lo:hi] = C[:, :k]
+        # a run of two or more begins within the first k places iff Dg rises
+        # by at most tol between two of places 1..k (at most one of them is
+        # padding, and only in rows with a finite tol)
+        tol = err(s[lo:hi], np.maximum(thr, 0.0))
+        amb = np.flatnonzero((np.diff(G[:, 1:k + 1], axis=1) <= tol[:, None]).any(axis=1))
+        if amb.size:
+            G, C = G[amb], C[amb]
+            start = np.ones(G.shape, dtype=bool)
+            # tol is finite in a row with padding, so its first padding starts
+            # a run; the rest join it (inf - inf is nan), and they stay last
+            with np.errstate(invalid="ignore"):
+                start[:, 2:] = np.diff(G[:, 1:], axis=1) > tol[amb, None]
+            run = np.cumsum(start, axis=1)
+            first = np.maximum.accumulate(np.where(start, np.arange(G.shape[1]), 0), axis=1)
+            alone = start.copy()
+            alone[:, :-1] &= start[:, 1:]
+            need = ~alone & (first < k) & (G < np.inf)
+            # order by (run, exact distance, index); exact distances are
+            # gathered for the ambiguous runs only, 0 stands in elsewhere
+            exact = np.zeros(G.shape)
+            exact[need] = _pair_sq_dists(XT, (amb + lo)[np.nonzero(need)[0]], C[need])
+            C = np.take_along_axis(C, np.lexsort((C, exact, run), axis=1), axis=1)
+            indices[lo + amb] = C[:, :k]
     indices.setflags(write=False)
     return indices
 

@@ -75,12 +75,14 @@ class TestLoadManifest:
          "tasks[0].labels_csv must be a string, got None"),
         (lambda doc: doc["tasks"][0].update(labeled_mask_csv=["m.csv"]),
          "tasks[0].labeled_mask_csv must be a string, got ['m.csv']"),
-        # an empty path names the manifest's directory, which is no file
         *[(lambda doc, v=v: doc["tasks"][0].update(labeled_mask_csv=v),
            f"tasks[0].labeled_mask_csv must be a string, got {v!r}" if v != ""
-           else "file not found: ")
+           else "tasks[0].labeled_mask_csv is an empty path")
           for v in (None, False, 0, "", [], {})],
-        (lambda doc: doc["tasks"][1].update(features_csv=""), "file not found: "),
+        (lambda doc: doc["tasks"][1].update(features_csv=""),
+         "tasks[1].features_csv is an empty path"),
+        (lambda doc: doc["tasks"][1].update(features_csv="x"),
+         "tasks[1].features_csv: file not found: {dir}/x"),
         (lambda doc: doc["tasks"][0].update(name=None),
          "tasks[0].name must be a string, got None"),
         (lambda doc: doc["tasks"][1].update(name=1), "tasks[1].name must be a string, got 1"),
@@ -91,15 +93,16 @@ class TestLoadManifest:
     ], ids=["tasks-not-list", "task-not-object", "features-path-int",
             "labels-path-null", "mask-path-list", "mask-path-null", "mask-path-false",
             "mask-path-0", "mask-path-empty", "mask-path-empty-list",
-            "mask-path-empty-object", "features-path-empty", "name-null", "name-int",
-            "name-object", "name-repeated"])
+            "mask-path-empty-object", "features-path-empty", "features-path-missing",
+            "name-null", "name-int", "name-object", "name-repeated"])
     def test_malformed_entry(self, tmp_path, edit, message):
         path = small_manifest(tmp_path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
         # every error names the manifest, then the JSON location at fault
-        with pytest.raises(ValidationError, match=re.escape(f"manifest {path}: {message}")):
+        message = message.replace("{dir}", str(tmp_path))
+        with pytest.raises(ValidationError, match=re.escape(f"manifest {path}: {message}") + "$"):
             load_manifest(path)
 
     @pytest.mark.parametrize("support, message", [

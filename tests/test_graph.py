@@ -93,6 +93,7 @@ class TestKnnCliques:
     def test_block_edges(self, n, monkeypatch):
         # five rows per block: n one below, at, and one past a block boundary
         monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n * 5)
+        monkeypatch.setattr(graph, "KNN_ROW_FLOOR", 5)
         rng = np.random.default_rng(n)
         X = rng.integers(0, 3, size=(2, n)).astype(float)
         X[:, 3] = X[:, n - 1]
@@ -120,6 +121,29 @@ class TestKnnCliques:
         order = np.lexsort((np.broadcast_to(np.arange(n), D.shape), D), axis=1)
         np.testing.assert_array_equal(cl, order[:, :k])
 
+    @pytest.mark.parametrize("kind", ["gauss", "grid01"])
+    def test_memory_bounded_by_row_floor(self, kind, monkeypatch):
+        # a block budget of one row: the floor sets the rows per block, so a
+        # few floor-sized blocks (GEMM, partition copy, exact distances and
+        # their sort) plus X's copies bound the scan, exact blocks or not
+        n, d, k = 2000, 20, 10
+        monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n)
+        rng = np.random.default_rng(8)
+        X = (rng.standard_normal((d, n)) if kind == "gauss"
+             else rng.integers(0, 2, size=(d, n)).astype(float))
+        tracemalloc.start()
+        try:
+            cl = knn_cliques(X, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = graph.KNN_ROW_FLOOR * n * 8
+        assert block <= peak <= 5 * block + 2 * 8 * n * d
+        D = cdist(X.T, X.T, "sqeuclidean")
+        np.fill_diagonal(D, -1.0)
+        order = np.lexsort((np.broadcast_to(np.arange(n), D.shape), D), axis=1)
+        np.testing.assert_array_equal(cl, order[:, :k])
+
     def test_first_element_is_self(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, 14))
@@ -128,6 +152,82 @@ class TestKnnCliques:
         np.testing.assert_array_equal(cl[:, 0], np.arange(14))
         for row in cl:
             assert len(set(row.tolist())) == 6
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Pairs knn_cliques passes to _pair_sq_dists, and its blocks of exact distances."""
+    calls = {"pairs": 0, "blocks": 0}
+    pair_sq_dists, exact_block = graph._pair_sq_dists, graph._exact_block
+
+    def count_pairs(XT, rows, cols):
+        calls["pairs"] += rows.size
+        return pair_sq_dists(XT, rows, cols)
+
+    def count_blocks(*args):
+        calls["blocks"] += 1
+        return exact_block(*args)
+
+    monkeypatch.setattr(graph, "_pair_sq_dists", count_pairs)
+    monkeypatch.setattr(graph, "_exact_block", count_blocks)
+    return calls
+
+
+class TestAmbiguousRuns:
+    """Exact distances only where the GEMM order is ambiguous, bit-equal to brute force.
+
+    Each case keeps the scan off whole blocks of exact distances, so the
+    candidates' runs decide it.
+    """
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_near_ties(self, scale, block_rows, exact_calls, monkeypatch):
+        # each sample x beside x + eps e_1: unequal distances, closer than
+        # the round-off bound, so they fall in one run inside the clique or
+        # at its k-th place; 7-row blocks put runs in blocks past the first
+        if block_rows is not None:
+            monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * 80 * block_rows)
+            monkeypatch.setattr(graph, "KNN_ROW_FLOOR", 1)
+        rng = np.random.default_rng(1)
+        Y = rng.standard_normal((4, 40))
+        for eps in (1e-15, 1e-14, 1e-13):
+            twin = Y.copy()
+            twin[0] += eps
+            X = np.hstack([Y, twin])[:, rng.permutation(80)] * scale
+            for k in (3, 4, 6):
+                np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
+        assert exact_calls["pairs"] > 0 and exact_calls["blocks"] == 0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_duplicates_at_kth_place(self, scale, exact_calls):
+        # every sample two or three times: the copies' ties fall inside the
+        # clique and across its k-th place, where only the index decides
+        rng = np.random.default_rng(2)
+        Y = rng.standard_normal((4, 50))
+        X = np.hstack([Y, Y, Y[:, :10]])[:, rng.permutation(110)] * scale
+        for k in (2, 3, 4, 5, 6):
+            np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
+        assert exact_calls["pairs"] > 0 and exact_calls["blocks"] == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tie_heavy_grid(self, seed, exact_calls):
+        # integer points on a 5^4 grid: many equal distances in every clique
+        X = np.random.default_rng(seed).integers(0, 5, size=(4, 200)).astype(float)
+        for k in (2, 5, 9):
+            np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
+        assert exact_calls["pairs"] > 0 and exact_calls["blocks"] == 0
+
+    def test_no_exact_distances_on_separated_data(self, exact_calls):
+        # Gaussian samples: the GEMM distances already fix every clique, so
+        # no pair is gathered for an exact distance
+        X = np.random.default_rng(3).standard_normal((20, 600))
+        D = cdist(X.T, X.T, "sqeuclidean")
+        np.fill_diagonal(D, -1.0)
+        order = np.lexsort((np.broadcast_to(np.arange(600), D.shape), D), axis=1)
+        for k in (2, 10, 15):
+            np.testing.assert_array_equal(knn_cliques(X, k), order[:, :k])
+        assert exact_calls == {"pairs": 0, "blocks": 0}
 
 
 class TestTrilInv:
@@ -185,6 +285,19 @@ class TestPairSqDists:
             assert np.isinf(expected).any()
         np.testing.assert_array_equal(got, expected)
         assert np.all(got[:10] == 0.0)
+
+    @pytest.mark.parametrize("pairs", [1, 8, 15])
+    def test_lone_pair_chunk_bit_equal_to_cdist(self, pairs, monkeypatch):
+        # chunks of 7 pairs leave one pair in the last chunk (or the only
+        # one): numpy would sum its (d, 1) copy as one row, pairwise
+        d, n = 37, 50
+        monkeypatch.setattr(graph, "PAIR_BLOCK_BYTES", 8 * d * 7)
+        rng = np.random.default_rng(4)
+        XT = rng.standard_normal((n, d))
+        for _ in range(20):
+            rows, cols = rng.integers(0, n, size=(2, pairs))
+            expected = cdist(XT[rows], XT[cols], "sqeuclidean").diagonal()
+            np.testing.assert_array_equal(graph._pair_sq_dists(XT, rows, cols), expected)
 
 
 class TestLocalLaplacian:
