@@ -23,6 +23,19 @@ class ValidationError(ValueError):
     """Input data or configuration violates the dataset contract."""
 
 
+def _shown(value):
+    """value spelled as JSON, or its repr where JSON cannot encode it.
+
+    For error messages, so cut as reprlib cuts a long string: to 30
+    characters.
+    """
+    try:
+        s = json.dumps(value, ensure_ascii=False, allow_nan=False)
+    except (TypeError, ValueError):
+        return reprlib.repr(value)
+    return s if len(s) <= 30 else s[:13] + "..." + s[-14:]
+
+
 def check_json(value, spec, where):
     """Return value after checking it against spec, a JSON type description.
 
@@ -50,7 +63,7 @@ def check_json(value, spec, where):
             ok, kind = False, "a number that fits a float"
     if not ok:
         raise ValidationError(f"{where or 'the document'} must be {kind}, "
-                              f"got {reprlib.repr(value)}")
+                              f"got {_shown(value)}")
     if isinstance(spec, dict):
         for key, item in spec.items():
             name = key.rstrip("?")

@@ -5,8 +5,9 @@ neighbors, found from row blocks (of at least KNN_ROW_FLOOR rows) of the GEMM
 distances s_i + s_j - 2 x_i'x_j, s the squared norms: each block is one
 product of augmented rows [-2 x_i, 1, s_i] with [x_j, s_j, 1], into one
 reused buffer.  They give candidates and, within a rigorous round-off bound,
-their order; exact distances are computed only where that order is
-ambiguous (_pair_sq_dists, in cache-sized chunks of gathered sample pairs),
+their order; exact distances are computed only for rows where that order
+is ambiguous (to the candidates, by _pair_sq_dists in cache-sized chunks of
+gathered sample pairs, or, where they are many, to every sample by cdist),
 and no n x n distance matrix is formed.  The clique's local Laplacian is
 H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique submatrix and H_k
 the centering matrix; the task Laplacian is the sum of all local Laplacians
@@ -109,16 +110,16 @@ def _pair_sq_dists(XT, rows, cols):
     return out
 
 
-def _exact_block(XT, lo, hi, k):
-    """Rows lo..hi-1 of knn_cliques, from exact distances to every sample.
+def _exact_rows(XT, rows, k):
+    """Rows `rows` of knn_cliques, from exact distances to every sample.
 
     cdist rounds as _pair_sq_dists does and costs less than per-pair gathers
-    for a whole block; a stable sort of each row keeps equal distances in
-    index order.  Distances are >= 0, so -1 puts each sample at the head of
-    its own row.
+    for a row with many candidates; a stable sort of each row keeps equal
+    distances in index order.  Distances are >= 0, so -1 puts each sample at
+    the head of its own row.
     """
-    exact = cdist(XT[lo:hi], XT, "sqeuclidean")
-    exact[np.arange(hi - lo), np.arange(lo, hi)] = -1.0
+    exact = cdist(XT[rows], XT, "sqeuclidean")
+    exact[np.arange(rows.size), rows] = -1.0
     return np.argsort(exact, axis=1, kind="stable")[:, :k]
 
 
@@ -153,19 +154,22 @@ def knn_cliques(X, k):
     bounds.  With kth the row's (k-1)-th smallest Dg, every j with Dg_ij <=
     thr_i = kth + 2 err_i(max(kth, 0)) is a candidate: every sample left out
     is then strictly farther, by E, than each of the k-1 samples at or under
-    kth.  Each row's candidates are sorted by Dg and split into runs where
-    Dg rises by more than err_i(max(thr_i, 0)): every candidate of a run is
-    strictly nearer, by E, than every candidate of a later run.  Only runs of
-    two or more that begin within the first k places (those inside the
-    clique, and any at the k-th place) are ordered by exact (distance,
-    index), from _pair_sq_dists; on well-separated data there are none, and
-    the result is exactly what an exhaustive sort would give.  A block with
-    a row where more than an eighth of the samples are candidates (heavy
-    ties, GEMM cancellation, or k close to n) gets exact distances for every
-    entry instead, and each of its rows is sorted whole by one stable sort,
-    which is the same (distance, index) order.  Badly scaled X is rescaled by a
-    power of two (exact) for the GEMM and s only, and rows whose exact
-    distances could overflow keep every sample as a candidate, in one run.
+    kth.  Each row takes its first k + 1 places by Dg (all n if k = n),
+    sorted, the sample itself (at -inf) first.  If Dg rises by more than
+    tol_i = err_i(max(thr_i, 0)) at every step between places 1..k, the
+    first k places are final: each of places 1..k-1 is strictly nearer, by
+    E, than every later candidate, and than every sample left out.  A place
+    k that is no candidate lies more than 2 err_i(max(kth, 0)) above kth,
+    and tol_i <= err_i(max(kth, 0)) (1 + 8g + 4r) is less than that, so
+    only a run of near-equal candidates within places 1..k flags a row.
+    Each flagged row is ordered by exact (distance, index) over all its
+    candidates, from _pair_sq_dists and one lexsort; on well-separated data
+    there are none, and the result is exactly what an exhaustive sort would
+    give.  A flagged row with more than n/8 candidates (heavy ties, GEMM
+    cancellation, or k close to n) gets exact distances to every sample
+    instead, from _exact_rows, in the same order.  Badly scaled X is
+    rescaled by a power of two (exact) for the GEMM and s only, and rows
+    whose exact distances could overflow take every sample as a candidate.
     """
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
@@ -204,6 +208,7 @@ def knn_cliques(X, k):
     overflow = math.ldexp(1.0, min(1023 + 2 * p, 1023))
 
     indices = np.empty((n, k), dtype=np.intp)
+    kk = min(k, n - 1)
     step = min(max(KNN_ROW_FLOOR, KNN_BLOCK_BYTES // (8 * n)), n)
     # every row block's GEMM goes into one buffer: a fresh block of about
     # KNN_BLOCK_BYTES would be mapped and faulted in anew each time
@@ -217,57 +222,35 @@ def knn_cliques(X, k):
         left[:m, d + 1] = s[lo:hi]
         D = np.matmul(left[:m], right.T, out=buf[:m])
         D[np.arange(m), np.arange(lo, hi)] = -np.inf
-        # a copy, so the partitioned block is freed before the next one
-        kth = np.partition(D, k - 1, axis=1)[:, k - 1].copy()
+        # each row's first kk + 1 places, sorted by Dg; a copy, so the
+        # partitioned index block is freed before the next one
+        places = np.argpartition(D, kk, axis=1)[:, :kk + 1].copy()
+        order = np.argsort(np.take_along_axis(D, places, axis=1), axis=1)
+        places = np.take_along_axis(places, order, axis=1)
+        G = np.take_along_axis(D, places, axis=1)
+        indices[lo:hi] = places[:, :k]
+        kth = G[:, k - 1]
         thr = kth + 2.0 * err(s[lo:hi], np.maximum(kth, 0.0))
         thr[thr >= overflow] = np.inf
-        cand = D <= thr[:, None]
-        # a row with more than an eighth of the samples as candidates (ties,
-        # GEMM cancellation, or k close to n) puts its block on exact
-        # distances to every sample; a block where more than an eighth of
-        # the entries are candidates holds such a row
-        if 8 * np.count_nonzero(cand) > m * n:
-            indices[lo:hi] = _exact_block(XT, lo, hi, k)
-            continue
-        # each row's candidates, sorted by Dg (the sample itself, at -inf,
-        # first) and padded with +inf to the longest row's count
-        rows, cols = np.divmod(np.flatnonzero(cand), n)
-        place = np.arange(rows.size) - np.searchsorted(rows, np.arange(m))[rows]
-        width = place.max() + 1
-        if 8 * width > n:
-            indices[lo:hi] = _exact_block(XT, lo, hi, k)
-            continue
-        G = np.full((m, width), np.inf)
-        G[rows, place] = D[rows, cols]
-        C = np.zeros(G.shape, dtype=np.intp)
-        C[rows, place] = cols
-        order = np.argsort(G, axis=1)
-        G = np.take_along_axis(G, order, axis=1)
-        C = np.take_along_axis(C, order, axis=1)
-        indices[lo:hi] = C[:, :k]
-        # a run of two or more begins within the first k places iff Dg rises
-        # by at most tol between two of places 1..k (at most one of them is
-        # padding, and only in rows with a finite tol)
         tol = err(s[lo:hi], np.maximum(thr, 0.0))
-        amb = np.flatnonzero((np.diff(G[:, 1:k + 1], axis=1) <= tol[:, None]).any(axis=1))
-        if amb.size:
-            G, C = G[amb], C[amb]
-            start = np.ones(G.shape, dtype=bool)
-            # tol is finite in a row with padding, so its first padding starts
-            # a run; the rest join it (inf - inf is nan), and they stay last
-            with np.errstate(invalid="ignore"):
-                start[:, 2:] = np.diff(G[:, 1:], axis=1) > tol[amb, None]
-            run = np.cumsum(start, axis=1)
-            first = np.maximum.accumulate(np.where(start, np.arange(G.shape[1]), 0), axis=1)
-            alone = start.copy()
-            alone[:, :-1] &= start[:, 1:]
-            need = ~alone & (first < k) & (G < np.inf)
-            # order by (run, exact distance, index); exact distances are
-            # gathered for the ambiguous runs only, 0 stands in elsewhere
-            exact = np.zeros(G.shape)
-            exact[need] = _pair_sq_dists(XT, (amb + lo)[np.nonzero(need)[0]], C[need])
-            C = np.take_along_axis(C, np.lexsort((C, exact, run), axis=1), axis=1)
-            indices[lo + amb] = C[:, :k]
+        amb = np.flatnonzero((np.diff(G[:, 1:], axis=1) <= tol[:, None]).any(axis=1))
+        if not amb.size:
+            continue
+        cand = D[amb] <= thr[amb, None]
+        wide = 8 * np.count_nonzero(cand, axis=1) > n
+        if wide.any():
+            indices[lo + amb[wide]] = _exact_rows(XT, lo + amb[wide], k)
+        # the other flagged rows, by (row, exact distance, index) over their
+        # candidates: flatnonzero lists each row's candidates by index, and
+        # the lexsort is stable; -1 puts each sample ahead of its duplicates
+        amb = amb[~wide]
+        rows, cols = np.divmod(np.flatnonzero(cand[~wide]), n)
+        at = lo + amb[rows]
+        exact = _pair_sq_dists(XT, at, cols)
+        exact[cols == at] = -1.0
+        order = np.lexsort((exact, rows))
+        first = np.searchsorted(rows, np.arange(amb.size))
+        indices[lo + amb] = cols[order[first[:, None] + np.arange(k)]]
     indices.setflags(write=False)
     return indices
 

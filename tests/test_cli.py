@@ -509,7 +509,7 @@ class TestErrorPaths:
         model_path = tmp_path / "m.json"
         assert main(["fit", str(manifest), "--out", str(model_path), "--k", "5"]) == 1
         assert (f"error: manifest {manifest}: tasks[1].name must be a string, "
-                "got None") in capsys.readouterr().err
+                "got null") in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_duplicate_fractions_exit_1(self, synth_dir, tmp_path, capsys):

@@ -72,11 +72,11 @@ class TestLoadManifest:
         (lambda doc: doc["tasks"][1].update(features_csv=3),
          "tasks[1].features_csv must be a string, got 3"),
         (lambda doc: doc["tasks"][0].update(labels_csv=None),
-         "tasks[0].labels_csv must be a string, got None"),
+         "tasks[0].labels_csv must be a string, got null"),
         (lambda doc: doc["tasks"][0].update(labeled_mask_csv=["m.csv"]),
-         "tasks[0].labeled_mask_csv must be a string, got ['m.csv']"),
+         "tasks[0].labeled_mask_csv must be a string, got [\"m.csv\"]"),
         *[(lambda doc, v=v: doc["tasks"][0].update(labeled_mask_csv=v),
-           f"tasks[0].labeled_mask_csv must be a string, got {v!r}" if v != ""
+           f"tasks[0].labeled_mask_csv must be a string, got {json.dumps(v)}" if v != ""
            else "tasks[0].labeled_mask_csv is an empty path")
           for v in (None, False, 0, "", [], {})],
         (lambda doc: doc["tasks"][1].update(features_csv=""),
@@ -84,10 +84,10 @@ class TestLoadManifest:
         (lambda doc: doc["tasks"][1].update(features_csv="x"),
          "tasks[1].features_csv: file not found: {dir}/x"),
         (lambda doc: doc["tasks"][0].update(name=None),
-         "tasks[0].name must be a string, got None"),
+         "tasks[0].name must be a string, got null"),
         (lambda doc: doc["tasks"][1].update(name=1), "tasks[1].name must be a string, got 1"),
         (lambda doc: doc["tasks"][0].update(name={"a": 1}),
-         "tasks[0].name must be a string, got {'a': 1}"),
+         'tasks[0].name must be a string, got {"a": 1}'),
         (lambda doc: doc["tasks"][1].update(name=doc["tasks"][0]["name"]),
          "tasks[1].name 't0' repeats an earlier task's"),
     ], ids=["tasks-not-list", "task-not-object", "features-path-int",
@@ -109,9 +109,9 @@ class TestLoadManifest:
         ([0, 1, 3], "metadata.support[2] = 3 is outside [0, 3)"),
         ([-1, 0], "metadata.support[0] = -1 is outside [0, 3)"),
         ([0, 2, 0], "metadata.support[2] = 0 repeats an earlier entry"),
-        ([0, True], "metadata.support[1] must be an integer, got True"),
+        ([0, True], "metadata.support[1] must be an integer, got true"),
         ([1.0], "metadata.support[0] must be an integer, got 1.0"),
-        (["1"], "metadata.support[0] must be an integer, got '1'"),
+        (["1"], 'metadata.support[0] must be an integer, got "1"'),
         (2, "metadata.support must be a non-empty list, got 2"),
         ([], "metadata.support must be a non-empty list, got []"),
     ], ids=["too-large", "negative", "repeated", "bool", "float", "string",
@@ -134,8 +134,8 @@ class TestLoadManifest:
 
     @pytest.mark.parametrize("names, message", [
         (5, "feature_names must be a non-empty list, got 5"),
-        ("abc", "feature_names must be a non-empty list, got 'abc'"),
-        ({"x": 0, "y": 1, "z": 2}, "feature_names must be a non-empty list, got {'x': 0, "),
+        ("abc", 'feature_names must be a non-empty list, got "abc"'),
+        ({"x": 0, "y": 1, "z": 2}, 'feature_names must be a non-empty list, got {"x": 0, '),
         (["x", "y"], "feature_names must list 3 names, got 2"),
     ], ids=["int", "string", "object", "short-list"])
     def test_bad_feature_names_rejected(self, tmp_path, names, message):
@@ -147,7 +147,7 @@ class TestLoadManifest:
         with pytest.raises(ValidationError, match=re.escape(f"manifest {path}: {message}")):
             load_manifest(path)
 
-    @pytest.mark.parametrize("bad, shown", [(1, "1"), (None, "None"), ({"a": 1}, "{'a': 1}")],
+    @pytest.mark.parametrize("bad, shown", [(1, "1"), (None, "null"), ({"a": 1}, '{"a": 1}')],
                              ids=["int", "null", "object"])
     def test_non_string_feature_name_rejected(self, tmp_path, bad, shown):
         path = small_manifest(tmp_path)

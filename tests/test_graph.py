@@ -24,12 +24,16 @@ class TestKnnCliques:
         np.testing.assert_array_equal(cl[2], [2, 0])
         np.testing.assert_array_equal(cl[0], [0, 1])
         np.testing.assert_array_equal(cl[1], [1, 0])
+        # at k = n - 1, sample 0's two farthest tie across the last place
+        cl = knn_cliques(np.array([[0.0, -10.0, 10.0, 3.0, 4.0, 5.0]]), 5)
+        np.testing.assert_array_equal(cl[0], [0, 3, 4, 5, 1])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, 10))
-        cl = knn_cliques(X, 4)
-        np.testing.assert_array_equal(cl, brute_knn(X, 4))
+        # k = n - 1 and k = n: every sample's places, none left out
+        for k in (4, 9, 10):
+            np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tie_heavy_grids_match_brute_force(self, seed):
@@ -38,14 +42,14 @@ class TestKnnCliques:
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 3, size=(2, 24)).astype(float)
         X[:, rng.integers(0, 24, size=8)] = X[:, rng.integers(0, 24, size=8)]
-        for k in (2, 3, 5, 8, 13, 24):
+        for k in (2, 3, 5, 8, 13, 23, 24):
             np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
 
     @pytest.mark.parametrize("k", [2, 4, 9])
     def test_heavily_tied_rows_match_brute_force(self, k):
         # 30 copies of one sample beside 20 distinct ones: the copies' rows
-        # are tied far past their k-th distance, so the block is dense and
-        # every row of it, tied or not, takes the stable per-row sort
+        # are tied far past their k-th distance, so they take exact
+        # distances to every sample and the stable per-row sort
         X = np.hstack([np.zeros((3, 30)),
                        np.random.default_rng(k).standard_normal((3, 20))])
         X = X[:, np.random.default_rng(0).permutation(50)]
@@ -156,28 +160,28 @@ class TestKnnCliques:
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Pairs knn_cliques passes to _pair_sq_dists, and its blocks of exact distances."""
-    calls = {"pairs": 0, "blocks": 0}
-    pair_sq_dists, exact_block = graph._pair_sq_dists, graph._exact_block
+    """Pairs knn_cliques passes to _pair_sq_dists, and its rows of exact distances."""
+    calls = {"pairs": 0, "rows": []}
+    pair_sq_dists, exact_rows = graph._pair_sq_dists, graph._exact_rows
 
     def count_pairs(XT, rows, cols):
         calls["pairs"] += rows.size
         return pair_sq_dists(XT, rows, cols)
 
-    def count_blocks(*args):
-        calls["blocks"] += 1
-        return exact_block(*args)
+    def count_rows(XT, rows, k):
+        calls["rows"] += rows.tolist()
+        return exact_rows(XT, rows, k)
 
     monkeypatch.setattr(graph, "_pair_sq_dists", count_pairs)
-    monkeypatch.setattr(graph, "_exact_block", count_blocks)
+    monkeypatch.setattr(graph, "_exact_rows", count_rows)
     return calls
 
 
 class TestAmbiguousRuns:
-    """Exact distances only where the GEMM order is ambiguous, bit-equal to brute force.
+    """Exact distances only for rows whose GEMM order is ambiguous, bit-equal to brute force.
 
-    Each case keeps the scan off whole blocks of exact distances, so the
-    candidates' runs decide it.
+    The first three cases keep every row off exact distances to every
+    sample, so the exact order of its candidates decides it.
     """
 
     @pytest.mark.parametrize("block_rows", [None, 7])
@@ -197,7 +201,7 @@ class TestAmbiguousRuns:
             X = np.hstack([Y, twin])[:, rng.permutation(80)] * scale
             for k in (3, 4, 6):
                 np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
-        assert exact_calls["pairs"] > 0 and exact_calls["blocks"] == 0
+        assert exact_calls["pairs"] > 0 and exact_calls["rows"] == []
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_duplicates_at_kth_place(self, scale, exact_calls):
@@ -208,7 +212,7 @@ class TestAmbiguousRuns:
         X = np.hstack([Y, Y, Y[:, :10]])[:, rng.permutation(110)] * scale
         for k in (2, 3, 4, 5, 6):
             np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
-        assert exact_calls["pairs"] > 0 and exact_calls["blocks"] == 0
+        assert exact_calls["pairs"] > 0 and exact_calls["rows"] == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tie_heavy_grid(self, seed, exact_calls):
@@ -216,7 +220,7 @@ class TestAmbiguousRuns:
         X = np.random.default_rng(seed).integers(0, 5, size=(4, 200)).astype(float)
         for k in (2, 5, 9):
             np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
-        assert exact_calls["pairs"] > 0 and exact_calls["blocks"] == 0
+        assert exact_calls["pairs"] > 0 and exact_calls["rows"] == []
 
     def test_no_exact_distances_on_separated_data(self, exact_calls):
         # Gaussian samples: the GEMM distances already fix every clique, so
@@ -227,7 +231,21 @@ class TestAmbiguousRuns:
         order = np.lexsort((np.broadcast_to(np.arange(600), D.shape), D), axis=1)
         for k in (2, 10, 15):
             np.testing.assert_array_equal(knn_cliques(X, k), order[:, :k])
-        assert exact_calls == {"pairs": 0, "blocks": 0}
+        assert exact_calls == {"pairs": 0, "rows": []}
+
+    def test_wide_rows_alone_take_every_distance(self, exact_calls):
+        # 40 copies of one far point among 160 Gaussian samples, all in one
+        # block: each copy has more than n/8 candidates, so its row alone
+        # takes exact distances to every sample; the Gaussian rows keep
+        # their GEMM order
+        rng = np.random.default_rng(4)
+        X = np.hstack([np.full((5, 40), 100.0), rng.standard_normal((5, 160))])
+        perm = rng.permutation(200)
+        X = X[:, perm]
+        for k in (2, 6):
+            np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
+        cluster = np.flatnonzero(perm < 40).tolist()
+        assert exact_calls == {"pairs": 0, "rows": cluster + cluster}
 
 
 class TestTrilInv:

@@ -667,36 +667,36 @@ class TestModelSerialization:
         (lambda doc: doc["tasks"][0]["b"].__setitem__(1, float("nan")),
          "tasks[0].b[1] must be a finite number, got nan"),
         (lambda doc: doc.update(objective_trace="xyz"),
-         "objective_trace must be a non-empty list, got 'xyz'"),
+         'objective_trace must be a non-empty list, got "xyz"'),
         (lambda doc: doc.update(objective_trace=[]),
          "objective_trace must be a non-empty list, got []"),
         # the fit's trace has 4 entries
         (lambda doc: doc["objective_trace"].__setitem__(-1, float("nan")),
          "objective_trace[3] must be a finite number, got nan"),
         (lambda doc: doc["objective_trace"].__setitem__(0, None),
-         "objective_trace[0] must be a finite number, got None"),
+         "objective_trace[0] must be a finite number, got null"),
         (lambda doc: doc.update(objective_trace=[True, False]),
-         "objective_trace[0] must be a finite number, got True"),
-        (lambda doc: doc.update(converged="no"), "converged must be true or false, got 'no'"),
+         "objective_trace[0] must be a finite number, got true"),
+        (lambda doc: doc.update(converged="no"), 'converged must be true or false, got "no"'),
         (lambda doc: doc.update(converged=1), "converged must be true or false, got 1"),
         (lambda doc: doc["tasks"][0].update(name=None),
-         "tasks[0].name must be a string, got None"),
+         "tasks[0].name must be a string, got null"),
         (lambda doc: doc["tasks"][1].update(name={"a": 1}),
-         "tasks[1].name must be a string, got {'a': 1}"),
+         'tasks[1].name must be a string, got {"a": 1}'),
         (lambda doc: doc["tasks"][1].update(name="t0"),
          "tasks[1].name 't0' repeats an earlier task's"),
         # finite, but its square, and so its row norm, is not
         (lambda doc: doc["tasks"][0]["W"][2].__setitem__(1, 1e308),
          "tasks[0].W's row norms overflow a float"),
         (lambda doc: doc["tasks"][1]["W"][0].__setitem__(0, True),
-         "tasks[1].W[0][0] must be a finite number, got True"),
+         "tasks[1].W[0][0] must be a finite number, got true"),
         (lambda doc: doc["tasks"][0]["b"].__setitem__(1, False),
-         "tasks[0].b[1] must be a finite number, got False"),
+         "tasks[0].b[1] must be a finite number, got false"),
         # numpy reads a numeric string as its number
         (lambda doc: doc["tasks"][0]["W"][0].__setitem__(0, "7.5"),
-         "tasks[0].W[0][0] must be a finite number, got '7.5'"),
+         'tasks[0].W[0][0] must be a finite number, got "7.5"'),
         (lambda doc: doc["tasks"][0]["b"].__setitem__(0, "-2"),
-         "tasks[0].b[0] must be a finite number, got '-2'"),
+         'tasks[0].b[0] must be a finite number, got "-2"'),
         (lambda doc: doc["tasks"][0]["W"][1].__setitem__(0, 10**400),
          "tasks[0].W[1][0] must be a number that fits a float, got 1000"),
         # these three used to fail inside numpy, Python or the dataclass
@@ -705,7 +705,7 @@ class TestModelSerialization:
         (lambda doc: doc["hyperparams"].update(eta=1.0),
          "hyperparams.eta is not a hyperparameter"),
         (lambda doc: doc["hyperparams"].update(alpha=True),
-         "hyperparams.alpha must be a finite number, got True"),
+         "hyperparams.alpha must be a finite number, got true"),
         (lambda doc: doc["hyperparams"].update(k=2.5),
          "hyperparams.k must be an integer, got 2.5"),
         (lambda doc: doc["hyperparams"].update(max_iter=1e308),
@@ -714,7 +714,7 @@ class TestModelSerialization:
          "hyperparams.k must be a number that fits a float"),
         (lambda doc: doc.update(hyperparams={}), "hyperparams.alpha is missing"),
         (lambda doc: doc.update(hyperparams=[]), "hyperparams must be an object, got []"),
-        (lambda doc: doc.update(hyperparams=""), "hyperparams must be an object, got ''"),
+        (lambda doc: doc.update(hyperparams=""), 'hyperparams must be an object, got ""'),
         (lambda doc: doc["hyperparams"].pop("lambda"), "hyperparams.lambda is missing"),
     ], ids=["no-tasks", "W-short", "W-1d", "b-short", "W-inf", "b-nan",
             "trace-str", "trace-empty", "trace-nan", "trace-null", "trace-bools",

@@ -661,12 +661,12 @@ class TestHyperparams:
         # field, does not
         hp = Hyperparams(alpha=np.float64(2.0), k=np.int64(4), max_iter=np.int32(7))
         assert (hp.alpha, hp.k, hp.max_iter) == (2.0, 4, 7)
-        for kwargs, message in [({"beta": True}, "beta must be a finite number, got True"),
+        for kwargs, message in [({"beta": True}, "beta must be a finite number, got true"),
                                 ({"k": 4.0}, "k must be an integer, got 4.0"),
                                 # numpy scalars' repr varies with numpy's version
                                 ({"max_iter": np.float64(3)}, "max_iter must be an integer, got "),
                                 ({"k": np.bool_(True)}, "k must be an integer, got "),
-                                ({"gamma": "1"}, "gamma must be a finite number, got '1'")]:
+                                ({"gamma": "1"}, 'gamma must be a finite number, got "1"')]:
             with pytest.raises(ValidationError, match=re.escape(message)):
                 Hyperparams(**kwargs)
 
