@@ -27,11 +27,16 @@ def _shown(value):
     """value spelled as JSON, or its repr where JSON cannot encode it.
 
     For error messages, so cut as reprlib cuts a long string: to 30
-    characters.
+    characters.  An int too long for str (Python's int_max_str_digits, 4300
+    by default) is described by its number of digits.
     """
     try:
         s = json.dumps(value, ensure_ascii=False, allow_nan=False)
     except (TypeError, ValueError):
+        if isinstance(value, int):
+            # |value| has g or g + 1 digits, g from its bit length
+            g = int(abs(value).bit_length() * math.log10(2))
+            return f"an integer of {g + (abs(value) >= 10 ** g)} digits"
         return reprlib.repr(value)
     return s if len(s) <= 30 else s[:13] + "..." + s[-14:]
 
@@ -88,9 +93,13 @@ def read_json(path, spec, what):
     if not path.is_file():
         raise ValidationError(f"{what} {path}: file not found")
     try:
-        return check_json(json.loads(path.read_text()), spec, "")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        # malformed JSON or UTF-8, or an integer of more digits than
+        # Python's int_max_str_digits allows
         raise ValidationError(f"{what} {path}: not valid JSON: {exc}") from exc
+    try:
+        return check_json(doc, spec, "")
     except ValidationError as exc:
         raise ValidationError(f"{what} {path}: {exc}") from exc
 

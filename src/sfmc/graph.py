@@ -6,9 +6,8 @@ distances s_i + s_j - 2 x_i'x_j, s the squared norms: each block is one
 product of augmented rows [-2 x_i, 1, s_i] with [x_j, s_j, 1], into one
 reused buffer.  They give candidates and, within a rigorous round-off bound,
 their order; exact distances are computed only for rows where that order
-is ambiguous (to the candidates, by _pair_sq_dists in cache-sized chunks of
-gathered sample pairs, or, where they are many, to every sample by cdist),
-and no n x n distance matrix is formed.  The clique's local Laplacian is
+is ambiguous (to the row's own candidates, by one cdist call per row), and
+no n x n distance matrix is formed.  The clique's local Laplacian is
 H_k (Xc' Xc + lambda I)^-1 H_k, with Xc the d x k clique submatrix and H_k
 the centering matrix; the task Laplacian is the sum of all local Laplacians
 scatter-added into global sample coordinates.  The n local Laplacians are
@@ -39,9 +38,6 @@ KNN_ROW_FLOOR = 64
 # X is rescaled by a power of two for the GEMM only when its largest entry
 # lies outside [2^-SCALE_EXP, 2^SCALE_EXP]; inside it the GEMM cannot overflow
 SCALE_EXP = 64
-# bytes of one chunk of gathered pair differences for the exact distances: its
-# three arrays stay in cache (1 MB chunks took about 1.3x as long at d = 50-200)
-PAIR_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,47 +76,6 @@ def tril_inv(C):
         row = np.matmul(C[..., i:i + 1, :i], Y[..., :i, :i])[..., 0, :]
         Y[..., i, :i] = row / -diag[..., i, None]
     return Y
-
-
-def _pair_sq_dists(XT, rows, cols):
-    """Squared distances between rows rows[m] and cols[m] of XT, as cdist.
-
-    XT is n x d, one sample per row.  Each chunk of at most PAIR_BLOCK_BYTES
-    gathers its pairs' rows, squares their differences, and sums a
-    C-contiguous copy of the (d, pairs) transpose over axis 0, which adds
-    the features one by one, in order: so it rounds exactly as scipy's
-    cdist(..., "sqeuclidean") and the brute-force oracle do.  A reduction
-    over the gathered (pairs, d) rows, over X[:, rows] (fancy indexing
-    returns it in a transposed layout), or over a chunk of one pair would be
-    summed pairwise instead; a lone pair is accumulated in order.
-    """
-    out = np.empty(rows.size)
-    step = max(1, PAIR_BLOCK_BYTES // (8 * XT.shape[1]))
-    # huge X overflows to inf, as cdist does; knn_cliques allows for that
-    with np.errstate(over="ignore"):
-        for lo in range(0, rows.size, step):
-            diff = XT[rows[lo:lo + step]]
-            diff -= XT[cols[lo:lo + step]]
-            diff *= diff
-            if len(diff) > 1:
-                np.ascontiguousarray(diff.T).sum(axis=0, out=out[lo:lo + step])
-            else:
-                # a (d, 1) sum is reduced as one contiguous row, pairwise
-                out[lo] = np.add.accumulate(diff[0])[-1]
-    return out
-
-
-def _exact_rows(XT, rows, k):
-    """Rows `rows` of knn_cliques, from exact distances to every sample.
-
-    cdist rounds as _pair_sq_dists does and costs less than per-pair gathers
-    for a row with many candidates; a stable sort of each row keeps equal
-    distances in index order.  Distances are >= 0, so -1 puts each sample at
-    the head of its own row.
-    """
-    exact = cdist(XT[rows], XT, "sqeuclidean")
-    exact[np.arange(rows.size), rows] = -1.0
-    return np.argsort(exact, axis=1, kind="stable")[:, :k]
 
 
 def knn_cliques(X, k):
@@ -163,13 +118,11 @@ def knn_cliques(X, k):
     and tol_i <= err_i(max(kth, 0)) (1 + 8g + 4r) is less than that, so
     only a run of near-equal candidates within places 1..k flags a row.
     Each flagged row is ordered by exact (distance, index) over all its
-    candidates, from _pair_sq_dists and one lexsort; on well-separated data
-    there are none, and the result is exactly what an exhaustive sort would
-    give.  A flagged row with more than n/8 candidates (heavy ties, GEMM
-    cancellation, or k close to n) gets exact distances to every sample
-    instead, from _exact_rows, in the same order.  Badly scaled X is
-    rescaled by a power of two (exact) for the GEMM and s only, and rows
-    whose exact distances could overflow take every sample as a candidate.
+    candidates, from one cdist call and a stable sort of the candidates in
+    index order; on well-separated data there are none, and the result is
+    exactly what an exhaustive sort would give.  Badly scaled X is rescaled
+    by a power of two (exact) for the GEMM and s only, and rows whose exact
+    distances could overflow take every sample as a candidate.
     """
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
@@ -233,24 +186,14 @@ def knn_cliques(X, k):
         thr = kth + 2.0 * err(s[lo:hi], np.maximum(kth, 0.0))
         thr[thr >= overflow] = np.inf
         tol = err(s[lo:hi], np.maximum(thr, 0.0))
-        amb = np.flatnonzero((np.diff(G[:, 1:], axis=1) <= tol[:, None]).any(axis=1))
-        if not amb.size:
-            continue
-        cand = D[amb] <= thr[amb, None]
-        wide = 8 * np.count_nonzero(cand, axis=1) > n
-        if wide.any():
-            indices[lo + amb[wide]] = _exact_rows(XT, lo + amb[wide], k)
-        # the other flagged rows, by (row, exact distance, index) over their
-        # candidates: flatnonzero lists each row's candidates by index, and
-        # the lexsort is stable; -1 puts each sample ahead of its duplicates
-        amb = amb[~wide]
-        rows, cols = np.divmod(np.flatnonzero(cand[~wide]), n)
-        at = lo + amb[rows]
-        exact = _pair_sq_dists(XT, at, cols)
-        exact[cols == at] = -1.0
-        order = np.lexsort((exact, rows))
-        first = np.searchsorted(rows, np.arange(amb.size))
-        indices[lo + amb] = cols[order[first[:, None] + np.arange(k)]]
+        # each flagged row, by exact (distance, index) over its candidates:
+        # flatnonzero lists them by index, the sort is stable, and -1 puts
+        # the sample ahead of its duplicates
+        for i in np.flatnonzero((np.diff(G[:, 1:], axis=1) <= tol[:, None]).any(axis=1)):
+            cols = np.flatnonzero(D[i] <= thr[i])
+            exact = cdist(XT[lo + i:lo + i + 1], XT[cols], "sqeuclidean")[0]
+            exact[cols == lo + i] = -1.0
+            indices[lo + i] = cols[np.argsort(exact, kind="stable")[:k]]
     indices.setflags(write=False)
     return indices
 

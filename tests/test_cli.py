@@ -615,8 +615,11 @@ class TestErrorPaths:
 
 # one input field at a time is set to one of these, or deleted
 _DELETE = object()
+# the digits of an integer past Python's int-to-str limit (4300 digits), which
+# json.dumps refuses to write: the sweep puts them into the file unquoted
+_LONG_INT = "1" + "0" * 5000
 _ODD_VALUES = [None, True, False, 0, -1, 2.5, 10**400, "", "x", [], {}, 1e308, 1e-320,
-               _DELETE]
+               _LONG_INT, _DELETE]
 
 
 def _field_paths(doc, prefix=()):
@@ -658,8 +661,10 @@ class TestMutationSweep:
     def _sweep(self, doc, path, argv, out, capsys):
         for field, value in ((f, v) for f in _field_paths(doc) for v in _ODD_VALUES):
             label = ".".join(map(str, field)) + (
-                " deleted" if value is _DELETE else f" = {value!r}")
-            path.write_text(json.dumps(_mutated(doc, field, value)))
+                " deleted" if value is _DELETE
+                else " = a 5001-digit integer" if value is _LONG_INT else f" = {value!r}")
+            text = json.dumps(_mutated(doc, field, value))
+            path.write_text(text.replace(f'"{_LONG_INT}"', _LONG_INT))
             out.unlink(missing_ok=True)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

@@ -48,8 +48,8 @@ class TestKnnCliques:
     @pytest.mark.parametrize("k", [2, 4, 9])
     def test_heavily_tied_rows_match_brute_force(self, k):
         # 30 copies of one sample beside 20 distinct ones: the copies' rows
-        # are tied far past their k-th distance, so they take exact
-        # distances to every sample and the stable per-row sort
+        # are tied far past their k-th distance, so each takes exact
+        # distances to all its tied candidates and the stable per-row sort
         X = np.hstack([np.zeros((3, 30)),
                        np.random.default_rng(k).standard_normal((3, 20))])
         X = X[:, np.random.default_rng(0).permutation(50)]
@@ -128,8 +128,8 @@ class TestKnnCliques:
     @pytest.mark.parametrize("kind", ["gauss", "grid01"])
     def test_memory_bounded_by_row_floor(self, kind, monkeypatch):
         # a block budget of one row: the floor sets the rows per block, so a
-        # few floor-sized blocks (GEMM, partition copy, exact distances and
-        # their sort) plus X's copies bound the scan, exact blocks or not
+        # few floor-sized blocks (GEMM, partition copy) plus X's copies bound
+        # the scan, flagged rows or not
         n, d, k = 2000, 20, 10
         monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", 8 * n)
         rng = np.random.default_rng(8)
@@ -160,28 +160,27 @@ class TestKnnCliques:
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Pairs knn_cliques passes to _pair_sq_dists, and its rows of exact distances."""
-    calls = {"pairs": 0, "rows": []}
-    pair_sq_dists, exact_rows = graph._pair_sq_dists, graph._exact_rows
+    """Rows knn_cliques takes exact distances for, and their candidate counts.
 
-    def count_pairs(XT, rows, cols):
-        calls["pairs"] += rows.size
-        return pair_sq_dists(XT, rows, cols)
+    Each flagged row is one cdist call, from the row to its candidates.
+    """
+    calls = {"rows": [], "candidates": []}
+    cdist_ = graph.cdist
 
-    def count_rows(XT, rows, k):
-        calls["rows"] += rows.tolist()
-        return exact_rows(XT, rows, k)
+    def counted(XA, XB, metric):
+        calls["rows"] += XA.tolist()
+        calls["candidates"].append(len(XB))
+        return cdist_(XA, XB, metric)
 
-    monkeypatch.setattr(graph, "_pair_sq_dists", count_pairs)
-    monkeypatch.setattr(graph, "_exact_rows", count_rows)
+    monkeypatch.setattr(graph, "cdist", counted)
     return calls
 
 
 class TestAmbiguousRuns:
     """Exact distances only for rows whose GEMM order is ambiguous, bit-equal to brute force.
 
-    The first three cases keep every row off exact distances to every
-    sample, so the exact order of its candidates decides it.
+    In the first three cases no flagged row has every sample as a candidate,
+    so the exact order of its candidates decides it.
     """
 
     @pytest.mark.parametrize("block_rows", [None, 7])
@@ -201,7 +200,7 @@ class TestAmbiguousRuns:
             X = np.hstack([Y, twin])[:, rng.permutation(80)] * scale
             for k in (3, 4, 6):
                 np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
-        assert exact_calls["pairs"] > 0 and exact_calls["rows"] == []
+        assert exact_calls["rows"] and max(exact_calls["candidates"]) < 80
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_duplicates_at_kth_place(self, scale, exact_calls):
@@ -212,7 +211,7 @@ class TestAmbiguousRuns:
         X = np.hstack([Y, Y, Y[:, :10]])[:, rng.permutation(110)] * scale
         for k in (2, 3, 4, 5, 6):
             np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
-        assert exact_calls["pairs"] > 0 and exact_calls["rows"] == []
+        assert exact_calls["rows"] and max(exact_calls["candidates"]) < 110
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tie_heavy_grid(self, seed, exact_calls):
@@ -220,32 +219,33 @@ class TestAmbiguousRuns:
         X = np.random.default_rng(seed).integers(0, 5, size=(4, 200)).astype(float)
         for k in (2, 5, 9):
             np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
-        assert exact_calls["pairs"] > 0 and exact_calls["rows"] == []
+        assert exact_calls["rows"] and max(exact_calls["candidates"]) < 200
 
     def test_no_exact_distances_on_separated_data(self, exact_calls):
         # Gaussian samples: the GEMM distances already fix every clique, so
-        # no pair is gathered for an exact distance
+        # no row takes exact distances
         X = np.random.default_rng(3).standard_normal((20, 600))
         D = cdist(X.T, X.T, "sqeuclidean")
         np.fill_diagonal(D, -1.0)
         order = np.lexsort((np.broadcast_to(np.arange(600), D.shape), D), axis=1)
         for k in (2, 10, 15):
             np.testing.assert_array_equal(knn_cliques(X, k), order[:, :k])
-        assert exact_calls == {"pairs": 0, "rows": []}
+        assert exact_calls == {"rows": [], "candidates": []}
 
     def test_wide_rows_alone_take_every_distance(self, exact_calls):
         # 40 copies of one far point among 160 Gaussian samples, all in one
-        # block: each copy has more than n/8 candidates, so its row alone
-        # takes exact distances to every sample; the Gaussian rows keep
-        # their GEMM order
+        # block: each copy's row is tied with the other 39 copies, so it is
+        # flagged and takes exact distances to its candidates (the copies,
+        # at least); the Gaussian rows keep their GEMM order
         rng = np.random.default_rng(4)
         X = np.hstack([np.full((5, 40), 100.0), rng.standard_normal((5, 160))])
-        perm = rng.permutation(200)
-        X = X[:, perm]
+        X = X[:, rng.permutation(200)]
         for k in (2, 6):
             np.testing.assert_array_equal(knn_cliques(X, k), brute_knn(X, k))
-        cluster = np.flatnonzero(perm < 40).tolist()
-        assert exact_calls == {"pairs": 0, "rows": cluster + cluster}
+        # one call per flagged row and k, each from a copy of the far point:
+        # at most 40 per k, so 80 are exactly the cluster rows at both k
+        assert exact_calls["rows"] == [[100.0] * 5] * 80
+        assert min(exact_calls["candidates"]) >= 40
 
 
 class TestTrilInv:
@@ -283,39 +283,6 @@ class TestTrilInv:
         C = np.tril(rng.standard_normal((5, 6, 6))) + 4 * np.eye(6)
         np.testing.assert_array_equal(tril_inv(C + np.triu(np.ones((6, 6)), 1)),
                                       tril_inv(C))
-
-
-class TestPairSqDists:
-    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150, 1e160])
-    def test_bit_equal_to_cdist(self, scale, monkeypatch):
-        # 37 features (a pairwise-summed reduction rounds differently there)
-        # and chunks of 7 pairs, so 300 pairs span 43 chunks, the last one
-        # short; at 1e160 the squared differences overflow to inf
-        d, n = 37, 50
-        monkeypatch.setattr(graph, "PAIR_BLOCK_BYTES", 8 * d * 7)
-        rng = np.random.default_rng(3)
-        XT = rng.standard_normal((n, d)) * np.logspace(0, 6, d) * scale
-        rows, cols = rng.integers(0, n, size=(2, 300))
-        rows[:10] = cols[:10]
-        got = graph._pair_sq_dists(XT, rows, cols)
-        expected = cdist(XT[rows], XT[cols], "sqeuclidean").diagonal()
-        if scale == 1e160:
-            assert np.isinf(expected).any()
-        np.testing.assert_array_equal(got, expected)
-        assert np.all(got[:10] == 0.0)
-
-    @pytest.mark.parametrize("pairs", [1, 8, 15])
-    def test_lone_pair_chunk_bit_equal_to_cdist(self, pairs, monkeypatch):
-        # chunks of 7 pairs leave one pair in the last chunk (or the only
-        # one): numpy would sum its (d, 1) copy as one row, pairwise
-        d, n = 37, 50
-        monkeypatch.setattr(graph, "PAIR_BLOCK_BYTES", 8 * d * 7)
-        rng = np.random.default_rng(4)
-        XT = rng.standard_normal((n, d))
-        for _ in range(20):
-            rows, cols = rng.integers(0, n, size=(2, pairs))
-            expected = cdist(XT[rows], XT[cols], "sqeuclidean").diagonal()
-            np.testing.assert_array_equal(graph._pair_sq_dists(XT, rows, cols), expected)
 
 
 class TestLocalLaplacian:

@@ -655,6 +655,10 @@ class TestHyperparams:
             Hyperparams(delta=0.0)
         with pytest.raises(ValidationError):
             Hyperparams(k=1)
+        # too long for str, so json.dumps and repr both refuse it
+        with pytest.raises(ValidationError, match="k must be a number that fits a float, "
+                                                  "got an integer of 5001 digits"):
+            Hyperparams(k=10**5000)
 
     def test_hyperparams_field_types(self):
         # numpy scalars pass as numbers; a bool, or a non-integer in an int
